@@ -17,7 +17,6 @@ from .allocation import (
     SolverOptions,
     SubchannelAllocation,
     allocation_rate,
-    project_simplex,
     realize_allocation,
     solve_scalar_allocation,
     subchannel_rate,
@@ -147,7 +146,6 @@ __all__ = [
     "parse_instance",
     "perturbation_search",
     "product_spectrum",
-    "project_simplex",
     "psd_part",
     "random_channel",
     "random_unitary",

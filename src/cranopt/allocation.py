@@ -13,8 +13,9 @@ problem is not convex (small budgets reward concentrating everything on
 one subchannel), but each block is: for fixed powers the share allocation
 is an exact water-filling in the log2 domain, and for fixed shares the
 power allocation is concave with a closed-form KKT solution.  The solver
-therefore runs multi-start block-coordinate ascent with exact block
-maximizers, followed by a shrinking-step random polish.
+therefore runs block-coordinate ascent with exact block maximizers from a
+fixed family of starts (top-k concentration and water-filling), so its
+answer is a deterministic function of the inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, InconsistencyError, InvalidInputError
 from .kernels import LN2
 
 UPLINK = "uplink"
@@ -88,22 +89,14 @@ class SubchannelAllocation:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for solve_scalar_allocation; all counts and tolerances positive.
+    """Knobs for solve_scalar_allocation; all counts and tolerances positive."""
 
-    multistart counts total starts; a deterministic family (uniform,
-    water-filling, top-k concentration) is always included and seeded
-    Dirichlet starts fill the remainder.
-    """
-
-    multistart: int = 8
     max_iterations: int = 200
     convergence_tol: float = 1e-12
-    grid_resolution: int = 101
     c_max: float = C_MAX_DEFAULT
-    seed: int = 0
 
     def __post_init__(self):
-        if self.multistart < 1 or self.max_iterations < 1 or self.grid_resolution < 2:
+        if self.max_iterations < 1:
             raise InvalidInputError("counts in SolverOptions must be positive")
         if self.convergence_tol <= 0 or self.c_max <= 0:
             raise InvalidInputError("tolerances in SolverOptions must be positive")
@@ -170,21 +163,6 @@ def tight_quantizer_downlink(x, c):
     return q, pt
 
 
-def project_simplex(v, total: float) -> np.ndarray:
-    """Euclidean projection of v onto {x >= 0, sum x = total}."""
-    if total < 0 or not np.isfinite(total):
-        raise InvalidInputError(f"budget must be finite and >= 0, got {total}")
-    v = np.asarray(v, dtype=float)
-    if total == 0:
-        return np.zeros_like(v)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    ks = np.arange(1, len(v) + 1)
-    k = ks[u - css / ks > 0][-1]
-    tau = css[k - 1] / k
-    return np.maximum(v - tau, 0.0)
-
-
 def _share_step(s: np.ndarray, C: float, c_max: float) -> np.ndarray:
     """Exact share water-filling: maximize sum r(s_d, c_d) over
     {0 <= c <= c_max, sum c <= C} for fixed signal powers s.
@@ -217,10 +195,30 @@ def _share_step(s: np.ndarray, C: float, c_max: float) -> np.ndarray:
     return c
 
 
+# Newton iterations allowed for the power step's water level; a solve that
+# needs more is a numerical fault, not a slow case (a handful is typical)
+_LEVEL_MAX_ITERATIONS = 100
+
+
 def _power_step(g2: np.ndarray, c: np.ndarray, P: float, sigma2: float) -> np.ndarray:
     """Exact power allocation for fixed shares: the objective is concave,
     and the stationarity condition per subchannel is a quadratic in
-    s = g^2 p, solved in closed form; the water level is bisected."""
+    s = g^2 p, solved in closed form; the water level is found by Newton
+    steps kept inside a bisection bracket.
+
+    With T = 1/lambda the level, m = g^2 (1 - b) / (sigma2 ln 2) the
+    marginal rate at zero power, b = 2^-c and y = m T, the positive root is
+
+        s = 2 sigma2 (y - 1) / (sqrt((1 - b)^2 + 4 b y) + 1 + b),
+
+    written without the cancellation of the textbook root
+    (sqrt(e + k T) - a) / (2 b), which loses every digit as b -> 0.  Each
+    p_d(T) is zero below T = 1/m_d and increasing above, with derivative
+    (1 - b) / (ln 2 sqrt((1 - b)^2 + 4 b y)), so the level that spends P
+    lies between the first activation level and the lowest level at which
+    one subchannel alone would take the whole budget.  A level that is not
+    resolved within the iteration cap raises InconsistencyError.
+    """
     p = np.zeros_like(g2, dtype=float)
     beta = np.power(2.0, -np.asarray(c, dtype=float))
     act = (g2 > 0) & (beta < 1.0)
@@ -231,26 +229,44 @@ def _power_step(g2: np.ndarray, c: np.ndarray, P: float, sigma2: float) -> np.nd
         return p
     g2a = g2[act]
     ba = beta[act]
+    m = g2a * (1 - ba) / (sigma2 * LN2)
+    t_on = 1.0 / m  # level at which each subchannel switches on
 
-    def powers(lam: float) -> np.ndarray:
-        u = lam * LN2 / g2a
-        disc = (u * sigma2 * (1 + ba)) ** 2 - 4 * u * ba * (u * sigma2**2 - sigma2 * (1 - ba))
-        s = (-u * sigma2 * (1 + ba) + np.sqrt(np.maximum(disc, 0.0))) / (2 * u * ba)
-        return np.maximum(s, 0.0) / g2a
+    def powers(T: float):
+        # comparing T with t_on, not m T with 1, keeps the first subchannel
+        # on at T = min(t_on) whatever the rounding of m T
+        y = m * T
+        root = np.sqrt((1 - ba) ** 2 + 4 * ba * y)
+        on = T >= t_on
+        pa = np.where(on, 2 * sigma2 * np.maximum(y - 1, 0.0) / (root + 1 + ba) / g2a, 0.0)
+        slope = np.where(on, (1 - ba) / (LN2 * root), 0.0)
+        return pa, slope
 
-    hi = float((g2a * (1 - ba) / (sigma2 * LN2)).max())  # largest derivative at 0
-    lo = hi
-    while powers(lo).sum() < P:
-        lo *= 0.5
-        if lo < 1e-300:
+    lo = float(t_on.min())
+    s_full = g2a * P
+    hi = float((LN2 * (s_full + sigma2) * (sigma2 + ba * s_full) / (g2a * sigma2 * (1 - ba))).min())
+    hi *= 1.0 + 1e-12  # rounding must not leave the root just above the bracket
+    T = lo
+    for _ in range(_LEVEL_MAX_ITERATIONS):
+        pa, slope = powers(T)
+        excess = pa.sum() - P
+        if excess == 0.0:
             break
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if powers(mid).sum() >= P:
-            lo = mid
+        if excess < 0.0:
+            lo = T
         else:
-            hi = mid
-    pa = powers(lo)
+            hi = T
+        T_next = T - excess / slope.sum()
+        if not lo <= T_next <= hi:
+            T_next = 0.5 * (lo + hi)
+        if abs(T_next - T) <= 4 * np.finfo(float).eps * T:
+            break
+        T = T_next
+    else:
+        raise InconsistencyError(
+            f"power-step water level unresolved after {_LEVEL_MAX_ITERATIONS} "
+            f"iterations: bracket [{lo!r}, {hi!r}], excess {excess!r}"
+        )
     tot = pa.sum()
     if tot > 0:
         pa *= P / tot
@@ -348,7 +364,7 @@ def _ascend(p0, g2, P, C, sigma2, c_max, max_rounds, tol):
     return rate, p, c, rounds
 
 
-def _start_points(g2, P, sigma2, count, rng):
+def _start_points(g2, P, sigma2):
     D = len(g2)
     order = np.argsort(-g2, kind="stable")
     idx = order[g2[order] > 0]
@@ -358,18 +374,7 @@ def _start_points(g2, P, sigma2, count, rng):
         v[idx[:k]] = P / k
         starts.append(v)
     starts.append(_waterfilling_powers_g2(g2, P, sigma2))
-    while len(starts) < count:
-        v = np.zeros(D)
-        v[idx] = P * rng.dirichlet(np.ones(idx.size))
-        starts.append(v)
     return starts
-
-
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return False
 
 
 def solve_scalar_allocation(
@@ -383,10 +388,13 @@ def solve_scalar_allocation(
     """Maximize the summed subchannel rate under the power and fronthaul
     budgets, returning a tight-quantizer allocation.
 
-    Deterministic given (inputs, opts.seed).  Rate ties are broken toward
-    the lexicographically smallest power vector.  The achieved rate,
-    block-ascent iteration count and start statistics are stored in the
-    allocation's diagnostics.
+    Deterministic: block ascent runs from a fixed sequence of starts (top-k
+    concentration on the k strongest subchannels for every k, then
+    water-filling), and a start replaces the incumbent only if it gains
+    more than 1e-12 bits, so near-ties resolve to the earliest start.
+    Equal-gain subchannels are then ordered by (power, share).  The
+    achieved rate, block-ascent round count and number of starts are
+    stored in the allocation's diagnostics.
     """
     if direction not in DIRECTIONS:
         raise InvalidInputError(f"direction must be one of {DIRECTIONS}")
@@ -400,49 +408,25 @@ def solve_scalar_allocation(
         a.diagnostics.update({"rate": 0.0, "iterations": 0, "starts": 0})
         return a
 
-    rng = np.random.default_rng(opts.seed)
+    starts = _start_points(g2, P, sigma2)
     best = (-np.inf, None, None)
     total_rounds = 0
-    for p0 in _start_points(g2, P, sigma2, opts.multistart, rng):
+    for p0 in starts:
         rate, p, c, rounds = _ascend(
             p0, g2, P, C, sigma2, opts.c_max, opts.max_iterations, opts.convergence_tol
         )
         total_rounds += rounds
-        if rate > best[0] + 1e-12 or (
-            rate > best[0] - 1e-12 and best[1] is not None and _lex_less(p, best[1])
-        ):
+        if rate > best[0] + 1e-12:
             best = (rate, p, c)
 
-    rate, p, c = best
-    # shrinking-step polish: random power proposals with the share block
-    # re-solved exactly; accepted moves are re-ascended to block consistency
-    accepts = 0
-    act = g2 > 0
-    for step in (0.3, 0.1, 0.03, 0.01):
-        for _ in range(12):
-            trial = np.zeros(D)
-            trial[act] = p[act] + step * P * rng.standard_normal(int(act.sum()))
-            trial[act] = project_simplex(trial[act], P)
-            r2, p2, c2, rounds = _ascend(
-                trial, g2, P, C, sigma2, opts.c_max, opts.max_iterations, opts.convergence_tol
-            )
-            total_rounds += rounds
-            if r2 > rate + 1e-13:
-                rate, p, c = r2, p2, c2
-                accepts += 1
-
+    _, p, c = best
     p, c = _canonicalize(g, p, c)
     c = np.where(p > 0, c, 0.0)
     rate = float(_rates(g2 * p, c, sigma2).sum())
 
     alloc = realize_allocation(direction, g, p, c, sigma2)
     alloc.diagnostics.update(
-        {
-            "rate": rate,
-            "iterations": total_rounds,
-            "starts": opts.multistart,
-            "polish_accepts": accepts,
-        }
+        {"rate": rate, "iterations": total_rounds, "starts": len(starts)}
     )
     return alloc
 

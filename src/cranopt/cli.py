@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import DIRECTIONS, DOWNLINK, UPLINK, SolverOptions
+from .allocation import DIRECTIONS, DOWNLINK, UPLINK
 from .errors import InstanceFormatError, InvalidInputError, UnsupportedSizeError
 from .kernels import random_channel, svd
 from .oracle import grid_oracle_scalar, perturbation_search
@@ -241,12 +241,6 @@ def _instances(config: ExperimentConfig) -> list[tuple[ChannelInstance, str]]:
     return _generate_instances(config)
 
 
-def _solver_opts(config: ExperimentConfig, direction: str) -> SolverOptions:
-    # distinct per-direction seeds so the duality check is not self-fulfilling
-    offset = 1 if direction == UPLINK else 2
-    return SolverOptions(seed=config.seed * 4 + offset)
-
-
 def _row(label, direction, P, C, report, margin, t0, passed=True) -> ResultRow:
     return ResultRow(
         instance_id=label,
@@ -268,7 +262,7 @@ def _run_solve(config, instances) -> list[ResultRow]:
     for inst, label in instances:
         for direction in DIRECTIONS:
             t0 = time.perf_counter()
-            _, report, _ = solve_instance(inst, direction, _solver_opts(config, direction))
+            _, report, _ = solve_instance(inst, direction)
             rows.append(
                 _row(label, direction, inst.P, inst.C, report, None, t0, report.feasible)
             )
@@ -279,12 +273,11 @@ def _run_sweep(config, instances) -> list[ResultRow]:
     rows = []
     for inst, label in instances:
         for direction in DIRECTIONS:
-            opts = _solver_opts(config, direction)
             for P in config.p_grid:
                 for C in config.c_grid:
                     t0 = time.perf_counter()
                     point = ChannelInstance(H=inst.H, P=P, C=C, sigma2=inst.sigma2)
-                    _, report, _ = solve_instance(point, direction, opts)
+                    _, report, _ = solve_instance(point, direction)
                     rows.append(
                         _row(label, direction, P, C, report, None, t0, report.feasible)
                     )
@@ -296,8 +289,8 @@ def _run_duality(config, instances) -> list[ResultRow]:
     rows = []
     for inst, label in instances:
         t0 = time.perf_counter()
-        _, rep_ul, _ = solve_instance(inst, UPLINK, _solver_opts(config, UPLINK))
-        _, rep_dl, _ = solve_instance(inst, DOWNLINK, _solver_opts(config, DOWNLINK))
+        _, rep_ul, _ = solve_instance(inst, UPLINK)
+        _, rep_dl, _ = solve_instance(inst, DOWNLINK)
         gap = abs(rep_ul.rate - rep_dl.rate)
         ok = gap <= config.tol and rep_ul.feasible and rep_dl.feasible
         rows.append(_row(label, "duality", inst.P, inst.C, rep_ul, gap, t0, ok))
@@ -309,9 +302,7 @@ def _run_certify(config, instances) -> list[ResultRow]:
     for inst, label in instances:
         for direction in DIRECTIONS:
             t0 = time.perf_counter()
-            design, report, _ = solve_instance(
-                inst, direction, _solver_opts(config, direction)
-            )
+            design, report, _ = solve_instance(inst, direction)
             cert = perturbation_search(
                 inst,
                 direction,
@@ -333,11 +324,8 @@ def _run_oracle(config, instances) -> list[ResultRow]:
         gains = svd(inst.H).singular_values
         for direction in DIRECTIONS:
             t0 = time.perf_counter()
-            opts = _solver_opts(config, direction)
-            _, report, _ = solve_instance(inst, direction, opts)
-            reference = grid_oracle_scalar(
-                gains, inst.P, inst.C, inst.sigma2, direction, opts.grid_resolution
-            )
+            _, report, _ = solve_instance(inst, direction)
+            reference = grid_oracle_scalar(gains, inst.P, inst.C, inst.sigma2, direction)
             margin = report.diagnostics["rate"] - reference.diagnostics["rate"]
             ok = margin >= -config.tol and report.feasible
             rows.append(

@@ -52,7 +52,7 @@ class CertificationReport:
     margin: float  # diagonal_rate - best_perturbed_rate; negative means beaten
     trials: int
     seed: int
-    verdict: bool  # margin >= -CERTIFICATION_TOL
+    verdict: bool  # margin >= -CERTIFICATION_TOL with at least one candidate evaluated
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -378,7 +378,9 @@ def perturbation_search(
     fully random covariance pairs; every candidate is rescaled onto the
     constraint boundary before evaluation.  The margin is the base rate
     minus the best candidate rate; a clearly negative margin disproves
-    optimality of the base.  Deterministic given the seed.
+    optimality of the base.  A search in which every candidate failed
+    projection has no evidence and fails its verdict (margin +inf).
+    Deterministic given the seed.
     """
     if direction not in DIRECTIONS:
         raise InvalidInputError(f"direction must be one of {DIRECTIONS}")
@@ -443,8 +445,8 @@ def perturbation_search(
         if r > best_rate:
             best_rate = r
             best_trial = t
-    if evaluated == 0:
-        best_rate = 0.0  # the zero design is always feasible in the limit
+    # with no candidate evaluated best_rate stays -inf (the maximum over an
+    # empty set): the margin is +inf and proves nothing, so the verdict fails
     margin = base_rate - best_rate
     return CertificationReport(
         instance_id=instance_id,
@@ -454,7 +456,7 @@ def perturbation_search(
         margin=margin,
         trials=trials,
         seed=seed,
-        verdict=bool(margin >= -CERTIFICATION_TOL),
+        verdict=bool(evaluated > 0 and margin >= -CERTIFICATION_TOL),
         diagnostics={
             "evaluated": evaluated,
             "projection_failures": failures,

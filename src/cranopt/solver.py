@@ -2,9 +2,9 @@
 allocation -> assembled covariance design.
 
 The two directions share one scalar problem on the channel's singular
-values, but each is solved independently here (own options, own seed), so
-agreement of the two optimal rates is an outcome, not an artifact of
-shared computation.
+values, but each is solved and assembled independently here, so agreement
+of the two covariance designs' rates, each measured by its own direction's
+matrix functionals, is an outcome, not an artifact of shared computation.
 """
 
 from __future__ import annotations
@@ -48,14 +48,12 @@ def duality_gap(
 ) -> dict:
     """Solve both directions independently and report the rate difference.
 
-    Distinct default seeds per direction keep the two searches from
-    walking identical paths.  Returns a dict with the two rates, their
-    absolute gap, and both feasibility reports.
+    The scalar solver is deterministic, so with equal options both
+    directions start from the same scalar allocation; the gap measures how
+    well the uplink and downlink assemblies and rate functionals agree on
+    it.  Returns a dict
+    with the two rates, their absolute gap, and both feasibility reports.
     """
-    if uplink_opts is None:
-        uplink_opts = SolverOptions(seed=101)
-    if downlink_opts is None:
-        downlink_opts = SolverOptions(seed=202)
     _, rep_ul, _ = solve_instance(inst, UPLINK, uplink_opts)
     _, rep_dl, _ = solve_instance(inst, DOWNLINK, downlink_opts)
     gap = abs(rep_ul.rate - rep_dl.rate)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cranopt.allocation as allocation
 from cranopt import (
     C_MAX_DEFAULT,
+    LN2,
+    InconsistencyError,
     InvalidInputError,
-    SolverOptions,
     SubchannelAllocation,
     allocation_rate,
     realize_allocation,
@@ -125,12 +127,116 @@ def test_solver_respects_budgets():
 
 
 def test_solver_deterministic():
-    g = np.array([1.7, 0.9, 0.4])
-    a1 = solve_scalar_allocation(g, 2.0, 3.0, 1.0, "uplink", SolverOptions(seed=5))
-    a2 = solve_scalar_allocation(g, 2.0, 3.0, 1.0, "uplink", SolverOptions(seed=5))
-    assert np.array_equal(a1.power, a2.power)
-    assert np.array_equal(a1.share, a2.share)
-    assert a1.diagnostics["rate"] == a2.diagnostics["rate"]
+    # no randomness is left in the solver: a repeat solve is bit-identical
+    g = np.array([1.7, 0.9, 0.4, 0.4])
+    for direction in ("uplink", "downlink"):
+        a1 = solve_scalar_allocation(g, 2.0, 3.0, 1.0, direction)
+        a2 = solve_scalar_allocation(g, 2.0, 3.0, 1.0, direction)
+        assert np.array_equal(a1.power, a2.power)
+        assert np.array_equal(a1.share, a2.share)
+        assert np.array_equal(a1.quantizer, a2.quantizer)
+        assert a1.diagnostics == a2.diagnostics
+        assert a1.diagnostics["starts"] == 5  # top-1..top-4 concentration + water-filling
+
+
+def test_solver_rate_invariant_under_gain_permutation():
+    rng = np.random.default_rng(17)
+    for k in range(40):
+        D = 2 + k % 5
+        g = rng.uniform(0.05, 3.0, D)
+        P = rng.uniform(0.1, 8.0)
+        C = rng.uniform(0.1, 12.0)
+        base = solve_scalar_allocation(g, P, C, 1.0, "uplink")
+        perm = rng.permutation(D)
+        shuffled = solve_scalar_allocation(g[perm], P, C, 1.0, "uplink")
+        assert abs(shuffled.diagnostics["rate"] - base.diagnostics["rate"]) <= 1e-12, k
+
+
+def _bisection_power_step(g2, c, P, sigma2):
+    """Reference for allocation._power_step: the original bisection on the
+    multiplier lambda (halve it until the budget is covered, then 100
+    bisection steps), evaluated independently of the Newton solve.
+
+    The per-subchannel root is taken in rationalized form.  The textbook
+    form (sqrt(disc) - u sigma2 (1 + b)) / (2 u b) it was first written with
+    cancels to noise as b = 2^-c -> 0, and put all power on one subchannel
+    at c = c_max.
+    """
+    p = np.zeros_like(g2, dtype=float)
+    beta = np.power(2.0, -np.asarray(c, dtype=float))
+    act = (g2 > 0) & (beta < 1.0)
+    if not act.any() or P <= 0:
+        return p
+    if act.sum() == 1:
+        p[act] = P
+        return p
+    g2a = g2[act]
+    ba = beta[act]
+
+    def powers(lam):
+        u = lam * LN2 / g2a
+        disc = (u * sigma2 * (1 - ba)) ** 2 + 4 * u * ba * sigma2 * (1 - ba)
+        s = 2 * sigma2 * (1 - ba - u * sigma2) / (np.sqrt(disc) + u * sigma2 * (1 + ba))
+        return np.maximum(s, 0.0) / g2a
+
+    hi = float((g2a * (1 - ba) / (sigma2 * LN2)).max())
+    lo = hi
+    while powers(lo).sum() < P:
+        lo *= 0.5
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if powers(mid).sum() >= P:
+            lo = mid
+        else:
+            hi = mid
+    pa = powers(lo)
+    pa *= P / pa.sum()
+    p[act] = pa
+    return p
+
+
+def test_power_step_matches_bisection_reference():
+    # Both solves fix the water level to machine precision, so a power
+    # p_d = level - sigma2/g_d^2 is resolved to eps times the level, not
+    # to eps times p_d; errors are measured against the highest level.
+    rng = np.random.default_rng(2018)
+    worst_power = worst_rate = 0.0
+    for k in range(800):
+        D = 2 + k % 7
+        g2 = (10.0 ** rng.uniform(-3.0, 3.0, D)) ** 2
+        near_zero = rng.uniform(0.0, 1e-3, D)
+        c = (
+            near_zero,
+            np.full(D, C_MAX_DEFAULT),
+            np.where(rng.random(D) < 0.5, C_MAX_DEFAULT, near_zero),
+            rng.uniform(0.0, C_MAX_DEFAULT, D),
+        )[k % 4]
+        P = 10.0 ** rng.uniform(-2.0, 4.0)
+        sigma2 = 10.0 ** rng.uniform(-1.0, 1.0)
+        p_new = allocation._power_step(g2, c, P, sigma2)
+        p_ref = _bisection_power_step(g2, c, P, sigma2)
+        on = p_ref > 0
+        level = np.max(p_ref[on] + sigma2 / g2[on])
+        worst_power = max(worst_power, np.max(np.abs(p_new - p_ref)) / level)
+        r_new = np.sum(subchannel_rate(g2 * p_new, c, sigma2))
+        r_ref = np.sum(subchannel_rate(g2 * p_ref, c, sigma2))
+        worst_rate = max(worst_rate, abs(r_new - r_ref))
+    assert worst_power <= 1e-12
+    assert worst_rate <= 1e-12
+
+
+def test_power_step_at_share_cap_is_waterfilling():
+    # at c = c_max the quantization noise is negligible: classic water-filling
+    g = np.array([2.0, 1.0, 0.5])
+    p = allocation._power_step(g**2, np.full(3, C_MAX_DEFAULT), 1.0, 1.0)
+    p_wf, _ = waterfilling_capacity(g, 1.0, 1.0)
+    assert np.allclose(p, p_wf, rtol=0.0, atol=1e-12)
+
+
+def test_power_step_raises_when_the_level_does_not_converge(monkeypatch):
+    monkeypatch.setattr(allocation, "_LEVEL_MAX_ITERATIONS", 1)
+    with pytest.raises(InconsistencyError):
+        allocation._power_step(np.array([4.0, 1.0]), np.array([2.0, 1.0]), 1.0, 1.0)
 
 
 def test_solver_rejects_bad_inputs():
@@ -215,9 +321,8 @@ def test_share_cap_default():
 )
 def test_rate_monotone_in_budgets(g1, g2, P):
     gains = np.array([g1, g2])
-    opts = SolverOptions(multistart=4, seed=1)
-    r_small = solve_scalar_allocation(gains, P, 1.0, 1.0, "uplink", opts).diagnostics["rate"]
-    r_big = solve_scalar_allocation(gains, P, 2.0, 1.0, "uplink", opts).diagnostics["rate"]
-    r_power = solve_scalar_allocation(gains, 2.0 * P, 2.0, 1.0, "uplink", opts).diagnostics["rate"]
+    r_small = solve_scalar_allocation(gains, P, 1.0, 1.0, "uplink").diagnostics["rate"]
+    r_big = solve_scalar_allocation(gains, P, 2.0, 1.0, "uplink").diagnostics["rate"]
+    r_power = solve_scalar_allocation(gains, 2.0 * P, 2.0, 1.0, "uplink").diagnostics["rate"]
     assert r_big >= r_small - 1e-9
     assert r_power >= r_big - 1e-9

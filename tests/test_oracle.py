@@ -143,6 +143,23 @@ def test_certification_zero_trials():
     assert report.trials == 0
 
 
+def test_certification_with_no_evaluated_candidate_fails(monkeypatch):
+    # a search whose every candidate failed projection has no evidence; it
+    # used to report margin = base rate and pass
+    import cranopt.oracle as oracle
+
+    def refuse(*args, **kwargs):
+        raise ProjectionError("refused")
+
+    inst = _identity_instance()
+    design, _, _ = solve_instance(inst, "uplink")
+    monkeypatch.setattr(oracle, "feasibility_projection", refuse)
+    report = perturbation_search(inst, "uplink", design, trials=12, seed=0)
+    assert report.verdict is False
+    assert report.diagnostics["evaluated"] == 0
+    assert report.diagnostics["projection_failures"] == 12
+
+
 def test_certification_deterministic():
     inst = _identity_instance()
     design, _, _ = solve_instance(inst, "downlink")

@@ -6,7 +6,6 @@ import pytest
 from cranopt import (
     ChannelInstance,
     InvalidInputError,
-    SolverOptions,
     duality_gap,
     random_channel,
     solve_instance,
@@ -56,18 +55,6 @@ def test_duality_gap_small_batch():
         assert out["gap"] <= 1e-5, (seed, out["gap"])
         assert out["uplink_report"].feasible
         assert out["downlink_report"].feasible
-
-
-def test_duality_gap_uses_independent_seeds():
-    inst = _random_instance(7)
-    base = duality_gap(inst)
-    shifted = duality_gap(
-        inst,
-        uplink_opts=SolverOptions(seed=901),
-        downlink_opts=SolverOptions(seed=902),
-    )
-    assert abs(base["uplink_rate"] - shifted["uplink_rate"]) <= 1e-7
-    assert abs(base["downlink_rate"] - shifted["downlink_rate"]) <= 1e-7
 
 
 def test_tall_and_wide_channels():
