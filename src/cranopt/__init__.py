@@ -30,7 +30,6 @@ from .cli import (
     ResultRow,
     load_instances,
     main,
-    parse_instance,
     run,
     serialize_instance,
 )
@@ -143,7 +142,6 @@ __all__ = [
     "logdet_hpd",
     "logdet_ratio",
     "main",
-    "parse_instance",
     "perturbation_search",
     "product_spectrum",
     "psd_part",

@@ -451,15 +451,19 @@ def realize_allocation(direction, gains, power, share, sigma2) -> SubchannelAllo
                 tight_quantizer_uplink(g[on] ** 2, p[on], c[on], sigma2)
             )
         return SubchannelAllocation(UPLINK, p, c, q)
-    x = np.where(c > 0, p, 0.0)
-    q = np.zeros(D)
-    pt = np.zeros(D)
-    on = c > 0
+    return _tight_downlink(p, c)
+
+
+def _tight_downlink(power, share) -> SubchannelAllocation:
+    """Downlink allocation with the tight split x = q + p~ on every
+    subchannel with a positive share; the others are off (x = 0)."""
+    on = share > 0
+    x = np.where(on, power, 0.0)
+    q = np.zeros(len(x))
+    pt = np.zeros(len(x))
     if on.any():
-        qq, pp = tight_quantizer_downlink(x[on], c[on])
-        q[on] = np.atleast_1d(qq)
-        pt[on] = np.atleast_1d(pp)
-    return SubchannelAllocation(DOWNLINK, x, c, q, signal_power=pt)
+        q[on], pt[on] = tight_quantizer_downlink(x[on], share[on])
+    return SubchannelAllocation(DOWNLINK, x, share, q, signal_power=pt)
 
 
 def allocation_rate(gains, a: SubchannelAllocation, sigma2: float) -> float:
@@ -494,11 +498,4 @@ def uplink_to_downlink(a: SubchannelAllocation) -> SubchannelAllocation:
     """
     if a.direction != UPLINK:
         raise InvalidInputError(f"expected an uplink allocation, got {a.direction!r}")
-    D = len(a.power)
-    x = np.where(a.share > 0, a.power, 0.0)
-    q = np.zeros(D)
-    pt = np.zeros(D)
-    on = a.share > 0
-    if on.any():
-        q[on], pt[on] = tight_quantizer_downlink(x[on], a.share[on])
-    return SubchannelAllocation(DOWNLINK, x, a.share.copy(), q, signal_power=pt)
+    return _tight_downlink(a.power, a.share.copy())

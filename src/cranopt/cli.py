@@ -32,12 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import DIRECTIONS, DOWNLINK, UPLINK
+from .allocation import DIRECTIONS
 from .errors import InstanceFormatError, InvalidInputError, UnsupportedSizeError
 from .kernels import random_channel, svd
 from .oracle import grid_oracle_scalar, perturbation_search
 from .problem import ChannelInstance
-from .solver import solve_instance
+from .solver import duality_gap, solve_instance
 
 CSV_COLUMNS = (
     "instance_id",
@@ -174,14 +174,6 @@ def instance_from_record(rec, default_id: str = "instance") -> tuple[ChannelInst
     return inst, label
 
 
-def parse_instance(path: str) -> ChannelInstance:
-    """Parse a single-instance JSON file (see the module docstring)."""
-    insts = load_instances(path)
-    if len(insts) != 1:
-        raise InstanceFormatError(f"{path} holds {len(insts)} instances, expected 1")
-    return insts[0][0]
-
-
 def load_instances(path: str) -> list[tuple[ChannelInstance, str]]:
     """Parse an instance file holding one object or a list of objects."""
     try:
@@ -289,10 +281,9 @@ def _run_duality(config, instances) -> list[ResultRow]:
     rows = []
     for inst, label in instances:
         t0 = time.perf_counter()
-        _, rep_ul, _ = solve_instance(inst, UPLINK)
-        _, rep_dl, _ = solve_instance(inst, DOWNLINK)
-        gap = abs(rep_ul.rate - rep_dl.rate)
-        ok = gap <= config.tol and rep_ul.feasible and rep_dl.feasible
+        out = duality_gap(inst)
+        rep_ul, gap = out["uplink_report"], out["gap"]
+        ok = gap <= config.tol and rep_ul.feasible and out["downlink_report"].feasible
         rows.append(_row(label, "duality", inst.P, inst.C, rep_ul, gap, t0, ok))
     return rows
 

@@ -89,26 +89,10 @@ def check_downlink_feasible(
     inst: ChannelInstance, d: DownlinkDesign, tol: float = 1e-9
 ) -> RateReport:
     """Evaluate the functionals and slacks; power counts signal plus
-    compression noise, trace(S + Q).
-
-    diagnostics["fronthaul_reduced"] recomputes the fronthaul from the
-    transmitted covariance S + Q via an independent LU-based determinant
-    (log2|S+Q| - log2|Q| on the described subspace) as a cross-check.
-    """
+    compression noise, trace(S + Q)."""
     rate = downlink_rate(inst, d)
     fh = downlink_fronthaul(d)
     power = float(np.trace(d.S + d.Q).real)
-    W = d.active_basis
-    if W is not None and W.shape[1] == 0:
-        reduced = 0.0
-    else:
-        total = restrict(d.S + d.Q, W)
-        base = restrict(d.Q, W)
-        sign_t, ld_t = np.linalg.slogdet(total)
-        sign_b, ld_b = np.linalg.slogdet(base)
-        if sign_t.real <= 0 or sign_b.real <= 0:
-            raise DomainError("transmitted or quantization covariance is singular")
-        reduced = float((ld_t - ld_b) / LN2)
     slack_p = inst.P - power
     slack_f = inst.C - fh
     return RateReport(
@@ -118,5 +102,4 @@ def check_downlink_feasible(
         slack_power=slack_p,
         slack_fronthaul=slack_f,
         feasible=bool(slack_p >= -tol and slack_f >= -tol),
-        diagnostics={"fronthaul_reduced": reduced},
     )

@@ -110,6 +110,15 @@ def logdet_ratio(M, B) -> float:
     n = M.shape[0]
     if n == 0:
         return 0.0
+    w = whitened_eigvalsh(M, B)
+    if w[0] <= -1.0:
+        raise DomainError("B + M is not positive definite")
+    return float(np.sum(np.log1p(w)))
+
+
+def whitened_eigvalsh(M, B) -> np.ndarray:
+    """Ascending eigenvalues of L^-1 M L^-H with L = chol(B), i.e. the
+    spectrum of M relative to B; DomainError unless B is positive definite."""
     try:
         L = np.linalg.cholesky(hermitian_part(B))
     except np.linalg.LinAlgError as exc:
@@ -117,10 +126,7 @@ def logdet_ratio(M, B) -> float:
     # A = L^-1 M L^-H via two triangular solves
     X = np.linalg.solve(L, hermitian_part(M))
     A = np.linalg.solve(L, X.conj().T).conj().T
-    w = np.linalg.eigvalsh(hermitian_part(A))
-    if w[0] <= -1.0:
-        raise DomainError("B + M is not positive definite")
-    return float(np.sum(np.log1p(w)))
+    return np.linalg.eigvalsh(hermitian_part(A))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .allocation import (
     C_MAX_DEFAULT,
@@ -29,11 +28,12 @@ from .allocation import (
 from .downlink import DownlinkDesign, check_downlink_feasible, downlink_rate
 from .errors import (
     DomainError,
+    InconsistencyError,
     InvalidInputError,
     ProjectionError,
     UnsupportedSizeError,
 )
-from .kernels import LN2, TOL, as_complex_matrix, hermitian_part
+from .kernels import LN2, TOL, as_complex_matrix, hermitian_part, whitened_eigvalsh
 from .problem import ChannelInstance, psd_part
 from .uplink import UplinkDesign, check_uplink_feasible, uplink_rate
 
@@ -245,12 +245,50 @@ def _grid_joint(g2, P, Ct, c_max, sigma2, res):
 def _whitened_spectrum(M, Q):
     """Eigenvalues of Q^-1/2 M Q^-1/2; ProjectionError when Q is singular."""
     try:
-        L = np.linalg.cholesky(hermitian_part(Q))
-    except np.linalg.LinAlgError as exc:
+        return whitened_eigvalsh(M, Q)
+    except DomainError as exc:
         raise ProjectionError("quantization covariance is singular") from exc
-    X = np.linalg.solve(L, hermitian_part(M))
-    A = np.linalg.solve(L, X.conj().T).conj().T
-    return np.linalg.eigvalsh(hermitian_part(A))
+
+
+# Newton iterations allowed for the fronthaul level; a solve that needs more
+# is a numerical fault, not a slow case (a handful is typical)
+_LEVEL_MAX_ITERATIONS = 100
+
+
+def _fronthaul_level(ev: np.ndarray, C: float) -> float:
+    """The level rho > 0 with sum(log2(1 + rho * ev)) = C, for a spectrum
+    ev >= 0 with a positive entry and C > 0.
+
+    Newton steps in v = log rho start from the closed-form upper end
+    log(expm1(C ln 2) / max ev), where the largest eigenvalue alone spends
+    C.  In v the left side is a sum of softplus terms: increasing and
+    convex, with second derivative at most its first, so the iterates fall
+    monotonically onto the root and, within unit distance of it, a step s
+    leaves an error below 2 s^2: a step under 1e-8 is the last one needed.
+    A level that is not resolved within the iteration cap raises
+    InconsistencyError.
+    """
+    with np.errstate(divide="ignore"):
+        log_ev = np.log(ev)  # zero eigenvalues give -inf: they spend nothing
+    x = C * LN2
+    # log(expm1(x)), written so it neither overflows nor cancels
+    v = x + np.log(-np.expm1(-x)) - log_ev.max()
+    for _ in range(_LEVEL_MAX_ITERATIONS):
+        t = log_ev + v
+        spent = np.logaddexp(0.0, t)  # ln(1 + rho ev) per eigenvalue
+        excess = spent.sum() - x
+        if excess <= 0.0:
+            break
+        step = excess / np.exp(t - spent).sum()  # slope: sum rho ev / (1 + rho ev)
+        v -= step
+        if step <= 1e-8:
+            break
+    else:
+        raise InconsistencyError(
+            f"fronthaul level unresolved after {_LEVEL_MAX_ITERATIONS} "
+            f"iterations: log rho {v!r}, excess {excess!r} nats"
+        )
+    return float(np.exp(v))
 
 
 def feasibility_projection(
@@ -261,7 +299,7 @@ def feasibility_projection(
     Finds scale factors (alpha for the signal side, beta for the quantizer)
     so the power and fronthaul budgets both hold with at least one active.
     Uplink: alpha saturates the power budget, then the fronthaul equation
-    in beta is solved exactly (it is strictly monotone).  Downlink: the
+    in 1/beta is solved exactly (it is strictly monotone).  Downlink: the
     fronthaul depends only on alpha/beta, solved first, then both are
     scaled together onto the power budget.
 
@@ -285,17 +323,7 @@ def feasibility_projection(
             hermitian_part(Phi) + inst.sigma2 * np.eye(inst.n_r), Q
         )
         gev = np.clip(gev, 0.0, None)  # >= sigma2/||Q|| in exact arithmetic
-
-        def fh(u: float) -> float:
-            return float(np.sum(np.log1p(gev * np.exp(-u))) / LN2) - inst.C
-
-        lo = hi = float(np.log(gev.max() / max(np.expm1(inst.C * LN2), 1e-300)))
-        while fh(lo) < 0:
-            lo -= 8.0
-        while fh(hi) > 0:
-            hi += 8.0
-        u = brentq(fh, lo, hi, xtol=1e-13, rtol=8.9e-16) if lo < hi else lo
-        beta = float(np.exp(u))
+        beta = 1.0 / _fronthaul_level(gev, inst.C)
         return UplinkDesign(S=psd_part(alpha * S), Q=psd_part(beta * Q))
 
     if S.shape != (inst.n_r, inst.n_r) or Q.shape != (inst.n_r, inst.n_r):
@@ -307,17 +335,7 @@ def feasibility_projection(
     ev = np.clip(_whitened_spectrum(S, Q), 0.0, None)
     if inst.C <= 0 or tS <= 0 or ev.max() <= 0:
         return DownlinkDesign(S=np.zeros_like(S), Q=psd_part((inst.P / tQ) * Q))
-
-    def fh_rho(u: float) -> float:
-        return float(np.sum(np.log1p(ev * np.exp(u))) / LN2) - inst.C
-
-    lo = hi = float(np.log(np.expm1(inst.C * LN2) / ev.max()))
-    while fh_rho(lo) > 0:
-        lo -= 8.0
-    while fh_rho(hi) < 0:
-        hi += 8.0
-    u = brentq(fh_rho, lo, hi, xtol=1e-13, rtol=8.9e-16) if lo < hi else lo
-    rho = float(np.exp(u))
+    rho = _fronthaul_level(ev, inst.C)
     beta = inst.P / (rho * tS + tQ)
     alpha = rho * beta
     return DownlinkDesign(S=psd_part(alpha * S), Q=psd_part(beta * Q))

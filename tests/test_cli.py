@@ -15,8 +15,8 @@ from cranopt.cli import (
     ExperimentConfig,
     build_parser,
     instance_from_record,
+    load_instances,
     main,
-    parse_instance,
     render_rows,
     run,
     serialize_instance,
@@ -39,7 +39,7 @@ def identity_file(tmp_path):
 
 
 def test_parse_identity_fixture(identity_file):
-    inst = parse_instance(identity_file)
+    ((inst, _),) = load_instances(identity_file)
     assert np.allclose(inst.H, np.eye(2))
     assert (inst.P, inst.C, inst.sigma2) == (2.0, 2.0, 1.0)
 
@@ -50,10 +50,10 @@ def test_round_trip_bit_identical(tmp_path):
     rec = serialize_instance(inst)
     path = tmp_path / "rt.json"
     path.write_text(json.dumps(rec))
-    back = parse_instance(str(path))
+    ((back, _),) = load_instances(str(path))
     assert np.array_equal(back.H, inst.H)
     assert (back.P, back.C, back.sigma2) == (inst.P, inst.C, inst.sigma2)
-    # serialize(parse(x)) is value-identical
+    # serialize(load(x)) is value-identical
     assert serialize_instance(back) == rec
 
 
@@ -62,7 +62,7 @@ def test_missing_field_names_the_field(tmp_path):
     path = tmp_path / "noc.json"
     path.write_text(json.dumps(rec))
     with pytest.raises(InstanceFormatError, match="'C'"):
-        parse_instance(str(path))
+        load_instances(str(path))
 
 
 def test_ragged_rows_rejected():

@@ -1,12 +1,18 @@
 """Independent verification routes: grid oracle, projection, perturbation."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cranopt.oracle as oracle
 from cranopt import (
     CERTIFICATION_TOL,
     ChannelInstance,
     DownlinkDesign,
+    InconsistencyError,
     InvalidInputError,
     ProjectionError,
     UnsupportedSizeError,
@@ -105,6 +111,57 @@ def test_projection_downlink_zero_fronthaul_gives_silence():
     assert rep.rate == 0.0
 
 
+def _bisection_level(ev, C):
+    """log rho with sum(log2(1 + rho ev)) = C by bisection: every term is at
+    most the largest, so the root lies between the levels at which the
+    largest eigenvalue alone spends C / n and C."""
+    top = np.log(ev.max())
+    lo = np.log(np.expm1(C * np.log(2) / ev.size)) - top
+    hi = np.log(np.expm1(C * np.log(2))) - top
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.log1p(ev * np.exp(mid)).sum() / np.log(2) > C:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_fronthaul_level_matches_bisection_reference():
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(2000):
+        n = int(rng.integers(1, 9))
+        ev = 10.0 ** rng.uniform(-12, 12, n)
+        ev[rng.random(n) < 0.25] = 0.0
+        ev[rng.integers(n)] = 10.0 ** rng.uniform(-12, 12)  # one positive entry
+        C = 10.0 ** rng.uniform(-6, np.log10(60.0))
+        rho = oracle._fronthaul_level(ev, C)
+        worst = max(worst, abs(np.log(rho) - _bisection_level(ev, C)))
+    assert worst <= 1e-13
+
+
+def test_fronthaul_level_raises_when_it_does_not_converge(monkeypatch):
+    monkeypatch.setattr(oracle, "_LEVEL_MAX_ITERATIONS", 1)
+    with pytest.raises(InconsistencyError):
+        oracle._fronthaul_level(np.array([4.0, 1.0]), 1.0)
+
+
+def test_import_does_not_load_scipy():
+    # the fresh interpreter loads cranopt from where this one found it
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cranopt; "
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_certification_accepts_solver_output():
     rng = np.random.default_rng(11)
     for seed in range(4):
@@ -146,8 +203,6 @@ def test_certification_zero_trials():
 def test_certification_with_no_evaluated_candidate_fails(monkeypatch):
     # a search whose every candidate failed projection has no evidence; it
     # used to report margin = base rate and pass
-    import cranopt.oracle as oracle
-
     def refuse(*args, **kwargs):
         raise ProjectionError("refused")
 
