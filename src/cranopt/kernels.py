@@ -54,13 +54,16 @@ def as_complex_matrix(M, name: str = "matrix") -> np.ndarray:
 
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.conj().T)
+    """(M + M^H) / 2, per matrix for a stack (..., n, n)."""
+    return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
-def hermitian_defect(M: np.ndarray) -> float:
-    """Relative Frobenius norm of the anti-Hermitian part."""
-    scale = max(1.0, float(np.linalg.norm(M)))
-    return float(np.linalg.norm(M - M.conj().T)) / scale
+def hermitian_defect(M: np.ndarray):
+    """Relative Frobenius norm of the anti-Hermitian part, per matrix for a
+    stack (..., n, n)."""
+    axes = (-2, -1)
+    scale = np.maximum(1.0, np.linalg.norm(M, axis=axes))
+    return np.linalg.norm(M - M.conj().swapaxes(-1, -2), axis=axes) / scale
 
 
 def is_psd(M, tol: float = TOL.psd) -> bool:
@@ -72,10 +75,14 @@ def is_psd(M, tol: float = TOL.psd) -> bool:
     A = as_complex_matrix(M, "M")
     if A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"is_psd expects a square matrix, got {A.shape}")
-    if hermitian_defect(A) > tol:
-        return False
+    return bool(is_psd_stacked(A, tol))
+
+
+def is_psd_stacked(A: np.ndarray, tol: float = TOL.psd):
+    """:func:`is_psd` for each matrix of a finite stack (..., n, n), without
+    input validation."""
     w = np.linalg.eigvalsh(hermitian_part(A))
-    return bool(w[0] >= -tol * max(1.0, float(w[-1])))
+    return (hermitian_defect(A) <= tol) & (w[..., 0] >= -tol * np.maximum(1.0, w[..., -1]))
 
 
 def logdet_hpd(M) -> float:
@@ -110,23 +117,45 @@ def logdet_ratio(M, B) -> float:
     n = M.shape[0]
     if n == 0:
         return 0.0
-    w = whitened_eigvalsh(M, B)
-    if w[0] <= -1.0:
-        raise DomainError("B + M is not positive definite")
-    return float(np.sum(np.log1p(w)))
+    nats, ok = logdet_ratio_stacked(M[None], B[None])
+    if not ok[0]:
+        raise DomainError("B or B + M is not positive definite")
+    return float(nats[0])
 
 
-def whitened_eigvalsh(M, B) -> np.ndarray:
+def logdet_ratio_stacked(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`logdet_ratio` for each pair of (T, n, n) stacks, without input
+    validation: the ratios in nats, and a mask of the lanes where B and
+    B + M are positive definite.  Other lanes hold no ratio."""
+    w, ok = whitened_eigvalsh(M, B)
+    ok &= w[:, 0] > -1.0
+    return np.log1p(np.where(ok[:, None], w, 0.0)).sum(axis=-1), ok
+
+
+def whitened_eigvalsh(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of L^-1 M L^-H with L = chol(B), i.e. the
-    spectrum of M relative to B; DomainError unless B is positive definite."""
+    spectrum of M relative to B, for each pair of (T, n, n) stacks; and a
+    mask of the lanes whose B is positive definite.  Other lanes hold no
+    spectrum."""
+    B = hermitian_part(B)
+    ok = np.ones(len(B), dtype=bool)
     try:
-        L = np.linalg.cholesky(hermitian_part(B))
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("base matrix is not positive definite") from exc
+        L = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        # the stacked factorization fails as a whole when one lane does:
+        # factor lane by lane to find which, and whiten the failed lanes by
+        # I so that the stacked solves below still run
+        L = np.empty_like(B)
+        for k, b in enumerate(B):
+            try:
+                L[k] = np.linalg.cholesky(b)
+            except np.linalg.LinAlgError:
+                ok[k] = False
+                L[k] = np.eye(b.shape[0])
     # A = L^-1 M L^-H via two triangular solves
     X = np.linalg.solve(L, hermitian_part(M))
-    A = np.linalg.solve(L, X.conj().T).conj().T
-    return np.linalg.eigvalsh(hermitian_part(A))
+    A = np.linalg.solve(L, X.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
+    return np.linalg.eigvalsh(hermitian_part(A)), ok
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ Two independent routes check the solver's optimality claims:
     with the solver, none of its KKT machinery.
   * :func:`perturbation_search` attacks an assembled matrix design with
     random covariance candidates, each rescaled onto the constraint
-    boundary, and reports the worst-case margin.
+    boundary, and reports the worst-case margin.  It draws, projects and
+    evaluates its candidates in fixed blocks of stacked (T, n, n) arrays;
+    a candidate that cannot be projected or evaluated fails alone, not
+    its block.
 """
 
 from __future__ import annotations
@@ -25,20 +28,31 @@ from .allocation import (
     _rates,
     realize_allocation,
 )
-from .downlink import DownlinkDesign, check_downlink_feasible, downlink_rate
+from .downlink import DownlinkDesign, check_downlink_feasible
 from .errors import (
-    DomainError,
     InconsistencyError,
     InvalidInputError,
     ProjectionError,
     UnsupportedSizeError,
 )
-from .kernels import LN2, TOL, as_complex_matrix, hermitian_part, whitened_eigvalsh
+from .kernels import (
+    LN2,
+    TOL,
+    as_complex_matrix,
+    hermitian_part,
+    is_psd_stacked,
+    logdet_ratio_stacked,
+    whitened_eigvalsh,
+)
 from .problem import ChannelInstance, psd_part
-from .uplink import UplinkDesign, check_uplink_feasible, uplink_rate
+from .uplink import UplinkDesign, check_uplink_feasible
 
 CERTIFICATION_TOL = TOL.certification
 GEODESIC_STEPS = (0.3, 0.1, 0.03)
+# perturbation_search draws, projects and evaluates its candidates in blocks
+# of this many trials: stacked arrays remove the per-candidate Python
+# overhead, and a small block keeps the search's peak memory flat
+_BLOCK = 128
 
 
 @dataclass
@@ -52,7 +66,7 @@ class CertificationReport:
     margin: float  # diagonal_rate - best_perturbed_rate; negative means beaten
     trials: int
     seed: int
-    verdict: bool  # margin >= -CERTIFICATION_TOL with at least one candidate evaluated
+    verdict: bool  # margin >= -CERTIFICATION_TOL with at least half the trials evaluated
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -242,22 +256,15 @@ def _grid_joint(g2, P, Ct, c_max, sigma2, res):
     return p, np.clip(c, 0.0, None), rate
 
 
-def _whitened_spectrum(M, Q):
-    """Eigenvalues of Q^-1/2 M Q^-1/2; ProjectionError when Q is singular."""
-    try:
-        return whitened_eigvalsh(M, Q)
-    except DomainError as exc:
-        raise ProjectionError("quantization covariance is singular") from exc
-
-
 # Newton iterations allowed for the fronthaul level; a solve that needs more
 # is a numerical fault, not a slow case (a handful is typical)
 _LEVEL_MAX_ITERATIONS = 100
 
 
-def _fronthaul_level(ev: np.ndarray, C: float) -> float:
-    """The level rho > 0 with sum(log2(1 + rho * ev)) = C, for a spectrum
-    ev >= 0 with a positive entry and C > 0.
+def _fronthaul_level(ev: np.ndarray, C) -> np.ndarray:
+    """The levels rho > 0 with sum(log2(1 + rho * ev)) = C, one per row of a
+    (T, n) stack of spectra ev >= 0, each with a positive entry, for C > 0
+    given once or per row.
 
     Newton steps in v = log rho start from the closed-form upper end
     log(expm1(C ln 2) / max ev), where the largest eigenvalue alone spends
@@ -265,30 +272,72 @@ def _fronthaul_level(ev: np.ndarray, C: float) -> float:
     convex, with second derivative at most its first, so the iterates fall
     monotonically onto the root and, within unit distance of it, a step s
     leaves an error below 2 s^2: a step under 1e-8 is the last one needed.
-    A level that is not resolved within the iteration cap raises
+    Each row steps until it has converged, independently of the others.  A
+    level that is not resolved within the iteration cap raises
     InconsistencyError.
     """
     with np.errstate(divide="ignore"):
         log_ev = np.log(ev)  # zero eigenvalues give -inf: they spend nothing
-    x = C * LN2
+    x = np.asarray(C, dtype=float) * LN2
     # log(expm1(x)), written so it neither overflows nor cancels
-    v = x + np.log(-np.expm1(-x)) - log_ev.max()
+    v = x + np.log(-np.expm1(-x)) - log_ev.max(axis=-1)
+    going = np.ones(v.shape, dtype=bool)  # the rows still stepping
     for _ in range(_LEVEL_MAX_ITERATIONS):
-        t = log_ev + v
+        t = log_ev + v[:, None]
         spent = np.logaddexp(0.0, t)  # ln(1 + rho ev) per eigenvalue
-        excess = spent.sum() - x
-        if excess <= 0.0:
-            break
-        step = excess / np.exp(t - spent).sum()  # slope: sum rho ev / (1 + rho ev)
-        v -= step
-        if step <= 1e-8:
+        excess = spent.sum(axis=-1) - x
+        going &= ~(excess <= 0.0)
+        step = excess / np.exp(t - spent).sum(axis=-1)  # slope: sum rho ev / (1 + rho ev)
+        v -= np.where(going, step, 0.0)
+        going &= ~(step <= 1e-8)
+        if not going.any():
             break
     else:
+        k = int(np.argmax(going))
         raise InconsistencyError(
             f"fronthaul level unresolved after {_LEVEL_MAX_ITERATIONS} "
-            f"iterations: log rho {v!r}, excess {excess!r} nats"
+            f"iterations in {int(going.sum())} of {len(v)} spectra: log rho "
+            f"{v[k]!r} in spectrum {k}"
         )
-    return float(np.exp(v))
+    return np.exp(v)
+
+
+def _project(inst: ChannelInstance, direction: str, S: np.ndarray, Q: np.ndarray):
+    """Batched core of :func:`feasibility_projection` for stacks of
+    candidate pairs S (T, nS, nS) and Q (T, nQ, nQ) of the instance's
+    shapes.  Returns the rescaled stacks and a mask of the lanes that have
+    a design; the other lanes' quantizer is singular or zero, and they hold
+    no design.  An uplink instance with C = 0 has no design in any lane and
+    raises ProjectionError."""
+    S = psd_part(S)
+    Q = psd_part(Q)
+    T = len(S)
+    tS = np.trace(S, axis1=-2, axis2=-1).real
+    if direction == UPLINK:
+        if inst.C <= 0:
+            raise ProjectionError("no finite uplink design has zero fronthaul cost")
+        alpha = np.divide(inst.P, tS, out=np.ones(T), where=tS > 0)
+        Phi = inst.H @ (alpha[:, None, None] * S) @ inst.H.conj().T
+        gev, ok = whitened_eigvalsh(
+            hermitian_part(Phi) + inst.sigma2 * np.eye(inst.n_r), Q
+        )
+        gev = np.clip(gev[ok], 0.0, None)  # >= sigma2/||Q|| in exact arithmetic
+        beta = np.ones(T)
+        beta[ok] = 1.0 / _fronthaul_level(gev, inst.C)
+    else:
+        tQ = np.trace(Q, axis1=-2, axis2=-1).real
+        ev, ok = whitened_eigvalsh(S, Q)
+        ok &= tQ > 0
+        ev = np.clip(ev, 0.0, None)
+        # a lane with no signal or no fronthaul is silent: all power goes to
+        # the quantizer; the others spend C exactly, then P
+        live = ok & (tS > 0) & (ev[:, -1] > 0) & (inst.C > 0)
+        rho = _fronthaul_level(ev[live], inst.C) if live.any() else 0.0
+        alpha = np.zeros(T)
+        beta = np.divide(inst.P, tQ, out=np.ones(T), where=ok)
+        beta[live] = inst.P / (rho * tS[live] + tQ[live])
+        alpha[live] = rho * beta[live]
+    return psd_part(alpha[:, None, None] * S), psd_part(beta[:, None, None] * Q), ok
 
 
 def feasibility_projection(
@@ -301,7 +350,8 @@ def feasibility_projection(
     Uplink: alpha saturates the power budget, then the fronthaul equation
     in 1/beta is solved exactly (it is strictly monotone).  Downlink: the
     fronthaul depends only on alpha/beta, solved first, then both are
-    scaled together onto the power budget.
+    scaled together onto the power budget.  This is the one-pair case of
+    the stacked projection :func:`perturbation_search` runs on its blocks.
 
     Raises ProjectionError when no scaling works: a singular quantizer
     covariance, or an uplink instance with C = 0 (compressing even pure
@@ -309,53 +359,96 @@ def feasibility_projection(
     """
     if direction not in DIRECTIONS:
         raise InvalidInputError(f"direction must be one of {DIRECTIONS}")
-    S = psd_part(as_complex_matrix(S_like, "S"))
-    Q = psd_part(as_complex_matrix(Q_like, "Q"))
-    if direction == UPLINK:
-        if S.shape != (inst.n_u, inst.n_u) or Q.shape != (inst.n_r, inst.n_r):
-            raise InvalidInputError("covariance shapes do not match the instance")
-        if inst.C <= 0:
-            raise ProjectionError("no finite uplink design has zero fronthaul cost")
-        tS = float(np.trace(S).real)
-        alpha = inst.P / tS if tS > 0 else 1.0
-        Phi = inst.H @ (alpha * S) @ inst.H.conj().T
-        gev = _whitened_spectrum(
-            hermitian_part(Phi) + inst.sigma2 * np.eye(inst.n_r), Q
-        )
-        gev = np.clip(gev, 0.0, None)  # >= sigma2/||Q|| in exact arithmetic
-        beta = 1.0 / _fronthaul_level(gev, inst.C)
-        return UplinkDesign(S=psd_part(alpha * S), Q=psd_part(beta * Q))
-
-    if S.shape != (inst.n_r, inst.n_r) or Q.shape != (inst.n_r, inst.n_r):
+    S = as_complex_matrix(S_like, "S")
+    Q = as_complex_matrix(Q_like, "Q")
+    nS = inst.n_u if direction == UPLINK else inst.n_r
+    if S.shape != (nS, nS) or Q.shape != (inst.n_r, inst.n_r):
         raise InvalidInputError("covariance shapes do not match the instance")
-    tS = float(np.trace(S).real)
-    tQ = float(np.trace(Q).real)
-    if tQ <= 0:
-        raise ProjectionError("quantization covariance is zero")
-    ev = np.clip(_whitened_spectrum(S, Q), 0.0, None)
-    if inst.C <= 0 or tS <= 0 or ev.max() <= 0:
-        return DownlinkDesign(S=np.zeros_like(S), Q=psd_part((inst.P / tQ) * Q))
-    rho = _fronthaul_level(ev, inst.C)
-    beta = inst.P / (rho * tS + tQ)
-    alpha = rho * beta
-    return DownlinkDesign(S=psd_part(alpha * S), Q=psd_part(beta * Q))
+    S, Q, ok = _project(inst, direction, S[None], Q[None])
+    if not ok[0]:
+        raise ProjectionError("quantization covariance is singular or zero")
+    design = UplinkDesign if direction == UPLINK else DownlinkDesign
+    return design(S=S[0], Q=Q[0])
 
 
-def _random_rotation(n: int, eps: float, rng) -> np.ndarray:
-    """exp(i * eps * A) for a normalized random Hermitian A: a unitary a
-    geodesic distance ~eps from the identity."""
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _frobenius(A: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (T, n, n) stack, summed as
+    np.linalg.norm sums one matrix (a dot product of the real parts plus
+    one of the imaginary parts), so that each lane matches it exactly."""
+    T, m, n = A.shape
+    x = A.reshape(T, 1, m * n)
+    sq = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
+    return np.sqrt(sq[:, 0, 0])
+
+
+def _random_rotations(G: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """exp(i * eps * A) for the normalized Hermitian part A of each matrix
+    of a Gaussian stack G: unitaries a geodesic distance ~eps from the
+    identity."""
     A = hermitian_part(G)
-    nrm = float(np.linalg.norm(A))
-    if nrm > 0:
-        A = A / nrm
+    nrm = _frobenius(A)
+    A = A / np.where(nrm > 0, nrm, 1.0)[:, None, None]
     w, V = np.linalg.eigh(A)
-    return (V * np.exp(1j * eps * w)) @ V.conj().T
+    return (V * np.exp(1j * eps[:, None] * w)[:, None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def _random_psd(n: int, rng) -> np.ndarray:
-    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (X @ X.conj().T) / n
+def _conjugate(W: np.ndarray, M: np.ndarray) -> np.ndarray:
+    return W @ M @ W.conj().swapaxes(-1, -2)
+
+
+def _random_psd(X: np.ndarray) -> np.ndarray:
+    return (X @ X.conj().swapaxes(-1, -2)) / X.shape[-1]
+
+
+def _candidates(S0: np.ndarray, Q0: np.ndarray, trial: np.ndarray, rng):
+    """Candidate pairs (S, Q) for the given trial numbers, in trial order.
+
+    Trial t with t % 4 < 3 conjugates the base pair by random unitaries at
+    geodesic step GEODESIC_STEPS[t % 4]; the others are fully random pairs.
+    Either kind draws nS^2 real, nS^2 imaginary, nQ^2 real and nQ^2
+    imaginary normals, in that order, so one draw for the whole block is
+    the stream a draw per matrix would read.
+    """
+    T, nS, nQ = len(trial), S0.shape[0], Q0.shape[0]
+    z = rng.standard_normal((T, 2 * nS * nS + 2 * nQ * nQ))
+    cut = np.cumsum([nS * nS, nS * nS, nQ * nQ])
+    s_re, s_im, q_re, q_im = np.split(z, cut, axis=1)
+    Gs = (s_re + 1j * s_im).reshape(T, nS, nS)
+    Gq = (q_re + 1j * q_im).reshape(T, nQ, nQ)
+    kind = trial % (len(GEODESIC_STEPS) + 1)
+    rot = kind < len(GEODESIC_STEPS)
+    eps = np.asarray(GEODESIC_STEPS)[kind[rot]]
+    S = np.empty_like(Gs)
+    Q = np.empty_like(Gq)
+    S[rot] = _conjugate(_random_rotations(Gs[rot], eps), S0)
+    Q[rot] = _conjugate(_random_rotations(Gq[rot], eps), Q0)
+    S[~rot] = _random_psd(Gs[~rot])
+    Q[~rot] = _random_psd(Gq[~rot]) + 1e-6 * np.eye(nQ)
+    return S, Q
+
+
+def _check_designs(S: np.ndarray, Q: np.ndarray) -> None:
+    """The validation UplinkDesign and DownlinkDesign run on their
+    covariances, for stacks of projected pairs."""
+    for name, A in (("S", S), ("Q", Q)):
+        if not np.all(np.isfinite(A)):
+            raise InvalidInputError(f"{name} contains non-finite entries")
+        if not np.all(is_psd_stacked(A)):
+            raise InvalidInputError(f"{name} must be Hermitian positive semidefinite")
+
+
+def _candidate_rates(inst: ChannelInstance, direction: str, S: np.ndarray, Q: np.ndarray):
+    """uplink_rate or downlink_rate, in bits, of each design of a stack
+    (designs without an active basis), and a mask of the lanes where the
+    rate is defined."""
+    H, Hh = inst.H, inst.H.conj().T
+    if direction == UPLINK:
+        nats, ok = logdet_ratio_stacked(H @ S @ Hh, Q + inst.sigma2 * np.eye(inst.n_r))
+    else:
+        nats, ok = logdet_ratio_stacked(
+            Hh @ S @ H, Hh @ Q @ H + inst.sigma2 * np.eye(inst.n_u)
+        )
+    return nats / LN2, ok
 
 
 def _densify(inst: ChannelInstance, direction: str, base) -> tuple:
@@ -396,9 +489,16 @@ def perturbation_search(
     fully random covariance pairs; every candidate is rescaled onto the
     constraint boundary before evaluation.  The margin is the base rate
     minus the best candidate rate; a clearly negative margin disproves
-    optimality of the base.  A search in which every candidate failed
-    projection has no evidence and fails its verdict (margin +inf).
-    Deterministic given the seed.
+    optimality of the base.
+
+    The candidates are drawn, projected and evaluated in blocks of stacked
+    arrays (at most 128 trials each), reading the random stream in trial
+    order; a candidate whose projection or rate fails (a singular or
+    ill-conditioned quantizer) is counted in ``projection_failures`` and
+    skipped.  A search that evaluated fewer than half of its trials has too
+    little evidence and fails its verdict, whatever its margin; with no
+    candidate evaluated the margin is +inf.  ``best_trial`` is the trial
+    number of the best candidate.  Deterministic given the seed.
     """
     if direction not in DIRECTIONS:
         raise InvalidInputError(f"direction must be one of {DIRECTIONS}")
@@ -408,12 +508,10 @@ def perturbation_search(
         if not isinstance(base, UplinkDesign):
             raise InvalidInputError("uplink certification needs an UplinkDesign")
         report = check_uplink_feasible(inst, base)
-        rate_fn = uplink_rate
     else:
         if not isinstance(base, DownlinkDesign):
             raise InvalidInputError("downlink certification needs a DownlinkDesign")
         report = check_downlink_feasible(inst, base)
-        rate_fn = downlink_rate
     if not report.feasible:
         raise InvalidInputError(
             f"base design is infeasible: power slack {report.slack_power:.3e}, "
@@ -433,38 +531,33 @@ def perturbation_search(
         )
 
     S0, Q0 = _densify(inst, direction, base)
-    nS = S0.shape[0]
-    nQ = Q0.shape[0]
     rng = np.random.default_rng(seed)
     best_rate = -np.inf
     best_trial = -1
     evaluated = 0
-    failures = 0
-    for t in range(trials):
-        kind = t % (len(GEODESIC_STEPS) + 1)
-        if kind < len(GEODESIC_STEPS):
-            eps = GEODESIC_STEPS[kind]
-            Ws = _random_rotation(nS, eps, rng)
-            Wq = _random_rotation(nQ, eps, rng)
-            S_c = Ws @ S0 @ Ws.conj().T
-            Q_c = Wq @ Q0 @ Wq.conj().T
-        else:
-            S_c = _random_psd(nS, rng)
-            Q_c = _random_psd(nQ, rng) + 1e-6 * np.eye(nQ)
+    for start in range(0, trials, _BLOCK):
+        trial = np.arange(start, min(start + _BLOCK, trials))
+        S_c, Q_c = _candidates(S0, Q0, trial, rng)
         try:
-            cand = feasibility_projection(inst, direction, S_c, Q_c)
-            r = rate_fn(inst, cand)
-        except (ProjectionError, DomainError):
-            # candidate too ill-conditioned to evaluate (extreme quantizer
-            # spread); skip it rather than abort the campaign
-            failures += 1
-            continue
-        evaluated += 1
-        if r > best_rate:
-            best_rate = r
-            best_trial = t
+            S, Q, projected = _project(inst, direction, S_c, Q_c)
+        except ProjectionError:
+            continue  # no lane of the block has a design
+        S, Q, trial = S[projected], Q[projected], trial[projected]
+        _check_designs(S, Q)
+        # a lane whose rate is undefined (quantizer too ill-conditioned to
+        # evaluate) is skipped rather than aborting the campaign
+        rate, defined = _candidate_rates(inst, direction, S, Q)
+        rate, trial = rate[defined], trial[defined]
+        evaluated += rate.size
+        if rate.size:
+            k = int(np.argmax(rate))  # the earliest trial among equal rates
+            if rate[k] > best_rate:
+                best_rate = float(rate[k])
+                best_trial = int(trial[k])
+    failures = trials - evaluated
     # with no candidate evaluated best_rate stays -inf (the maximum over an
-    # empty set): the margin is +inf and proves nothing, so the verdict fails
+    # empty set) and the margin is +inf; the verdict needs at least half the
+    # trials evaluated, so such a search fails
     margin = base_rate - best_rate
     return CertificationReport(
         instance_id=instance_id,
@@ -474,7 +567,7 @@ def perturbation_search(
         margin=margin,
         trials=trials,
         seed=seed,
-        verdict=bool(evaluated > 0 and margin >= -CERTIFICATION_TOL),
+        verdict=bool(2 * evaluated >= trials and margin >= -CERTIFICATION_TOL),
         diagnostics={
             "evaluated": evaluated,
             "projection_failures": failures,

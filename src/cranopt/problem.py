@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .kernels import TOL, as_complex_matrix, is_psd
+from .kernels import TOL, as_complex_matrix, hermitian_part, is_psd
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,9 @@ def restrict(M: np.ndarray, W: np.ndarray | None) -> np.ndarray:
 
 
 def psd_part(M: np.ndarray) -> np.ndarray:
-    """Hermitian part with negative eigenvalues clipped to zero."""
-    A = np.asarray(M, dtype=complex)
-    A = 0.5 * (A + A.conj().T)
+    """Hermitian part with negative eigenvalues clipped to zero, per matrix
+    for a stack (..., n, n)."""
+    A = hermitian_part(np.asarray(M, dtype=complex))
     w, V = np.linalg.eigh(A)
     w = np.clip(w, 0.0, None)
-    return (V * w) @ V.conj().T
+    return (V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)

@@ -18,7 +18,7 @@ from cranopt import (
     random_unitary,
     svd,
 )
-from cranopt.kernels import as_complex_matrix, hermitian_defect
+from cranopt.kernels import as_complex_matrix, hermitian_defect, logdet_ratio_stacked
 
 
 def _rand_hpd(n, seed, scale=1.0):
@@ -79,6 +79,18 @@ def test_logdet_ratio_empty_blocks():
 def test_logdet_ratio_rejects_non_pd_base():
     with pytest.raises(DomainError):
         logdet_ratio(np.eye(2), np.diag([1.0, 0.0]))
+
+
+def test_logdet_ratio_stacked_fails_only_the_bad_lanes():
+    # lane 1 has a singular base, lane 2 a base plus load that is not
+    # positive definite; the stacked factorization of lane 1 fails the whole
+    # stack, so the lanes are factored one by one
+    B = np.stack([_rand_hpd(2, 1), np.diag([1.0, 0.0]), np.eye(2), _rand_hpd(2, 2)])
+    M = np.stack([_rand_hpd(2, 3), np.eye(2), -2.0 * np.eye(2), _rand_hpd(2, 4)])
+    nats, ok = logdet_ratio_stacked(M.astype(complex), B.astype(complex))
+    assert ok.tolist() == [True, False, False, True]
+    for k in (0, 3):
+        assert nats[k] == logdet_ratio(M[k], B[k])
 
 
 def test_hermitian_part_and_defect():

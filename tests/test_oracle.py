@@ -11,6 +11,7 @@ import cranopt.oracle as oracle
 from cranopt import (
     CERTIFICATION_TOL,
     ChannelInstance,
+    DomainError,
     DownlinkDesign,
     InconsistencyError,
     InvalidInputError,
@@ -19,11 +20,14 @@ from cranopt import (
     UplinkDesign,
     check_downlink_feasible,
     check_uplink_feasible,
+    downlink_rate,
     feasibility_projection,
     grid_oracle_scalar,
     perturbation_search,
+    random_channel,
     solve_instance,
     subchannel_rate,
+    uplink_rate,
 )
 
 
@@ -132,21 +136,34 @@ def _bisection_level(ev, C):
 def test_fronthaul_level_matches_bisection_reference():
     rng = np.random.default_rng(5)
     worst = 0.0
-    for _ in range(2000):
+    padded = np.zeros((2000, 8))  # zero eigenvalues spend nothing
+    Cs, refs = np.empty(2000), np.empty(2000)
+    for k in range(2000):
         n = int(rng.integers(1, 9))
         ev = 10.0 ** rng.uniform(-12, 12, n)
         ev[rng.random(n) < 0.25] = 0.0
         ev[rng.integers(n)] = 10.0 ** rng.uniform(-12, 12)  # one positive entry
         C = 10.0 ** rng.uniform(-6, np.log10(60.0))
-        rho = oracle._fronthaul_level(ev, C)
-        worst = max(worst, abs(np.log(rho) - _bisection_level(ev, C)))
+        padded[k, :n], Cs[k], refs[k] = ev, C, _bisection_level(ev, C)
+        rho = oracle._fronthaul_level(ev[None], C)[0]
+        worst = max(worst, abs(np.log(rho) - refs[k]))
     assert worst <= 1e-13
+    # the same spectra solved at once, as one stack; each row steps on its
+    # own, so its level is the one it gets alone
+    rho = oracle._fronthaul_level(padded, Cs)
+    assert np.max(np.abs(np.log(rho) - refs)) <= 1e-13
+    alone = [oracle._fronthaul_level(padded[k : k + 1], Cs[k])[0] for k in range(2000)]
+    assert np.array_equal(rho, alone)
 
 
 def test_fronthaul_level_raises_when_it_does_not_converge(monkeypatch):
     monkeypatch.setattr(oracle, "_LEVEL_MAX_ITERATIONS", 1)
     with pytest.raises(InconsistencyError):
-        oracle._fronthaul_level(np.array([4.0, 1.0]), 1.0)
+        oracle._fronthaul_level(np.array([[4.0, 1.0]]), 1.0)
+    # one unresolved spectrum fails the whole stack; the first spectrum has
+    # one positive eigenvalue, so it starts at its root
+    with pytest.raises(InconsistencyError, match="1 of 2 spectra"):
+        oracle._fronthaul_level(np.array([[4.0, 0.0], [4.0, 1.0]]), 1.0)
 
 
 def test_import_does_not_load_scipy():
@@ -208,7 +225,7 @@ def test_certification_with_no_evaluated_candidate_fails(monkeypatch):
 
     inst = _identity_instance()
     design, _, _ = solve_instance(inst, "uplink")
-    monkeypatch.setattr(oracle, "feasibility_projection", refuse)
+    monkeypatch.setattr(oracle, "_project", refuse)
     report = perturbation_search(inst, "uplink", design, trials=12, seed=0)
     assert report.verdict is False
     assert report.diagnostics["evaluated"] == 0
@@ -234,3 +251,145 @@ def test_certification_validates_arguments():
     dl = DownlinkDesign(S=np.eye(2), Q=np.eye(2))
     with pytest.raises(InvalidInputError):
         perturbation_search(inst, "uplink", dl, trials=10, seed=0)
+
+
+def _reference_rotation(n, eps, rng):
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = 0.5 * (G + G.conj().T)
+    nrm = float(np.linalg.norm(A))
+    if nrm > 0:
+        A = A / nrm
+    w, V = np.linalg.eigh(A)
+    return (V * np.exp(1j * eps * w)) @ V.conj().T
+
+
+def _reference_psd(n, rng):
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (X @ X.conj().T) / n
+
+
+def _reference_rates(inst, direction, base, trials, seed):
+    """The per-candidate search loop that the block evaluation replaced,
+    built from the public projection and rate functions: the rate of every
+    trial's candidate, None where it failed."""
+    S0, Q0 = oracle._densify(inst, direction, base)
+    nS, nQ = S0.shape[0], Q0.shape[0]
+    rate_fn = uplink_rate if direction == "uplink" else downlink_rate
+    rng = np.random.default_rng(seed)
+    rates = []
+    for t in range(trials):
+        kind = t % (len(oracle.GEODESIC_STEPS) + 1)
+        if kind < len(oracle.GEODESIC_STEPS):
+            eps = oracle.GEODESIC_STEPS[kind]
+            Ws = _reference_rotation(nS, eps, rng)
+            Wq = _reference_rotation(nQ, eps, rng)
+            S_c = Ws @ S0 @ Ws.conj().T
+            Q_c = Wq @ Q0 @ Wq.conj().T
+        else:
+            S_c = _reference_psd(nS, rng)
+            Q_c = _reference_psd(nQ, rng) + 1e-6 * np.eye(nQ)
+        try:
+            rates.append(rate_fn(inst, feasibility_projection(inst, direction, S_c, Q_c)))
+        except (ProjectionError, DomainError):
+            rates.append(None)
+    return rates
+
+
+def _reference_outcome(rates):
+    """(evaluated, failures, best_trial, best_rate) of the loop's search."""
+    best_rate, best_trial = -np.inf, -1
+    for t, r in enumerate(rates):
+        if r is not None and r > best_rate:
+            best_rate, best_trial = r, t
+    evaluated = sum(r is not None for r in rates)
+    return evaluated, len(rates) - evaluated, best_trial, best_rate
+
+
+_DIFFERENTIAL_SHAPES = [(n_r, n_u) for n_r in (1, 2, 3) for n_u in (1, 2, 3)] + [(1, 4)]
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+@pytest.mark.parametrize("shape", _DIFFERENTIAL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_block_search_matches_per_candidate_loop(shape, direction):
+    # 7 trials fill part of one block, 128 exactly one, and 1000 end on a
+    # ragged block.  All of them read prefixes of one random stream, so one
+    # reference run serves every count; the loop takes ~0.5 ms a candidate,
+    # so 1000 trials are run on the widest shapes only
+    k = _DIFFERENTIAL_SHAPES.index(shape)
+    inst = ChannelInstance(
+        H=random_channel(*shape, seed=30_000 + k),
+        P=(0.5, 1.0, 4.0)[k % 3],
+        C=(0.5, 2.0, 8.0)[(k // 3) % 3],
+        sigma2=1.0,
+    )
+    design, _, _ = solve_instance(inst, direction)
+    counts = (7, 128, 1000) if shape in ((3, 3), (1, 4)) else (7, 128)
+    rates = _reference_rates(inst, direction, design, counts[-1], seed=k)
+    # uplink candidates are evaluated with ~1e-8-bit noise (the dead-dimension
+    # quantizer of _densify), so their rates get a wider tolerance
+    tol = 1e-7 if direction == "uplink" else 1e-12
+    for trials in counts:
+        report = perturbation_search(inst, direction, design, trials=trials, seed=k)
+        evaluated, failures, best_trial, best_rate = _reference_outcome(rates[:trials])
+        d = report.diagnostics
+        assert (d["evaluated"], d["projection_failures"], d["best_trial"]) == (
+            evaluated,
+            failures,
+            best_trial,
+        ), trials
+        assert abs(report.best_perturbed_rate - best_rate) <= tol, trials
+        ref_margin = report.diagonal_rate - best_rate
+        assert report.verdict == (2 * evaluated >= trials and ref_margin >= -CERTIFICATION_TOL)
+
+
+_BLOCK_PROJECTION = oracle._project
+
+
+def _plant_singular_quantizers(monkeypatch, planted):
+    """Zero the quantizer of the candidates of the given trial numbers before
+    the block projection sees them."""
+    real = _BLOCK_PROJECTION
+    offset = [0]
+
+    def project(inst, direction, S, Q):
+        start = offset[0]
+        offset[0] += len(Q)
+        Q = Q.copy()
+        for t in planted:
+            if start <= t < start + len(Q):
+                Q[t - start] = 0.0
+        return real(inst, direction, S, Q)
+
+    monkeypatch.setattr(oracle, "_project", project)
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+def test_singular_quantizer_fails_only_its_lane(monkeypatch, direction):
+    inst = ChannelInstance(H=random_channel(3, 3, 31_000), P=1.0, C=2.0, sigma2=1.0)
+    design, _, _ = solve_instance(inst, direction)
+    rates = _reference_rates(inst, direction, design, 300, seed=3)
+    winner = _reference_outcome(rates)[2]
+    assert winner >= 128  # the planted lane sits past the first block
+    rates[winner] = None
+    _plant_singular_quantizers(monkeypatch, [winner])
+    report = perturbation_search(inst, direction, design, trials=300, seed=3)
+    d = report.diagnostics
+    assert (d["evaluated"], d["projection_failures"]) == (299, 1)
+    _, _, best_trial, best_rate = _reference_outcome(rates)
+    assert d["best_trial"] == best_trial != winner
+    tol = 1e-7 if direction == "uplink" else 1e-12
+    assert abs(report.best_perturbed_rate - best_rate) <= tol
+
+
+def test_certification_needs_half_its_trials_evaluated(monkeypatch):
+    inst = _identity_instance()
+    design, _, _ = solve_instance(inst, "downlink")
+    _plant_singular_quantizers(monkeypatch, range(6))
+    half = perturbation_search(inst, "downlink", design, trials=12, seed=0)
+    assert half.diagnostics["evaluated"] == 6
+    assert half.verdict
+    _plant_singular_quantizers(monkeypatch, range(7))
+    short = perturbation_search(inst, "downlink", design, trials=12, seed=0)
+    assert short.diagnostics["evaluated"] == 5
+    assert short.margin >= -CERTIFICATION_TOL  # the margin alone would pass
+    assert not short.verdict
