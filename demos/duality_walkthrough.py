@@ -1,9 +1,10 @@
-"""Solve the uplink and the downlink independently and compare rates.
+"""Solve the uplink, carry it to the downlink, and compare the rates.
 
-The two problems share nothing at the matrix level: different
-functionals, different constraints, different assembled covariances.
-They agree because both reduce to the same per-subchannel program over
-the channel's singular values. The gap column below is the evidence.
+The scalar program over the channel's singular values is solved once and
+carried to the downlink by the duality map (same powers and shares, tight
+split). At the matrix level the two directions share nothing: different
+functionals, different constraints, different assembled covariances. The
+gap column below shows how well their rates agree.
 """
 
 import argparse

@@ -180,7 +180,9 @@ def _share_step(s: np.ndarray, C: float, c_max: float) -> np.ndarray:
     if C >= n * c_max:
         c[pos] = c_max
         return c
-    kinks = np.unique(np.concatenate([ls, ls - c_max]))
+    # repeated kinks are harmless: the interpolation below reads a segment
+    # with g[j - 1] > C >= g[j], whose two kinks always differ
+    kinks = np.sort(np.concatenate([ls, ls - c_max]))
     g = np.clip(ls[None, :] - kinks[:, None], 0.0, c_max).sum(axis=1)
     j = int(np.argmax(g <= C))  # first kink at or below the budget; j >= 1
     if g[j] == C:
@@ -246,7 +248,7 @@ def _power_step(g2: np.ndarray, c: np.ndarray, P: float, sigma2: float) -> np.nd
     s_full = g2a * P
     hi = float((LN2 * (s_full + sigma2) * (sigma2 + ba * s_full) / (g2a * sigma2 * (1 - ba))).min())
     hi *= 1.0 + 1e-12  # rounding must not leave the root just above the bracket
-    T = lo
+    T = T_prev = lo
     for _ in range(_LEVEL_MAX_ITERATIONS):
         pa, slope = powers(T)
         excess = pa.sum() - P
@@ -259,9 +261,12 @@ def _power_step(g2: np.ndarray, c: np.ndarray, P: float, sigma2: float) -> np.nd
         T_next = T - excess / slope.sum()
         if not lo <= T_next <= hi:
             T_next = 0.5 * (lo + hi)
-        if abs(T_next - T) <= 4 * np.finfo(float).eps * T:
+        # T is always a bracket end, so a repeated iterate means the bracket
+        # has collapsed onto the last two iterates and Newton steps between
+        # them; the two can lie a few ulps apart, just outside the tolerance
+        if abs(T_next - T) <= 4 * np.finfo(float).eps * T or T_next == T_prev:
             break
-        T = T_next
+        T_prev, T = T, T_next
     else:
         raise InconsistencyError(
             f"power-step water level unresolved after {_LEVEL_MAX_ITERATIONS} "

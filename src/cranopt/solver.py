@@ -2,14 +2,23 @@
 allocation -> assembled covariance design.
 
 The two directions share one scalar problem on the channel's singular
-values, but each is solved and assembled independently here, so agreement
-of the two covariance designs' rates, each measured by its own direction's
-matrix functionals, is an outcome, not an artifact of shared computation.
+values.  The duality check solves it once, for the uplink, and carries the
+allocation to the downlink through the uplink-downlink duality map
+(same powers, same shares, tight split).  Each direction is then assembled
+and measured by its own matrix functionals, so agreement of the two
+designs' rates is an outcome of the two assemblies, not of shared rate
+evaluation.
 """
 
 from __future__ import annotations
 
-from .allocation import DOWNLINK, UPLINK, SolverOptions, solve_scalar_allocation
+from .allocation import (
+    DOWNLINK,
+    UPLINK,
+    SolverOptions,
+    solve_scalar_allocation,
+    uplink_to_downlink,
+)
 from .downlink import assemble_downlink, check_downlink_feasible
 from .errors import InvalidInputError
 from .kernels import svd
@@ -41,21 +50,24 @@ def solve_instance(
     return design, report, alloc
 
 
-def duality_gap(
-    inst: ChannelInstance,
-    uplink_opts: SolverOptions | None = None,
-    downlink_opts: SolverOptions | None = None,
-) -> dict:
-    """Solve both directions independently and report the rate difference.
+def duality_gap(inst: ChannelInstance, opts: SolverOptions | None = None) -> dict:
+    """Solve the uplink, map its allocation to the downlink, and report the
+    rate difference of the two assembled designs.
 
-    The scalar solver is deterministic, so with equal options both
-    directions start from the same scalar allocation; the gap measures how
-    well the uplink and downlink assemblies and rate functionals agree on
-    it.  Returns a dict
-    with the two rates, their absolute gap, and both feasibility reports.
+    The scalar problem is solved once, by ``solve_instance`` for the uplink
+    with solver options ``opts``.  Its allocation is carried to the downlink
+    by ``uplink_to_downlink`` (the duality map: same powers and shares,
+    tight split), which is the allocation a downlink solve returns, and the
+    solver diagnostics are copied onto the downlink report.  The downlink
+    design is assembled and checked by its own direction's functionals, so
+    the gap measures how well the uplink and downlink assemblies and rate
+    functionals agree.  Returns a dict with the two rates, their absolute
+    gap, and both feasibility reports.
     """
-    _, rep_ul, _ = solve_instance(inst, UPLINK, uplink_opts)
-    _, rep_dl, _ = solve_instance(inst, DOWNLINK, downlink_opts)
+    _, rep_ul, alloc_ul = solve_instance(inst, UPLINK, opts)
+    design_dl = assemble_downlink(svd(inst.H), uplink_to_downlink(alloc_ul))
+    rep_dl = check_downlink_feasible(inst, design_dl)
+    rep_dl.diagnostics.update(alloc_ul.diagnostics)
     gap = abs(rep_ul.rate - rep_dl.rate)
     return {
         "uplink_rate": rep_ul.rate,

@@ -239,6 +239,35 @@ def test_power_step_raises_when_the_level_does_not_converge(monkeypatch):
         allocation._power_step(np.array([4.0, 1.0]), np.array([2.0, 1.0]), 1.0, 1.0)
 
 
+def test_power_step_stops_on_a_two_cycle():
+    # Newton alternates between levels 79.86119164346896 and ...903, five
+    # ulps apart: each step just misses the 4 eps T exit, so the step used
+    # to run out of iterations and raise on this valid input
+    g2 = np.array([1111.0481127558676, 2853.12409502676])
+    c = np.array([5.469053489723143, 6.8504218653620255])
+    P = 4.227569194955969
+    p = allocation._power_step(g2, c, P, 1.0)
+    assert np.all(p > 0) and abs(p.sum() - P) <= 1e-15 * P
+    assert np.allclose(p, _bisection_power_step(g2, c, P, 1.0), rtol=0.0, atol=1e-13)
+    gains = [0.021294525535174014, 0.1083151475882899, 33.332388344609626,
+             0.31772273833383213, 53.41464307684514, 0.08900967597941549]
+    a = solve_scalar_allocation(gains, P, 12.319475355085169, 1.0, "uplink")
+    assert abs(a.power.sum() - P) <= 1e-12 * P
+
+
+def test_random_solves_do_not_raise():
+    # gains, budgets and sizes spanning several decades; draw 357 of this
+    # stream used to raise on a power-step two-cycle like the one above
+    rng = np.random.default_rng(14)
+    for k in range(400):
+        D = int(rng.integers(2, 9))
+        g = np.exp(rng.uniform(-5.0, 5.0, D))
+        P = float(np.exp(rng.uniform(-3.0, 5.0)))
+        C = float(np.exp(rng.uniform(-3.0, 4.0)))
+        a = solve_scalar_allocation(g, P, C, 1.0, "uplink")
+        assert abs(a.power.sum() - P) <= 1e-12 * P, k
+
+
 def test_solver_rejects_bad_inputs():
     with pytest.raises(InvalidInputError):
         solve_scalar_allocation(np.array([-1.0]), 1.0, 1.0, 1.0, "uplink")

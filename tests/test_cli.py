@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,16 +158,29 @@ def test_oracle_mode_agrees(identity_file):
         assert r.margin_bits >= -1e-3
 
 
+def _strip_wall_ms(text):
+    return re.sub(r"[^,\n]*$", "", text, flags=re.M)
+
+
 def test_csv_rendering_and_determinism():
     cfg = ExperimentConfig(mode="duality", random_spec=(2, 2, 3), seed=11)
     rows1, _ = run(cfg)
     rows2, _ = run(cfg)
-    strip = lambda text: re.sub(r"[^,\n]*$", "", text, flags=re.M)  # drop wall_ms column
     csv1, csv2 = render_rows(rows1, "csv"), render_rows(rows2, "csv")
-    assert strip(csv1) == strip(csv2)
+    assert _strip_wall_ms(csv1) == _strip_wall_ms(csv2)
     header = csv1.splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
     assert len(csv1.splitlines()) == 4
+
+
+@pytest.mark.parametrize("mode", ["duality", "solve"])
+def test_csv_matches_golden_file(mode):
+    # the golden files hold the CSV of an earlier release with wall_ms
+    # stripped; every other byte must stay stable
+    golden = Path(__file__).parent / "golden" / f"{mode}_random_2_2_3_seed11.csv"
+    rows, status = run(ExperimentConfig(mode=mode, random_spec=(2, 2, 3), seed=11))
+    assert status == EXIT_OK
+    assert _strip_wall_ms(render_rows(rows, "csv")) == golden.read_text(encoding="utf-8")
 
 
 def test_json_rendering():
