@@ -89,17 +89,13 @@ class SubchannelAllocation:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for solve_scalar_allocation; all counts and tolerances positive."""
+    """Knobs for solve_scalar_allocation: c_max caps each share (bits, > 0)."""
 
-    max_iterations: int = 200
-    convergence_tol: float = 1e-12
     c_max: float = C_MAX_DEFAULT
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise InvalidInputError("counts in SolverOptions must be positive")
-        if self.convergence_tol <= 0 or self.c_max <= 0:
-            raise InvalidInputError("tolerances in SolverOptions must be positive")
+        if self.c_max <= 0:
+            raise InvalidInputError("c_max in SolverOptions must be positive")
 
 
 def subchannel_rate(s, c, sigma2):
@@ -206,7 +202,7 @@ def _power_step(g2: np.ndarray, c: np.ndarray, P: float, sigma2: float) -> np.nd
     """Exact power allocation for fixed shares: the objective is concave,
     and the stationarity condition per subchannel is a quadratic in
     s = g^2 p, solved in closed form; the water level is found by Newton
-    steps kept inside a bisection bracket.
+    steps from the activation level just below it.
 
     With T = 1/lambda the level, m = g^2 (1 - b) / (sigma2 ln 2) the
     marginal rate at zero power, b = 2^-c and y = m T, the positive root is
@@ -215,11 +211,13 @@ def _power_step(g2: np.ndarray, c: np.ndarray, P: float, sigma2: float) -> np.nd
 
     written without the cancellation of the textbook root
     (sqrt(e + k T) - a) / (2 b), which loses every digit as b -> 0.  Each
-    p_d(T) is zero below T = 1/m_d and increasing above, with derivative
-    (1 - b) / (ln 2 sqrt((1 - b)^2 + 4 b y)), so the level that spends P
-    lies between the first activation level and the lowest level at which
-    one subchannel alone would take the whole budget.  A level that is not
-    resolved within the iteration cap raises InconsistencyError.
+    p_d(T) is zero below T = 1/m_d and concave above, since its slope
+    (1 - b) / (ln 2 sqrt((1 - b)^2 + 4 b y)) falls as T grows.  The spend is
+    evaluated at every activation level at once; between the last level
+    that spends at most P and the next one every active p_d is concave, so
+    Newton steps from that level rise monotonically onto the root without
+    reaching the next level.  A level that is not resolved within the
+    iteration cap raises InconsistencyError.
     """
     p = np.zeros_like(g2, dtype=float)
     beta = np.power(2.0, -np.asarray(c, dtype=float))
@@ -234,7 +232,7 @@ def _power_step(g2: np.ndarray, c: np.ndarray, P: float, sigma2: float) -> np.nd
     m = g2a * (1 - ba) / (sigma2 * LN2)
     t_on = 1.0 / m  # level at which each subchannel switches on
 
-    def powers(T: float):
+    def powers(T):
         # comparing T with t_on, not m T with 1, keeps the first subchannel
         # on at T = min(t_on) whatever the rounding of m T
         y = m * T
@@ -244,33 +242,25 @@ def _power_step(g2: np.ndarray, c: np.ndarray, P: float, sigma2: float) -> np.nd
         slope = np.where(on, (1 - ba) / (LN2 * root), 0.0)
         return pa, slope
 
-    lo = float(t_on.min())
-    s_full = g2a * P
-    hi = float((LN2 * (s_full + sigma2) * (sigma2 + ba * s_full) / (g2a * sigma2 * (1 - ba))).min())
-    hi *= 1.0 + 1e-12  # rounding must not leave the root just above the bracket
-    T = T_prev = lo
+    levels = np.sort(t_on)
+    pa_on, slope_on = powers(levels[:, None])
+    # rounding at the first level can already overshoot a tiny P
+    below = np.flatnonzero(pa_on.sum(axis=1) <= P)
+    k = below[-1] if below.size else 0
+    T, pa, slope = levels[k], pa_on[k], slope_on[k]
     for _ in range(_LEVEL_MAX_ITERATIONS):
-        pa, slope = powers(T)
         excess = pa.sum() - P
-        if excess == 0.0:
+        if excess >= 0.0:
             break
-        if excess < 0.0:
-            lo = T
-        else:
-            hi = T
         T_next = T - excess / slope.sum()
-        if not lo <= T_next <= hi:
-            T_next = 0.5 * (lo + hi)
-        # T is always a bracket end, so a repeated iterate means the bracket
-        # has collapsed onto the last two iterates and Newton steps between
-        # them; the two can lie a few ulps apart, just outside the tolerance
-        if abs(T_next - T) <= 4 * np.finfo(float).eps * T or T_next == T_prev:
+        if T_next <= T:
             break
-        T_prev, T = T, T_next
+        T = T_next
+        pa, slope = powers(T)
     else:
         raise InconsistencyError(
             f"power-step water level unresolved after {_LEVEL_MAX_ITERATIONS} "
-            f"iterations: bracket [{lo!r}, {hi!r}], excess {excess!r}"
+            f"iterations: level {T!r}, excess {excess!r}"
         )
     tot = pa.sum()
     if tot > 0:
@@ -328,16 +318,6 @@ def _validate_budgets(P: float, C: float, sigma2: float) -> None:
         raise InvalidInputError(f"sigma2 must be > 0, got {sigma2}")
 
 
-def _zero_allocation(direction: str, D: int) -> SubchannelAllocation:
-    if direction == UPLINK:
-        return SubchannelAllocation(
-            UPLINK, np.zeros(D), np.zeros(D), np.full(D, np.inf)
-        )
-    return SubchannelAllocation(
-        DOWNLINK, np.zeros(D), np.zeros(D), np.zeros(D), signal_power=np.zeros(D)
-    )
-
-
 def _canonicalize(gains: np.ndarray, p: np.ndarray, c: np.ndarray):
     """Among subchannels with exactly equal gains, order (power, share)
     ascending so ties resolve to the lexicographically smallest power
@@ -353,15 +333,21 @@ def _canonicalize(gains: np.ndarray, p: np.ndarray, c: np.ndarray):
     return p, c
 
 
-def _ascend(p0, g2, P, C, sigma2, c_max, max_rounds, tol):
+# block-ascent rounds per start, and the rate gain (bits) below which a
+# round counts as converged
+_ASCENT_MAX_ROUNDS = 200
+_ASCENT_TOL = 1e-12
+
+
+def _ascend(p0, g2, P, C, sigma2, c_max):
     p = p0
     best = -np.inf
     rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, _ASCENT_MAX_ROUNDS + 1):
         c = _share_step(g2 * p, C, c_max)
         p = _power_step(g2, c, P, sigma2)
         rate = float(_rates(g2 * p, c, sigma2).sum())
-        if rate <= best + tol:
+        if rate <= best + _ASCENT_TOL:
             break
         best = rate
     c = _share_step(g2 * p, C, c_max)
@@ -409,7 +395,7 @@ def solve_scalar_allocation(
     D = g.size
     g2 = g**2
     if P <= 0 or C <= 0 or not np.any(g2 > 0):
-        a = _zero_allocation(direction, D)
+        a = realize_allocation(direction, g, np.zeros(D), np.zeros(D), sigma2)
         a.diagnostics.update({"rate": 0.0, "iterations": 0, "starts": 0})
         return a
 
@@ -417,16 +403,13 @@ def solve_scalar_allocation(
     best = (-np.inf, None, None)
     total_rounds = 0
     for p0 in starts:
-        rate, p, c, rounds = _ascend(
-            p0, g2, P, C, sigma2, opts.c_max, opts.max_iterations, opts.convergence_tol
-        )
+        rate, p, c, rounds = _ascend(p0, g2, P, C, sigma2, opts.c_max)
         total_rounds += rounds
         if rate > best[0] + 1e-12:
             best = (rate, p, c)
 
     _, p, c = best
     p, c = _canonicalize(g, p, c)
-    c = np.where(p > 0, c, 0.0)
     rate = float(_rates(g2 * p, c, sigma2).sum())
 
     alloc = realize_allocation(direction, g, p, c, sigma2)

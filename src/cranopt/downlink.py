@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .kernels import LN2, ChannelSpectrum, logdet_ratio
+from .kernels import LN2, TOL, ChannelSpectrum, logdet_ratio
 from .problem import ChannelInstance, DownlinkDesign, RateReport, restrict
 
 
@@ -85,9 +85,7 @@ def assemble_downlink(spec: ChannelSpectrum, a) -> DownlinkDesign:
     return DownlinkDesign(S=S, Q=Q, active_basis=basis)
 
 
-def check_downlink_feasible(
-    inst: ChannelInstance, d: DownlinkDesign, tol: float = 1e-9
-) -> RateReport:
+def check_downlink_feasible(inst: ChannelInstance, d: DownlinkDesign) -> RateReport:
     """Evaluate the functionals and slacks; power counts signal plus
     compression noise, trace(S + Q)."""
     rate = downlink_rate(inst, d)
@@ -101,5 +99,5 @@ def check_downlink_feasible(
         power_used=power,
         slack_power=slack_p,
         slack_fronthaul=slack_f,
-        feasible=bool(slack_p >= -tol and slack_f >= -tol),
+        feasible=bool(slack_p >= -TOL.feasibility and slack_f >= -TOL.feasibility),
     )

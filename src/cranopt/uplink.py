@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .kernels import LN2, ChannelSpectrum, logdet_ratio
+from .kernels import LN2, TOL, ChannelSpectrum, logdet_ratio
 from .problem import ChannelInstance, RateReport, UplinkDesign, restrict
 
 
@@ -86,9 +86,7 @@ def assemble_uplink(spec: ChannelSpectrum, a) -> UplinkDesign:
     return UplinkDesign(S=S, Q=Q, active_basis=basis)
 
 
-def check_uplink_feasible(
-    inst: ChannelInstance, d: UplinkDesign, tol: float = 1e-9
-) -> RateReport:
+def check_uplink_feasible(inst: ChannelInstance, d: UplinkDesign) -> RateReport:
     """Evaluate both functionals and the power/fronthaul slacks."""
     rate = uplink_rate(inst, d)
     fh = uplink_fronthaul(inst, d)
@@ -101,5 +99,5 @@ def check_uplink_feasible(
         power_used=power,
         slack_power=slack_p,
         slack_fronthaul=slack_f,
-        feasible=bool(slack_p >= -tol and slack_f >= -tol),
+        feasible=bool(slack_p >= -TOL.feasibility and slack_f >= -TOL.feasibility),
     )

@@ -255,6 +255,23 @@ def test_power_step_stops_on_a_two_cycle():
     assert abs(a.power.sum() - P) <= 1e-12 * P
 
 
+def test_power_step_converges_at_extreme_gain_spreads(monkeypatch):
+    # squared-gain spreads up to 1e24 with the active subchannels in the
+    # square-root regime: Newton steps kept inside a bracket used to fall
+    # back to bisection here and need 21-45 level evaluations in ~4% of cases
+    monkeypatch.setattr(allocation, "_LEVEL_MAX_ITERATIONS", 20)
+    rng = np.random.default_rng(77)
+    for k in range(2000):
+        D = int(rng.integers(2, 9))
+        g2 = (10.0 ** rng.uniform(-6.0, 6.0, D)) ** 2
+        c = 10.0 ** rng.uniform(-9.0, np.log10(C_MAX_DEFAULT), D)
+        c[rng.random(D) < 0.2] = C_MAX_DEFAULT
+        P = 10.0 ** rng.uniform(-4.0, 8.0)
+        p = allocation._power_step(g2, c, P, 1.0)
+        assert np.all(np.isfinite(p)) and np.all(p >= 0), k
+        assert abs(p.sum() - P) <= 1e-12 * P, k
+
+
 def test_random_solves_do_not_raise():
     # gains, budgets and sizes spanning several decades; draw 357 of this
     # stream used to raise on a power-step two-cycle like the one above
