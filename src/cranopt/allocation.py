@@ -16,11 +16,23 @@ power allocation is concave with a closed-form KKT solution.  The solver
 therefore runs block-coordinate ascent with exact block maximizers from a
 fixed family of starts (top-k concentration and water-filling), so its
 answer is a deterministic function of the inputs.
+
+The block steps see the 1-8 entries of a typical channel, where numpy's
+per-call cost dwarfs the arithmetic, so they compute on Python floats.
+Only log2 of the signal powers and 2^-c of the shares stay in numpy, whose
+vector kernels for them can differ from ``math.log2`` and ``2.0 ** x`` in
+the last bit.  The rest (+, -, *, /, sqrt, comparisons) rounds correctly in
+both, and ``_sum`` adds in numpy's order, left to right only below 8 terms,
+so the steps match their numpy formulation bit for bit up to D = 128 (numpy
+splits longer sums in halves, which ``_sum`` does not follow).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from math import inf, sqrt
+from operator import add
 
 import numpy as np
 
@@ -159,38 +171,65 @@ def tight_quantizer_downlink(x, c):
     return q, pt
 
 
+def _sum(xs: list) -> float:
+    """Sum floats in numpy's order, so the result equals ndarray.sum bit for
+    bit up to 128 terms: from +0.0, left to right below 8 terms, else eight
+    interleaved running sums added as a tree, then the rest left to right.
+    (The builtin sum compensates rounding from Python 3.12 on.)"""
+    if len(xs) < 8:
+        t = 0.0
+        for x in xs:
+            t += x
+        return t
+    m = len(xs) - len(xs) % 8
+    r = [reduce(add, xs[j:m:8]) for j in range(8)]
+    t = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, xs[m:], 0.0 + t)
+
+
 def _share_step(s: np.ndarray, C: float, c_max: float) -> np.ndarray:
     """Exact share water-filling: maximize sum r(s_d, c_d) over
     {0 <= c <= c_max, sum c <= C} for fixed signal powers s.
 
     KKT equalizes the compressed residual s_d 2^-c_d, giving
     c_d = clip(log2 s_d - u, 0, c_max) with the level u solved exactly on
-    the piecewise-linear budget curve.
+    the piecewise-linear budget curve.  The clip passes NaN on, as np.clip
+    does.
     """
-    c = np.zeros_like(s, dtype=float)
-    pos = s > 0
-    n = int(pos.sum())
-    if n == 0 or C <= 0:
-        return c
-    ls = np.log2(s[pos])
-    if C >= n * c_max:
-        c[pos] = c_max
-        return c
-    # repeated kinks are harmless: the interpolation below reads a segment
-    # with g[j - 1] > C >= g[j], whose two kinks always differ
-    kinks = np.sort(np.concatenate([ls, ls - c_max]))
-    g = np.clip(ls[None, :] - kinks[:, None], 0.0, c_max).sum(axis=1)
-    j = int(np.argmax(g <= C))  # first kink at or below the budget; j >= 1
-    if g[j] == C:
-        u = kinks[j]
+    c = [0.0] * len(s)
+    pos = [d for d, x in enumerate(s.tolist()) if x > 0]
+    if not pos or C <= 0:
+        return np.array(c)
+    ls = np.log2(s[pos]).tolist()
+
+    def clipped(u):
+        out = []
+        for x in ls:
+            x -= u
+            out.append(0.0 if x < 0.0 else (c_max if x > c_max else x))
+        return out
+
+    if C >= len(ls) * c_max:
+        cp = [c_max] * len(ls)
     else:
-        u = kinks[j - 1] + (g[j - 1] - C) * (kinks[j] - kinks[j - 1]) / (g[j - 1] - g[j])
-    cp = np.clip(ls - u, 0.0, c_max)
-    tot = cp.sum()
-    if tot > C > 0:
-        cp *= C / tot
-    c[pos] = cp
-    return c
+        # walk the budget curve down the sorted kinks to the first at or
+        # below C (inside the walk g0 > C >= g, so repeated kinks are
+        # harmless); if rounding puts the first kink there already, the
+        # segment wraps to the last kink, where the curve is 0, as in numpy
+        kinks = sorted(ls + [x - c_max for x in ls])
+        k0, g0 = kinks[-1], 0.0
+        for k in kinks:
+            g = _sum(clipped(k))
+            if g <= C:
+                break
+            k0, g0 = k, g
+        cp = clipped(k if g == C else k0 + (g0 - C) * (k - k0) / (g0 - g))
+        tot = _sum(cp)
+        if tot > C:
+            cp = [x * (C / tot) for x in cp]
+    for d, x in zip(pos, cp):
+        c[d] = x
+    return np.array(c, dtype=float)
 
 
 # Newton iterations allowed for the power step's water level; a solve that
@@ -213,46 +252,62 @@ def _power_step(g2: np.ndarray, c: np.ndarray, P: float, sigma2: float) -> np.nd
     (sqrt(e + k T) - a) / (2 b), which loses every digit as b -> 0.  Each
     p_d(T) is zero below T = 1/m_d and concave above, since its slope
     (1 - b) / (ln 2 sqrt((1 - b)^2 + 4 b y)) falls as T grows.  The spend is
-    evaluated at every activation level at once; between the last level
-    that spends at most P and the next one every active p_d is concave, so
-    Newton steps from that level rise monotonically onto the root without
-    reaching the next level.  A level that is not resolved within the
-    iteration cap raises InconsistencyError.
+    evaluated at every activation level; between the last level that spends
+    at most P and the next one every active p_d is concave, so Newton steps
+    from that level rise monotonically onto the root without reaching the
+    next level.  A level that is not resolved within the iteration cap
+    raises InconsistencyError.  The expressions keep the array version's
+    order of operations ((1 - b)^2 is (1 - b) * (1 - b)), and max(y - 1, 0)
+    passes NaN on, as np.maximum does.
     """
-    p = np.zeros_like(g2, dtype=float)
-    beta = np.power(2.0, -np.asarray(c, dtype=float))
-    act = (g2 > 0) & (beta < 1.0)
-    if not act.any() or P <= 0:
-        return p
-    if act.sum() == 1:
-        p[act] = P
-        return p
-    g2a = g2[act]
-    ba = beta[act]
-    m = g2a * (1 - ba) / (sigma2 * LN2)
-    t_on = 1.0 / m  # level at which each subchannel switches on
+    beta = np.power(2.0, -np.asarray(c, dtype=float)).tolist()
+    g2l = g2.tolist()
+    p = [0.0] * len(g2l)
+    act = [d for d, (g, b) in enumerate(zip(g2l, beta)) if g > 0 and b < 1.0]
+    if not act or P <= 0:
+        return np.array(p)
+    if len(act) == 1:
+        p[act[0]] = P
+        return np.array(p, dtype=float)
+    # per active subchannel: m, its switch-on level 1/m (inf, as in numpy,
+    # should m underflow), g^2, b, and 1 - b, (1 - b)^2, 4 b for the root
+    s2ln2, w = sigma2 * LN2, 2 * sigma2
+    sub = []
+    for d in act:
+        g, b = g2l[d], beta[d]
+        m = g * (1 - b) / s2ln2
+        sub.append((m, 1.0 / m if m else inf, g, b, 1 - b, (1 - b) * (1 - b), 4 * b))
 
     def powers(T):
-        # comparing T with t_on, not m T with 1, keeps the first subchannel
-        # on at T = min(t_on) whatever the rounding of m T
-        y = m * T
-        root = np.sqrt((1 - ba) ** 2 + 4 * ba * y)
-        on = T >= t_on
-        pa = np.where(on, 2 * sigma2 * np.maximum(y - 1, 0.0) / (root + 1 + ba) / g2a, 0.0)
-        slope = np.where(on, (1 - ba) / (LN2 * root), 0.0)
+        # comparing T with 1/m, not m T with 1, keeps each subchannel on at
+        # its own level whatever the rounding of m T
+        pa, slope = [], []
+        for m, t_on, g, b, a, a2, b4 in sub:
+            if T >= t_on:
+                y = m * T
+                root = sqrt(a2 + b4 * y)
+                pa.append(w * (0.0 if y < 1 else y - 1) / (root + 1 + b) / g)
+                slope.append(a / (LN2 * root))
+            else:
+                pa.append(0.0)
+                slope.append(0.0)
         return pa, slope
 
-    levels = np.sort(t_on)
-    pa_on, slope_on = powers(levels[:, None])
     # rounding at the first level can already overshoot a tiny P
-    below = np.flatnonzero(pa_on.sum(axis=1) <= P)
-    k = below[-1] if below.size else 0
-    T, pa, slope = levels[k], pa_on[k], slope_on[k]
+    levels = sorted(x[1] for x in sub)
+    T, (pa, slope) = levels[0], powers(levels[0])
+    for level in levels[1:]:
+        at_level = powers(level)
+        if _sum(at_level[0]) <= P:
+            T, (pa, slope) = level, at_level
     for _ in range(_LEVEL_MAX_ITERATIONS):
-        excess = pa.sum() - P
+        excess = _sum(pa) - P
         if excess >= 0.0:
             break
-        T_next = T - excess / slope.sum()
+        rise = _sum(slope)
+        if not rise > 0.0:  # a spend rises wherever it is finite: T or m overflowed
+            raise InconsistencyError(f"power-step spend has slope {rise!r} at level {T!r}")
+        T_next = T - excess / rise
         if T_next <= T:
             break
         T = T_next
@@ -262,11 +317,11 @@ def _power_step(g2: np.ndarray, c: np.ndarray, P: float, sigma2: float) -> np.nd
             f"power-step water level unresolved after {_LEVEL_MAX_ITERATIONS} "
             f"iterations: level {T!r}, excess {excess!r}"
         )
-    tot = pa.sum()
-    if tot > 0:
-        pa *= P / tot
-    p[act] = pa
-    return p
+    tot = _sum(pa)
+    scale = P / tot if tot > 0 else 1.0
+    for d, x in zip(act, pa):
+        p[d] = x * scale
+    return np.array(p, dtype=float)
 
 
 def _waterfilling_powers_g2(g2: np.ndarray, P: float, sigma2: float) -> np.ndarray:
@@ -322,15 +377,13 @@ def _canonicalize(gains: np.ndarray, p: np.ndarray, c: np.ndarray):
     """Among subchannels with exactly equal gains, order (power, share)
     ascending so ties resolve to the lexicographically smallest power
     vector.  Permuting within an equal-gain group changes nothing else."""
-    p = p.copy()
-    c = c.copy()
-    for g in np.unique(gains):
-        idx = np.flatnonzero(gains == g)
-        if idx.size > 1:
-            order = np.lexsort((c[idx], p[idx]))
-            p[idx] = p[idx][order]
-            c[idx] = c[idx][order]
-    return p, c
+    g, p, c = gains.tolist(), p.tolist(), c.tolist()
+    for v in set(g):
+        idx = [d for d, x in enumerate(g) if x == v]
+        if len(idx) > 1:
+            for d, pair in zip(idx, sorted((p[d], c[d]) for d in idx)):
+                p[d], c[d] = pair
+    return np.array(p), np.array(c)
 
 
 # block-ascent rounds per start, and the rate gain (bits) below which a
@@ -341,17 +394,19 @@ _ASCENT_TOL = 1e-12
 
 def _ascend(p0, g2, P, C, sigma2, c_max):
     p = p0
+    s = g2 * p
     best = -np.inf
     rounds = 0
     for rounds in range(1, _ASCENT_MAX_ROUNDS + 1):
-        c = _share_step(g2 * p, C, c_max)
+        c = _share_step(s, C, c_max)
         p = _power_step(g2, c, P, sigma2)
-        rate = float(_rates(g2 * p, c, sigma2).sum())
+        s = g2 * p
+        rate = _sum(_rates(s, c, sigma2).tolist())
         if rate <= best + _ASCENT_TOL:
             break
         best = rate
-    c = _share_step(g2 * p, C, c_max)
-    rate = float(_rates(g2 * p, c, sigma2).sum())
+    c = _share_step(s, C, c_max)
+    rate = _sum(_rates(s, c, sigma2).tolist())
     return rate, p, c, rounds
 
 

@@ -8,9 +8,12 @@ Modes
   oracle   solver vs exhaustive grid on the instance's subchannel gains
 
 Exit status: 0 all checks passed, 1 a duality/certification/feasibility
-check failed, 2 usage, I/O, or parse errors.  Output is CSV (default) or
-JSON; rows are ordered by instance, direction, then budget indices, so
-reruns with one seed are byte-identical except for the wall_ms column.
+check failed, 2 usage, I/O, or parse errors.  A numerical error on an
+instance (DomainError, InconsistencyError, ProjectionError) also exits 1,
+with no rows and one stderr line "error: instance ID: message".  Output is
+CSV (default) or JSON; rows are ordered by instance, direction, then budget
+indices, so reruns with one seed are byte-identical except for the wall_ms
+column.
 
 Instance files are JSON: a single object or a list of objects shaped like
 
@@ -33,7 +36,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import DIRECTIONS
-from .errors import InstanceFormatError, InvalidInputError, UnsupportedSizeError
+from .errors import (
+    DomainError,
+    InconsistencyError,
+    InstanceFormatError,
+    InvalidInputError,
+    ProjectionError,
+    UnsupportedSizeError,
+)
 from .kernels import random_channel, svd
 from .oracle import grid_oracle_scalar, perturbation_search
 from .problem import ChannelInstance
@@ -249,79 +259,64 @@ def _row(label, direction, P, C, report, margin, t0, passed=True) -> ResultRow:
     )
 
 
-def _run_solve(config, instances) -> list[ResultRow]:
+def _run_solve(config, inst, label) -> list[ResultRow]:
     rows = []
-    for inst, label in instances:
-        for direction in DIRECTIONS:
-            t0 = time.perf_counter()
-            _, report, _ = solve_instance(inst, direction)
-            rows.append(
-                _row(label, direction, inst.P, inst.C, report, None, t0, report.feasible)
-            )
-    return rows
-
-
-def _run_sweep(config, instances) -> list[ResultRow]:
-    rows = []
-    for inst, label in instances:
-        for direction in DIRECTIONS:
-            for P in config.p_grid:
-                for C in config.c_grid:
-                    t0 = time.perf_counter()
-                    point = ChannelInstance(H=inst.H, P=P, C=C, sigma2=inst.sigma2)
-                    _, report, _ = solve_instance(point, direction)
-                    rows.append(
-                        _row(label, direction, P, C, report, None, t0, report.feasible)
-                    )
-    return rows
-
-
-def _run_duality(config, instances) -> list[ResultRow]:
-    # one row per instance: the row certifies the pair, not one direction
-    rows = []
-    for inst, label in instances:
+    for direction in DIRECTIONS:
         t0 = time.perf_counter()
-        out = duality_gap(inst)
-        rep_ul, gap = out["uplink_report"], out["gap"]
-        ok = gap <= config.tol and rep_ul.feasible and out["downlink_report"].feasible
-        rows.append(_row(label, "duality", inst.P, inst.C, rep_ul, gap, t0, ok))
+        _, report, _ = solve_instance(inst, direction)
+        rows.append(_row(label, direction, inst.P, inst.C, report, None, t0, report.feasible))
     return rows
 
 
-def _run_certify(config, instances) -> list[ResultRow]:
+def _run_sweep(config, inst, label) -> list[ResultRow]:
     rows = []
-    for inst, label in instances:
-        for direction in DIRECTIONS:
-            t0 = time.perf_counter()
-            design, report, _ = solve_instance(inst, direction)
-            cert = perturbation_search(
-                inst,
-                direction,
-                design,
-                trials=config.trials,
-                seed=config.seed * 4 + 3,
-                instance_id=label,
-            )
-            ok = cert.verdict and report.feasible
-            rows.append(
-                _row(label, direction, inst.P, inst.C, report, cert.margin, t0, ok)
-            )
+    for direction in DIRECTIONS:
+        for P in config.p_grid:
+            for C in config.c_grid:
+                t0 = time.perf_counter()
+                point = ChannelInstance(H=inst.H, P=P, C=C, sigma2=inst.sigma2)
+                _, report, _ = solve_instance(point, direction)
+                rows.append(_row(label, direction, P, C, report, None, t0, report.feasible))
     return rows
 
 
-def _run_oracle(config, instances) -> list[ResultRow]:
+def _run_duality(config, inst, label) -> list[ResultRow]:
+    # one row per instance: the row certifies the pair, not one direction
+    t0 = time.perf_counter()
+    out = duality_gap(inst)
+    rep_ul, gap = out["uplink_report"], out["gap"]
+    ok = gap <= config.tol and rep_ul.feasible and out["downlink_report"].feasible
+    return [_row(label, "duality", inst.P, inst.C, rep_ul, gap, t0, ok)]
+
+
+def _run_certify(config, inst, label) -> list[ResultRow]:
     rows = []
-    for inst, label in instances:
-        gains = svd(inst.H).singular_values
-        for direction in DIRECTIONS:
-            t0 = time.perf_counter()
-            _, report, _ = solve_instance(inst, direction)
-            reference = grid_oracle_scalar(gains, inst.P, inst.C, inst.sigma2, direction)
-            margin = report.diagnostics["rate"] - reference.diagnostics["rate"]
-            ok = margin >= -config.tol and report.feasible
-            rows.append(
-                _row(label, direction, inst.P, inst.C, report, margin, t0, ok)
-            )
+    for direction in DIRECTIONS:
+        t0 = time.perf_counter()
+        design, report, _ = solve_instance(inst, direction)
+        cert = perturbation_search(
+            inst,
+            direction,
+            design,
+            trials=config.trials,
+            seed=config.seed * 4 + 3,
+            instance_id=label,
+        )
+        ok = cert.verdict and report.feasible
+        rows.append(_row(label, direction, inst.P, inst.C, report, cert.margin, t0, ok))
+    return rows
+
+
+def _run_oracle(config, inst, label) -> list[ResultRow]:
+    rows = []
+    gains = svd(inst.H).singular_values
+    for direction in DIRECTIONS:
+        t0 = time.perf_counter()
+        _, report, _ = solve_instance(inst, direction)
+        reference = grid_oracle_scalar(gains, inst.P, inst.C, inst.sigma2, direction)
+        margin = report.diagnostics["rate"] - reference.diagnostics["rate"]
+        ok = margin >= -config.tol and report.feasible
+        rows.append(_row(label, direction, inst.P, inst.C, report, margin, t0, ok))
     return rows
 
 
@@ -333,11 +328,20 @@ _MODE_RUNNERS = {
     "oracle": _run_oracle,
 }
 
+# numerical faults of the library on one instance; they fail the run's check
+_NUMERICAL_ERRORS = (DomainError, InconsistencyError, ProjectionError)
+
 
 def run(config: ExperimentConfig) -> tuple[list[ResultRow], int]:
-    """Execute one experiment; returns (rows, exit_status)."""
-    instances = _instances(config)
-    rows = _MODE_RUNNERS[config.mode](config, instances)
+    """Execute one experiment; returns (rows, exit_status).  A numerical
+    error is re-raised as its own type with the instance id in front."""
+    runner = _MODE_RUNNERS[config.mode]
+    rows = []
+    for inst, label in _instances(config):
+        try:
+            rows += runner(config, inst, label)
+        except _NUMERICAL_ERRORS as exc:
+            raise type(exc)(f"instance {label}: {exc}") from exc
     status = EXIT_OK if all(r.passed for r in rows) else EXIT_CHECK_FAILED
     return rows, status
 
@@ -456,6 +460,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InstanceFormatError, InvalidInputError, UnsupportedSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _NUMERICAL_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

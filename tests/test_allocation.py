@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 import cranopt.allocation as allocation
 from cranopt import (
     C_MAX_DEFAULT,
+    DIRECTIONS,
     LN2,
     InconsistencyError,
     InvalidInputError,
+    SolverOptions,
     SubchannelAllocation,
     allocation_rate,
     realize_allocation,
@@ -283,6 +285,163 @@ def test_random_solves_do_not_raise():
         C = float(np.exp(rng.uniform(-3.0, 4.0)))
         a = solve_scalar_allocation(g, P, C, 1.0, "uplink")
         assert abs(a.power.sum() - P) <= 1e-12 * P, k
+
+
+def _numpy_share_step(s: np.ndarray, C: float, c_max: float) -> np.ndarray:
+    """Reference for allocation._share_step: the numpy version it replaced,
+    kept verbatim."""
+    c = np.zeros_like(s, dtype=float)
+    pos = s > 0
+    n = int(pos.sum())
+    if n == 0 or C <= 0:
+        return c
+    ls = np.log2(s[pos])
+    if C >= n * c_max:
+        c[pos] = c_max
+        return c
+    # repeated kinks are harmless: the interpolation below reads a segment
+    # with g[j - 1] > C >= g[j], whose two kinks always differ
+    kinks = np.sort(np.concatenate([ls, ls - c_max]))
+    g = np.clip(ls[None, :] - kinks[:, None], 0.0, c_max).sum(axis=1)
+    j = int(np.argmax(g <= C))  # first kink at or below the budget; j >= 1
+    if g[j] == C:
+        u = kinks[j]
+    else:
+        u = kinks[j - 1] + (g[j - 1] - C) * (kinks[j] - kinks[j - 1]) / (g[j - 1] - g[j])
+    cp = np.clip(ls - u, 0.0, c_max)
+    tot = cp.sum()
+    if tot > C > 0:
+        cp *= C / tot
+    c[pos] = cp
+    return c
+
+
+def _numpy_power_step(g2: np.ndarray, c: np.ndarray, P: float, sigma2: float) -> np.ndarray:
+    """Reference for allocation._power_step: the numpy version it replaced,
+    kept verbatim but for the module prefix of the iteration cap."""
+    p = np.zeros_like(g2, dtype=float)
+    beta = np.power(2.0, -np.asarray(c, dtype=float))
+    act = (g2 > 0) & (beta < 1.0)
+    if not act.any() or P <= 0:
+        return p
+    if act.sum() == 1:
+        p[act] = P
+        return p
+    g2a = g2[act]
+    ba = beta[act]
+    m = g2a * (1 - ba) / (sigma2 * LN2)
+    t_on = 1.0 / m  # level at which each subchannel switches on
+
+    def powers(T):
+        # comparing T with t_on, not m T with 1, keeps the first subchannel
+        # on at T = min(t_on) whatever the rounding of m T
+        y = m * T
+        root = np.sqrt((1 - ba) ** 2 + 4 * ba * y)
+        on = T >= t_on
+        pa = np.where(on, 2 * sigma2 * np.maximum(y - 1, 0.0) / (root + 1 + ba) / g2a, 0.0)
+        slope = np.where(on, (1 - ba) / (LN2 * root), 0.0)
+        return pa, slope
+
+    levels = np.sort(t_on)
+    pa_on, slope_on = powers(levels[:, None])
+    # rounding at the first level can already overshoot a tiny P
+    below = np.flatnonzero(pa_on.sum(axis=1) <= P)
+    k = below[-1] if below.size else 0
+    T, pa, slope = levels[k], pa_on[k], slope_on[k]
+    for _ in range(allocation._LEVEL_MAX_ITERATIONS):
+        excess = pa.sum() - P
+        if excess >= 0.0:
+            break
+        T_next = T - excess / slope.sum()
+        if T_next <= T:
+            break
+        T = T_next
+        pa, slope = powers(T)
+    else:
+        raise InconsistencyError(
+            f"power-step water level unresolved after {allocation._LEVEL_MAX_ITERATIONS} "
+            f"iterations: level {T!r}, excess {excess!r}"
+        )
+    tot = pa.sum()
+    if tot > 0:
+        pa *= P / tot
+    p[act] = pa
+    return p
+
+
+def test_sum_follows_numpy_order():
+    # numpy adds left to right only below 8 terms; _sum follows it to 128
+    rng = np.random.default_rng(8)
+    for n in range(1, 129):
+        for _ in range(20):
+            a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            assert allocation._sum(a.tolist()) == a.sum(), n
+    for n in (1, 9):
+        assert np.signbit(allocation._sum([-0.0] * n)) == np.signbit(np.full(n, -0.0).sum())
+
+def _step_case(rng, D):
+    """One seeded input of both block steps: squared gains from gains
+    log-uniform in 1e-6..1e6 with some zero, shares at 0, near 0, c_max or
+    mixed, P log-uniform in 1e-4..1e8, and c_max at times below C/n so the
+    share step takes its all-at-cap branch."""
+    g2 = (10.0 ** rng.uniform(-6.0, 6.0, D)) ** 2
+    g2[rng.random(D) < 0.2] = 0.0
+    C = 10.0 ** rng.uniform(-3.0, 2.5)
+    c_max = (C_MAX_DEFAULT, 10.0 ** rng.uniform(-1.0, 1.5), C / D * rng.uniform(0.1, 1.0))[
+        int(rng.integers(3))
+    ]
+    near_zero = rng.uniform(0.0, 1e-9, D)
+    c = (
+        np.zeros(D),
+        near_zero,
+        np.full(D, c_max),
+        np.where(rng.random(D) < 0.5, c_max, near_zero),
+        rng.uniform(0.0, c_max, D),
+    )[int(rng.integers(5))]
+    P = 10.0 ** rng.uniform(-4.0, 8.0)
+    sigma2 = 10.0 ** rng.uniform(-1.0, 1.0)
+    s = g2 * P * rng.dirichlet(np.ones(D))
+    return g2, c, s, P, C, c_max, sigma2
+
+
+def test_steps_match_the_numpy_reference_bit_for_bit():
+    # the float steps keep numpy's log2 and 2^-c and its summation order,
+    # so they equal the array versions exactly, also from D = 8 on where
+    # numpy stops summing left to right
+    rng = np.random.default_rng(909)
+    for k in range(2400):
+        D = 1 + k % 16
+        g2, c, s, P, C, c_max, sigma2 = _step_case(rng, D)
+        p_new = allocation._power_step(g2, c, P, sigma2)
+        assert np.array_equal(p_new, _numpy_power_step(g2, c, P, sigma2)), k
+        c_new = allocation._share_step(s, C, c_max)
+        assert np.array_equal(c_new, _numpy_share_step(s, C, c_max)), k
+        assert p_new.dtype == c_new.dtype == np.float64, k
+
+
+def test_solves_match_the_numpy_steps_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(4242)
+    cases = []
+    for k in range(400):
+        D = 1 + k % 8
+        g = 10.0 ** rng.uniform(-2.0, 2.0, D)
+        if k % 5 == 1:
+            g[:] = g[0]  # equal gains: the canonical order decides
+        if k % 5 == 2:
+            g[rng.random(D) < 0.4] = 0.0
+        P = 10.0 ** rng.uniform(-2.0, 3.0)
+        C = 10.0 ** rng.uniform(-2.0, 2.0)
+        opts = (None, SolverOptions(c_max=2.0), SolverOptions(c_max=C / D))[k % 3]
+        cases.append((g, P, C, 10.0 ** rng.uniform(-1.0, 1.0), DIRECTIONS[k % 2], opts))
+    with monkeypatch.context() as m:
+        m.setattr(allocation, "_share_step", _numpy_share_step)
+        m.setattr(allocation, "_power_step", _numpy_power_step)
+        refs = [solve_scalar_allocation(*case) for case in cases]
+    for k, (case, ref) in enumerate(zip(cases, refs)):
+        a = solve_scalar_allocation(*case)
+        for name in ("power", "share", "quantizer"):
+            assert np.array_equal(getattr(a, name), getattr(ref, name)), (k, name)
+        assert a.diagnostics == ref.diagnostics, k  # rate, iterations, starts
 
 
 def test_solver_rejects_bad_inputs():

@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cranopt import ChannelInstance, InstanceFormatError, random_channel
+from cranopt import (
+    ChannelInstance,
+    DomainError,
+    InconsistencyError,
+    InstanceFormatError,
+    ProjectionError,
+    random_channel,
+)
 from cranopt.cli import (
     CSV_COLUMNS,
     EXIT_CHECK_FAILED,
@@ -212,6 +219,27 @@ def test_main_missing_file_is_usage_error(capsys):
     assert code == EXIT_USAGE
     assert "error" in capsys.readouterr().err.lower()
 
+
+@pytest.mark.parametrize(
+    "mode, target, error",
+    [
+        ("duality", "duality_gap", DomainError("B or B + M is not positive definite")),
+        ("solve", "solve_instance", InconsistencyError("water level unresolved")),
+        ("certify", "solve_instance", ProjectionError("quantization covariance is singular")),
+    ],
+)
+def test_main_reports_numerical_errors_in_one_line(monkeypatch, capsys, mode, target, error):
+    import cranopt.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_mod, target, fail)
+    code = main(["--mode", mode, "--random", "2,2,3", "--trials", "5"])
+    assert code == EXIT_CHECK_FAILED
+    outerr = capsys.readouterr()
+    assert outerr.out == ""
+    assert outerr.err == f"error: instance rand-000: {error}\n"
 
 def test_main_rejects_double_source(identity_file, capsys):
     code = main(["--mode", "solve", "--instances", identity_file, "--random", "2,2,1"])
