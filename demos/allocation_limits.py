@@ -27,7 +27,7 @@ def main():
     print(f"{'C':>6}  {'rate':>10}  {'rate/cap':>8}  powers / shares")
 
     for C in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 60.0):
-        a = solve_scalar_allocation(gains, args.P, C, args.sigma2, "uplink")
+        a = solve_scalar_allocation(gains, args.P, C, args.sigma2)
         r = a.diagnostics["rate"]
         print(f"{C:6.2f}  {r:10.6f}  {r / cap:8.4f}  "
               f"p={np.round(a.power, 3)} c={np.round(a.share, 3)}")

@@ -2,36 +2,24 @@
 remote radio head serving one user over a rate-limited fronthaul link.
 
 The library solves both link directions (uplink: quantize-and-forward at
-the radio head; downlink: precode-and-compress at the central processor),
-assembles the singular-basis covariance designs the scalar solutions
-induce, and ships the certification tooling (exhaustive grid oracle,
+the radio head; downlink: precode-and-compress at the central processor)
+through one scalar power/share allocation on the channel's singular values,
+which each direction's assembly realizes as a singular-basis covariance
+design, and ships the certification tooling (exhaustive grid oracle,
 random perturbation search, spectral-inequality probes) used to validate
-the designs numerically.
+the designs numerically.  The command-line harness is ``cranopt.cli``;
+importing the package does not load it.
 """
 
 from .allocation import (
     C_MAX_DEFAULT,
-    DIRECTIONS,
-    DOWNLINK,
-    UPLINK,
     SolverOptions,
     SubchannelAllocation,
-    allocation_rate,
-    realize_allocation,
     solve_scalar_allocation,
     subchannel_rate,
     tight_quantizer_downlink,
     tight_quantizer_uplink,
-    uplink_to_downlink,
     waterfilling_capacity,
-)
-from .cli import (
-    ExperimentConfig,
-    ResultRow,
-    load_instances,
-    main,
-    run,
-    serialize_instance,
 )
 from .downlink import (
     assemble_downlink,
@@ -62,7 +50,6 @@ from .kernels import (
 )
 from .majorization import (
     MajorizationProbe,
-    SpectrumVector,
     check_downlink_bounds,
     check_power_lower_bound,
     check_uplink_rate_bound,
@@ -78,6 +65,9 @@ from .oracle import (
     perturbation_search,
 )
 from .problem import (
+    DIRECTIONS,
+    DOWNLINK,
+    UPLINK,
     ChannelInstance,
     DownlinkDesign,
     RateReport,
@@ -105,7 +95,6 @@ __all__ = [
     "DOWNLINK",
     "DomainError",
     "DownlinkDesign",
-    "ExperimentConfig",
     "InconsistencyError",
     "InstanceFormatError",
     "InvalidInputError",
@@ -113,16 +102,13 @@ __all__ = [
     "MajorizationProbe",
     "ProjectionError",
     "RateReport",
-    "ResultRow",
     "SolverOptions",
-    "SpectrumVector",
     "SubchannelAllocation",
     "TOL",
     "Tolerances",
     "UPLINK",
     "UnsupportedSizeError",
     "UplinkDesign",
-    "allocation_rate",
     "assemble_downlink",
     "assemble_uplink",
     "check_downlink_bounds",
@@ -137,20 +123,15 @@ __all__ = [
     "grid_oracle_scalar",
     "hermitian_part",
     "is_psd",
-    "load_instances",
     "log_majorizes",
     "logdet_hpd",
     "logdet_ratio",
-    "main",
     "perturbation_search",
     "product_spectrum",
     "psd_part",
     "random_channel",
     "random_unitary",
-    "realize_allocation",
     "restrict",
-    "run",
-    "serialize_instance",
     "solve_instance",
     "solve_scalar_allocation",
     "subchannel_rate",
@@ -159,6 +140,5 @@ __all__ = [
     "tight_quantizer_uplink",
     "uplink_fronthaul",
     "uplink_rate",
-    "uplink_to_downlink",
     "waterfilling_capacity",
 ]

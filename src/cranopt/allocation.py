@@ -7,8 +7,10 @@ carrying signal power s = h^2 p under fronthaul share c contributes
 
     r(s, c) = log2( (s + sigma2) / (sigma2 + 2^-c s) )
 
-bits.  The quantizer that meets a share exactly is "tight": shrinking it
-further would overrun the share, growing it only wastes rate.  The joint
+bits.  One (power, share) allocation is therefore optimal in both
+directions, and it carries no quantizer: each assembly realizes a share with
+its own "tight" quantizer, the one that meets the share exactly (shrinking
+it further would overrun the share, growing it only wastes rate).  The joint
 problem is not convex (small budgets reward concentrating everything on
 one subchannel), but each block is: for fixed powers the share allocation
 is an exact water-filling in the log2 domain, and for fixed shares the
@@ -39,64 +41,32 @@ import numpy as np
 from .errors import DomainError, InconsistencyError, InvalidInputError
 from .kernels import LN2
 
-UPLINK = "uplink"
-DOWNLINK = "downlink"
-DIRECTIONS = (UPLINK, DOWNLINK)
-
 C_MAX_DEFAULT = 60.0
 
 
 @dataclass
 class SubchannelAllocation:
-    """Per-subchannel budgets, length = channel rank.
+    """Per-subchannel budgets, length = channel rank: power p_d and
+    fronthaul share c_d (bits).  A subchannel without power carries no
+    share; its share is dropped here."""
 
-    power    uplink: transmit power p_d; downlink: total x_d = p~_d + q_d
-    share    fronthaul bits c_d
-    quantizer  quantization noise q_d; +inf marks an uplink subchannel that
-               is never forwarded (share 0), 0 marks a downlink subchannel
-               that is off
-    signal_power  downlink only: described signal power p~_d
-    """
-
-    direction: str
     power: np.ndarray
     share: np.ndarray
-    quantizer: np.ndarray
-    signal_power: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.direction not in DIRECTIONS:
-            raise InvalidInputError(f"direction must be one of {DIRECTIONS}")
-        for name in ("power", "share", "quantizer"):
-            v = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            setattr(self, name, v)
-        n = len(self.power)
-        if n == 0:
+        p = np.atleast_1d(np.asarray(self.power, dtype=float))
+        c = np.atleast_1d(np.asarray(self.share, dtype=float))
+        if len(p) == 0:
             raise InvalidInputError("allocation must cover at least one subchannel")
-        if len(self.share) != n or len(self.quantizer) != n:
+        if len(c) != len(p):
             raise InvalidInputError("allocation arrays must share one length")
-        if not (np.all(np.isfinite(self.power)) and np.all(self.power >= 0)):
+        if not (np.all(np.isfinite(p)) and np.all(p >= 0)):
             raise InvalidInputError("power entries must be finite and >= 0")
-        if not (np.all(np.isfinite(self.share)) and np.all(self.share >= 0)):
+        if not (np.all(np.isfinite(c)) and np.all(c >= 0)):
             raise InvalidInputError("share entries must be finite and >= 0")
-        if np.any(self.quantizer < 0) or np.any(np.isnan(self.quantizer)):
-            raise InvalidInputError("quantizer entries must be >= 0")
-        if self.direction == UPLINK:
-            if self.signal_power is not None:
-                raise InvalidInputError("signal_power is a downlink field")
-        else:
-            if self.signal_power is None:
-                raise InvalidInputError("downlink allocations need signal_power")
-            pt = np.atleast_1d(np.asarray(self.signal_power, dtype=float))
-            self.signal_power = pt
-            if len(pt) != n or not np.all(np.isfinite(pt)) or np.any(pt < 0):
-                raise InvalidInputError("signal_power entries must be finite and >= 0")
-            if not np.all(np.isfinite(self.quantizer)):
-                raise InvalidInputError("downlink quantizer entries must be finite")
-            gap = np.abs(self.power - (pt + self.quantizer))
-            if np.any(gap > 1e-12 * np.maximum(1.0, self.power)):
-                raise InvalidInputError("power must equal signal_power + quantizer")
+        self.power = p
+        self.share = np.where(p > 0, c, 0.0)
 
 
 @dataclass(frozen=True)
@@ -223,7 +193,12 @@ def _share_step(s: np.ndarray, C: float, c_max: float) -> np.ndarray:
             if g <= C:
                 break
             k0, g0 = k, g
-        cp = clipped(k if g == C else k0 + (g0 - C) * (k - k0) / (g0 - g))
+        if g0 == g:
+            # every kink coincides (equal powers, c_max below the rounding
+            # unit of log2 s), so no level spends C: split it evenly
+            cp = [C / len(ls)] * len(ls)
+        else:
+            cp = clipped(k if g == C else k0 + (g0 - C) * (k - k0) / (g0 - g))
         tot = _sum(cp)
         if tot > C:
             cp = [x * (C / tot) for x in cp]
@@ -339,7 +314,14 @@ def _waterfilling_powers_g2(g2: np.ndarray, P: float, sigma2: float) -> np.ndarr
             k_best = k
     mu = (P + inv_s[:k_best].sum()) / k_best
     alloc = np.maximum(mu - inv, 0.0)
-    alloc *= P / alloc.sum()
+    tot = alloc.sum()
+    if tot > 0:
+        alloc *= P / tot
+    else:
+        # P is below the rounding unit of the water level: the strongest
+        # subchannels share it
+        top = inv == inv_s[0]
+        alloc = np.where(top, P / np.count_nonzero(top), 0.0)
     p[pos] = alloc
     return p
 
@@ -428,11 +410,12 @@ def solve_scalar_allocation(
     P: float,
     C: float,
     sigma2: float,
-    direction: str,
+    *,
     opts: SolverOptions | None = None,
 ) -> SubchannelAllocation:
     """Maximize the summed subchannel rate under the power and fronthaul
-    budgets, returning a tight-quantizer allocation.
+    budgets.  The allocation serves both directions; the assemblies realize
+    its shares with tight quantizers.
 
     Deterministic: block ascent runs from a fixed sequence of starts (top-k
     concentration on the k strongest subchannels for every k, then
@@ -442,17 +425,14 @@ def solve_scalar_allocation(
     achieved rate, block-ascent round count and number of starts are
     stored in the allocation's diagnostics.
     """
-    if direction not in DIRECTIONS:
-        raise InvalidInputError(f"direction must be one of {DIRECTIONS}")
     g = _validate_gains(gains)
     _validate_budgets(P, C, sigma2)
     opts = opts or SolverOptions()
     D = g.size
     g2 = g**2
     if P <= 0 or C <= 0 or not np.any(g2 > 0):
-        a = realize_allocation(direction, g, np.zeros(D), np.zeros(D), sigma2)
-        a.diagnostics.update({"rate": 0.0, "iterations": 0, "starts": 0})
-        return a
+        diagnostics = {"rate": 0.0, "iterations": 0, "starts": 0}
+        return SubchannelAllocation(np.zeros(D), np.zeros(D), diagnostics)
 
     starts = _start_points(g2, P, sigma2)
     best = (-np.inf, None, None)
@@ -466,79 +446,5 @@ def solve_scalar_allocation(
     _, p, c = best
     p, c = _canonicalize(g, p, c)
     rate = float(_rates(g2 * p, c, sigma2).sum())
-
-    alloc = realize_allocation(direction, g, p, c, sigma2)
-    alloc.diagnostics.update(
-        {"rate": rate, "iterations": total_rounds, "starts": len(starts)}
-    )
-    return alloc
-
-
-def realize_allocation(direction, gains, power, share, sigma2) -> SubchannelAllocation:
-    """Turn a (power, share) point into a tight-quantizer allocation.
-
-    Shares on zero-power subchannels are dropped; uplink subchannels with
-    zero share keep quantizer +inf, downlink ones are off entirely.
-    """
-    if direction not in DIRECTIONS:
-        raise InvalidInputError(f"direction must be one of {DIRECTIONS}")
-    g = _validate_gains(gains)
-    D = g.size
-    p = np.asarray(power, dtype=float).copy()
-    c = np.where(p > 0, np.asarray(share, dtype=float), 0.0)
-    if direction == UPLINK:
-        q = np.full(D, np.inf)
-        on = c > 0
-        if on.any():
-            q[on] = np.atleast_1d(
-                tight_quantizer_uplink(g[on] ** 2, p[on], c[on], sigma2)
-            )
-        return SubchannelAllocation(UPLINK, p, c, q)
-    return _tight_downlink(p, c)
-
-
-def _tight_downlink(power, share) -> SubchannelAllocation:
-    """Downlink allocation with the tight split x = q + p~ on every
-    subchannel with a positive share; the others are off (x = 0)."""
-    on = share > 0
-    x = np.where(on, power, 0.0)
-    q = np.zeros(len(x))
-    pt = np.zeros(len(x))
-    if on.any():
-        q[on], pt[on] = tight_quantizer_downlink(x[on], share[on])
-    return SubchannelAllocation(DOWNLINK, x, share, q, signal_power=pt)
-
-
-def allocation_rate(gains, a: SubchannelAllocation, sigma2: float) -> float:
-    """Summed subchannel rate of an allocation, from its stored quantizers.
-
-    Uses the direction's own rate expression (not the tight-share shortcut),
-    so it is valid for hand-built allocations too.
-    """
-    g = _validate_gains(gains)
-    if len(g) != len(a.power):
-        raise InvalidInputError("gains and allocation length mismatch")
-    if not np.isfinite(sigma2) or sigma2 <= 0:
-        raise InvalidInputError(f"sigma2 must be > 0, got {sigma2}")
-    g2 = g**2
-    if a.direction == UPLINK:
-        with np.errstate(divide="ignore"):
-            terms = np.log2(1.0 + g2 * a.power / (a.quantizer + sigma2))
-        terms[~np.isfinite(a.quantizer)] = 0.0
-        return float(terms.sum())
-    return float(
-        np.sum(np.log2(1.0 + g2 * a.signal_power / (g2 * a.quantizer + sigma2)))
-    )
-
-
-def uplink_to_downlink(a: SubchannelAllocation) -> SubchannelAllocation:
-    """Map an uplink allocation to the downlink allocation achieving the
-    same rate on every subchannel: x_d = p_d, shares unchanged, tight split.
-
-    Subchannels with zero share map to off (x = 0): power parked there
-    contributes zero rate on both sides and has no finite downlink
-    representation.
-    """
-    if a.direction != UPLINK:
-        raise InvalidInputError(f"expected an uplink allocation, got {a.direction!r}")
-    return _tight_downlink(a.power, a.share.copy())
+    diagnostics = {"rate": rate, "iterations": total_rounds, "starts": len(starts)}
+    return SubchannelAllocation(p, c, diagnostics)

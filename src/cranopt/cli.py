@@ -4,7 +4,8 @@ Modes
   solve    one row per instance per direction at the instance's own budgets
   sweep    rate over a (P, C) budget grid, both directions
   duality  per-instance |uplink rate - downlink rate|, checked against tol
-  certify  perturbation search around each solved design, both directions
+  certify  perturbation search around each solved design, both directions;
+           an infeasible design fails its row, with an empty margin
   oracle   solver vs exhaustive grid on the instance's subchannel gains
 
 Exit status: 0 all checks passed, 1 a duality/certification/feasibility
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import DIRECTIONS
 from .errors import (
     DomainError,
     InconsistencyError,
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .kernels import random_channel, svd
 from .oracle import grid_oracle_scalar, perturbation_search
-from .problem import ChannelInstance
+from .problem import DIRECTIONS, ChannelInstance
 from .solver import duality_gap, solve_instance
 
 CSV_COLUMNS = (
@@ -294,26 +294,30 @@ def _run_certify(config, inst, label) -> list[ResultRow]:
     for direction in DIRECTIONS:
         t0 = time.perf_counter()
         design, report, _ = solve_instance(inst, direction)
-        cert = perturbation_search(
-            inst,
-            direction,
-            design,
-            trials=config.trials,
-            seed=config.seed * 4 + 3,
-            instance_id=label,
-        )
-        ok = cert.verdict and report.feasible
-        rows.append(_row(label, direction, inst.P, inst.C, report, cert.margin, t0, ok))
+        # an infeasible design fails its row and has no margin to search for
+        margin, ok = None, False
+        if report.feasible:
+            cert = perturbation_search(
+                inst,
+                direction,
+                design,
+                trials=config.trials,
+                seed=config.seed * 4 + 3,
+                instance_id=label,
+            )
+            margin, ok = cert.margin, cert.verdict
+        rows.append(_row(label, direction, inst.P, inst.C, report, margin, t0, ok))
     return rows
 
 
 def _run_oracle(config, inst, label) -> list[ResultRow]:
-    rows = []
+    # one grid serves both directions, which share the scalar problem
     gains = svd(inst.H).singular_values
+    reference = grid_oracle_scalar(gains, inst.P, inst.C, inst.sigma2)
+    rows = []
     for direction in DIRECTIONS:
         t0 = time.perf_counter()
         _, report, _ = solve_instance(inst, direction)
-        reference = grid_oracle_scalar(gains, inst.P, inst.C, inst.sigma2, direction)
         margin = report.diagnostics["rate"] - reference.diagnostics["rate"]
         ok = margin >= -config.tol and report.feasible
         rows.append(_row(label, direction, inst.P, inst.C, report, margin, t0, ok))

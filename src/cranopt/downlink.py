@@ -12,12 +12,17 @@ n_r x n_r; the transmitted covariance is S + Q),
 in bits.  The fronthaul ratio is restricted to the described subspace when
 the design carries an ``active_basis``: dimensions carrying nothing
 (S and Q both zero there) cost zero bits.
+
+A scalar allocation (power p_d, share c_d on the channel's singular values)
+is realized here: the downlink meets each share by splitting p_d into the
+described signal p~_d and the quantizer q_d = p_d 2^-c_d.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .allocation import tight_quantizer_downlink
 from .errors import DomainError, InvalidInputError
 from .kernels import LN2, TOL, ChannelSpectrum, logdet_ratio
 from .problem import ChannelInstance, DownlinkDesign, RateReport, restrict
@@ -52,20 +57,22 @@ def downlink_fronthaul(d: DownlinkDesign) -> float:
 
 def assemble_downlink(spec: ChannelSpectrum, a) -> DownlinkDesign:
     """Build the diagonal design S = U diag(p~) U^H, Q = U diag(q) U^H from
-    a scalar downlink allocation.
+    a scalar allocation, with the tight split p_d = p~_d + q_d,
+    q_d = p_d 2^-c_d on every subchannel that has a share.
 
-    Off subchannels (share 0, hence signal and quantizer both 0) and
-    dimensions beyond the channel rank are excluded from the described
-    subspace.  A zero quantizer under nonzero signal power on the same
-    subchannel is rejected: its description would cost infinitely many bits.
+    The other subchannels are off (signal and quantizer both 0) and, like
+    dimensions beyond the channel rank, excluded from the described
+    subspace.  A quantizer that underflows to 0 under nonzero signal power
+    is rejected: its description would cost infinitely many bits.
     """
-    if a.direction != "downlink":
-        raise InvalidInputError(f"expected a downlink allocation, got {a.direction!r}")
     D = spec.rank
     if len(a.power) != D:
         raise InvalidInputError(f"allocation length {len(a.power)} != rank {D}")
-    q = np.asarray(a.quantizer, dtype=float)
-    pt = np.asarray(a.signal_power, dtype=float)
+    q = np.zeros(D)
+    pt = np.zeros(D)
+    on = a.share > 0
+    if on.any():
+        q[on], pt[on] = tight_quantizer_downlink(a.power[on], a.share[on])
     bad = (q == 0) & (pt > 0)
     if bad.any():
         raise DomainError(

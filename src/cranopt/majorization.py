@@ -32,30 +32,6 @@ from .kernels import as_complex_matrix, hermitian_part, is_psd, svd
 EQUALITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectrumVector:
-    """A real nonnegative spectrum with a declared sort order."""
-
-    values: np.ndarray
-    order: str = "desc"
-
-    def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if v.ndim != 1 or v.size == 0:
-            raise InvalidInputError("spectrum must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise InvalidInputError("spectrum entries must be finite and >= 0")
-        if self.order not in ("desc", "asc"):
-            raise InvalidInputError("order must be 'desc' or 'asc'")
-        sorted_v = np.sort(v)[::-1] if self.order == "desc" else np.sort(v)
-        if not np.array_equal(v, sorted_v):
-            raise InvalidInputError(f"values are not sorted {self.order}")
-        object.__setattr__(self, "values", v)
-
-    def descending(self) -> np.ndarray:
-        return self.values if self.order == "desc" else self.values[::-1]
-
-
 @dataclass
 class MajorizationProbe:
     """One receive-side rate-bound check: signal covariance Phi = H S H^H,
@@ -100,15 +76,11 @@ def log_majorizes(a, b, tol: float = 1e-9) -> bool:
     """True iff a log-majorizes b: every prefix product of a (descending)
     dominates b's within relative tol, and the total products agree.
 
-    Accepts SpectrumVector or plain arrays (assumed descending after sort).
-    Zeros are handled as log = -inf; two -inf prefixes compare equal.
+    Both spectra are sorted descending first.  Zeros are handled as
+    log = -inf; two -inf prefixes compare equal.
     """
-    av = a.descending() if isinstance(a, SpectrumVector) else np.sort(
-        np.atleast_1d(np.asarray(a, dtype=float))
-    )[::-1]
-    bv = b.descending() if isinstance(b, SpectrumVector) else np.sort(
-        np.atleast_1d(np.asarray(b, dtype=float))
-    )[::-1]
+    av = np.sort(np.atleast_1d(np.asarray(a, dtype=float)))[::-1]
+    bv = np.sort(np.atleast_1d(np.asarray(b, dtype=float)))[::-1]
     if av.size != bv.size:
         raise InvalidInputError(f"spectrum lengths differ: {av.size} vs {bv.size}")
     if np.any(av < 0) or np.any(bv < 0):
@@ -256,8 +228,6 @@ def schur_geo_convexity_probe(x, y, sigma2: float) -> bool:
         raise InvalidInputError(f"sigma2 must be > 0, got {sigma2}")
     if not log_majorizes(x, y):
         raise InvalidInputError("x does not log-majorize y")
-    xv = x.descending() if isinstance(x, SpectrumVector) else np.asarray(x, dtype=float)
-    yv = y.descending() if isinstance(y, SpectrumVector) else np.asarray(y, dtype=float)
-    fx = float(np.sum(np.log2(sigma2 + xv)))
-    fy = float(np.sum(np.log2(sigma2 + yv)))
+    fx = float(np.sum(np.log2(sigma2 + np.asarray(x, dtype=float))))
+    fy = float(np.sum(np.log2(sigma2 + np.asarray(y, dtype=float))))
     return bool(fx >= fy - 1e-12)

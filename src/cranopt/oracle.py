@@ -2,9 +2,10 @@
 
 Two independent routes check the solver's optimality claims:
 
-  * :func:`grid_oracle_scalar` enumerates the scalar problem on dense
-    budget-simplex grids (D <= 3) and refines the best grid point with a
-    derivative-free pattern search.  It shares only the objective function
+  * :func:`grid_oracle_scalar` enumerates the scalar problem both
+    directions share on dense budget-simplex grids (D <= 3) and refines
+    the best grid point with a derivative-free pattern search, so one grid
+    checks the solver for both.  It shares only the objective function
     with the solver, none of its KKT machinery.
   * :func:`perturbation_search` attacks an assembled matrix design with
     random covariance candidates, each rescaled onto the constraint
@@ -20,14 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import (
-    C_MAX_DEFAULT,
-    DIRECTIONS,
-    UPLINK,
-    SubchannelAllocation,
-    _rates,
-    realize_allocation,
-)
+from .allocation import C_MAX_DEFAULT, SubchannelAllocation, _rates
 from .downlink import DownlinkDesign, check_downlink_feasible
 from .errors import (
     InconsistencyError,
@@ -44,7 +38,7 @@ from .kernels import (
     logdet_ratio_stacked,
     whitened_eigvalsh,
 )
-from .problem import ChannelInstance, psd_part
+from .problem import DIRECTIONS, UPLINK, ChannelInstance, psd_part
 from .uplink import UplinkDesign, check_uplink_feasible
 
 CERTIFICATION_TOL = TOL.certification
@@ -117,18 +111,16 @@ def grid_oracle_scalar(
     P: float,
     C: float,
     sigma2: float,
-    direction: str,
+    *,
     resolution: int = 101,
 ) -> SubchannelAllocation:
     """Exhaustive scalar-problem search on budget-simplex grids, D <= 3.
 
     Enumerates every grid split of the power and share budgets (the
     optimum saturates both, since the subchannel rate is nondecreasing in
-    each), refines the best grid point by pattern search, and realizes the
-    result with tight quantizers.  Deterministic.
+    each) and refines the best grid point by pattern search.  Like the
+    solver's, its allocation serves both directions.  Deterministic.
     """
-    if direction not in DIRECTIONS:
-        raise InvalidInputError(f"direction must be one of {DIRECTIONS}")
     if resolution < 2:
         raise InvalidInputError(f"resolution must be >= 2, got {resolution}")
     g = np.atleast_1d(np.asarray(gains, dtype=float))
@@ -147,9 +139,8 @@ def grid_oracle_scalar(
     p_full = np.zeros(D)
     c_full = np.zeros(D)
     if pos.size == 0 or P <= 0 or C <= 0:
-        alloc = realize_allocation(direction, g, p_full, c_full, sigma2)
-        alloc.diagnostics.update({"rate": 0.0, "grid_rate": 0.0, "resolution": resolution})
-        return alloc
+        diagnostics = {"rate": 0.0, "grid_rate": 0.0, "resolution": resolution}
+        return SubchannelAllocation(p_full, c_full, diagnostics)
 
     c_max = C_MAX_DEFAULT
     ga = g2[pos]
@@ -163,11 +154,8 @@ def grid_oracle_scalar(
 
     p_full[pos] = pbest
     c_full[pos] = cbest
-    alloc = realize_allocation(direction, g, p_full, c_full, sigma2)
-    alloc.diagnostics.update(
-        {"rate": rate, "grid_rate": grid_rate, "resolution": resolution}
-    )
-    return alloc
+    diagnostics = {"rate": rate, "grid_rate": grid_rate, "resolution": resolution}
+    return SubchannelAllocation(p_full, c_full, diagnostics)
 
 
 def _grid_power_only(g2, P, c_max, sigma2, res):
@@ -194,7 +182,7 @@ def _grid_power_only(g2, P, c_max, sigma2, res):
         k = int(np.argmax(rates))
         if rates[k] > best[0]:
             best = (float(rates[k]), np.array([pgrid[i], sub[k], rem - sub[k]]))
-    return best[1], c, best[0]
+    return np.clip(best[1], 0.0, None), c, best[0]  # rem - sub can round below 0
 
 
 def _grid_joint(g2, P, Ct, c_max, sigma2, res):
@@ -251,9 +239,10 @@ def _grid_joint(g2, P, Ct, c_max, sigma2, res):
         p = np.full(3, P / 3)
         c = np.full(3, Ct / 3)
         return p, c, _objective(g2, p, c, sigma2)
+    # the complements can round below 0
     p = np.array([pgrid[i], pgrid[j], P - pgrid[i] - pgrid[j]])
     c = np.array([cgrid[m], cgrid[nn], Ct - cgrid[m] - cgrid[nn]])
-    return p, np.clip(c, 0.0, None), rate
+    return np.clip(p, 0.0, None), np.clip(c, 0.0, None), rate
 
 
 # Newton iterations allowed for the fronthaul level; a solve that needs more

@@ -17,6 +17,10 @@ import numpy as np
 from .errors import InvalidInputError
 from .kernels import TOL, as_complex_matrix, hermitian_part, is_psd
 
+UPLINK = "uplink"
+DOWNLINK = "downlink"
+DIRECTIONS = (UPLINK, DOWNLINK)
+
 
 @dataclass(frozen=True)
 class ChannelInstance:

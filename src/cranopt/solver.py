@@ -2,27 +2,20 @@
 allocation -> assembled covariance design.
 
 The two directions share one scalar problem on the channel's singular
-values.  The duality check solves it once, for the uplink, and carries the
-allocation to the downlink through the uplink-downlink duality map
-(same powers, same shares, tight split).  Each direction is then assembled
-and measured by its own matrix functionals, so agreement of the two
+values, and one (power, share) allocation solves it for both.  Each
+direction's assembly realizes that allocation with its own tight quantizers
+and is measured by its own matrix functionals, so agreement of the two
 designs' rates is an outcome of the two assemblies, not of shared rate
 evaluation.
 """
 
 from __future__ import annotations
 
-from .allocation import (
-    DOWNLINK,
-    UPLINK,
-    SolverOptions,
-    solve_scalar_allocation,
-    uplink_to_downlink,
-)
+from .allocation import SolverOptions, solve_scalar_allocation
 from .downlink import assemble_downlink, check_downlink_feasible
 from .errors import InvalidInputError
 from .kernels import svd
-from .problem import ChannelInstance
+from .problem import DIRECTIONS, UPLINK, ChannelInstance
 from .uplink import assemble_uplink, check_uplink_feasible
 
 
@@ -34,14 +27,14 @@ def solve_instance(
     Returns (design, report, allocation); the report carries the solver
     diagnostics (achieved rate, iteration count) merged into its own.
     """
-    if direction not in (UPLINK, DOWNLINK):
+    if direction not in DIRECTIONS:
         raise InvalidInputError(f"direction must be uplink or downlink, got {direction!r}")
     spec = svd(inst.H)
     alloc = solve_scalar_allocation(
-        spec.singular_values, inst.P, inst.C, inst.sigma2, direction, opts
+        spec.singular_values, inst.P, inst.C, inst.sigma2, opts=opts
     )
     if direction == UPLINK:
-        design = assemble_uplink(spec, alloc)
+        design = assemble_uplink(spec, alloc, inst.sigma2)
         report = check_uplink_feasible(inst, design)
     else:
         design = assemble_downlink(spec, alloc)
@@ -51,23 +44,20 @@ def solve_instance(
 
 
 def duality_gap(inst: ChannelInstance, opts: SolverOptions | None = None) -> dict:
-    """Solve the uplink, map its allocation to the downlink, and report the
-    rate difference of the two assembled designs.
+    """Solve the uplink, assemble its allocation as a downlink design too,
+    and report the rate difference of the two designs.
 
     The scalar problem is solved once, by ``solve_instance`` for the uplink
-    with solver options ``opts``.  Its allocation is carried to the downlink
-    by ``uplink_to_downlink`` (the duality map: same powers and shares,
-    tight split), which is the allocation a downlink solve returns, and the
-    solver diagnostics are copied onto the downlink report.  The downlink
-    design is assembled and checked by its own direction's functionals, so
-    the gap measures how well the uplink and downlink assemblies and rate
-    functionals agree.  Returns a dict with the two rates, their absolute
-    gap, and both feasibility reports.
+    with solver options ``opts``; its allocation is the one a downlink solve
+    returns, and its diagnostics are copied onto the downlink report.  The
+    downlink design is assembled and checked by its own direction's
+    functionals, so the gap measures how well the uplink and downlink
+    assemblies and rate functionals agree.  Returns a dict with the two
+    rates, their absolute gap, and both feasibility reports.
     """
-    _, rep_ul, alloc_ul = solve_instance(inst, UPLINK, opts)
-    design_dl = assemble_downlink(svd(inst.H), uplink_to_downlink(alloc_ul))
-    rep_dl = check_downlink_feasible(inst, design_dl)
-    rep_dl.diagnostics.update(alloc_ul.diagnostics)
+    _, rep_ul, alloc = solve_instance(inst, UPLINK, opts)
+    rep_dl = check_downlink_feasible(inst, assemble_downlink(svd(inst.H), alloc))
+    rep_dl.diagnostics.update(alloc.diagnostics)
     gap = abs(rep_ul.rate - rep_dl.rate)
     return {
         "uplink_rate": rep_ul.rate,

@@ -12,12 +12,17 @@ achievable rate and the fronthaul cost are
 
 in bits, both restricted to the forwarded subspace when the design carries
 an ``active_basis`` (dimensions the RRH never forwards cost zero bits).
+
+A scalar allocation (power p_d, share c_d on the channel's singular values)
+is realized here: the uplink meets each share with the tight quantizer
+q_d = (h_d^2 p_d + sigma2) / (2^c_d - 1).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .allocation import tight_quantizer_uplink
 from .errors import InvalidInputError
 from .kernels import LN2, TOL, ChannelSpectrum, logdet_ratio
 from .problem import ChannelInstance, RateReport, UplinkDesign, restrict
@@ -56,16 +61,15 @@ def uplink_fronthaul(inst: ChannelInstance, d: UplinkDesign) -> float:
     return logdet_ratio(restrict(M, W), restrict(d.Q, W)) / LN2
 
 
-def assemble_uplink(spec: ChannelSpectrum, a) -> UplinkDesign:
+def assemble_uplink(spec: ChannelSpectrum, a, sigma2: float) -> UplinkDesign:
     """Build the diagonal design S = V diag(p) V^H, Q = U diag(q) U^H from a
-    scalar uplink allocation.
+    scalar allocation, with the tight quantizer q_d = (h_d^2 p_d + sigma2) /
+    (2^c_d - 1) on every subchannel that has a share.
 
-    Subchannels with zero fronthaul share (quantizer +inf) and receive
+    Subchannels with no share (or a quantizer that overflows) and receive
     dimensions beyond the channel rank are left out of the forwarded
     subspace, so their fronthaul cost is exactly zero.
     """
-    if a.direction != "uplink":
-        raise InvalidInputError(f"expected an uplink allocation, got {a.direction!r}")
     D = spec.rank
     if len(a.power) != D:
         raise InvalidInputError(f"allocation length {len(a.power)} != rank {D}")
@@ -74,11 +78,15 @@ def assemble_uplink(spec: ChannelSpectrum, a) -> UplinkDesign:
     V = spec.right_basis
     S = (V * p_full) @ V.conj().T
 
+    q = np.full(D, np.inf)
+    on = a.share > 0
+    if on.any():
+        g2 = spec.singular_values[on] ** 2
+        q[on] = tight_quantizer_uplink(g2, a.power[on], a.share[on], sigma2)
     q_full = np.zeros(spec.n_r)
     active = np.zeros(spec.n_r, dtype=bool)
-    finite = np.isfinite(a.quantizer) & (a.share > 0)
-    q_full[:D][finite] = a.quantizer[finite]
-    active[:D][finite] = True
+    active[:D] = np.isfinite(q)
+    q_full[active] = q[active[:D]]
     U = spec.left_basis
     Q = (U * q_full) @ U.conj().T
 

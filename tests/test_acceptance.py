@@ -101,10 +101,9 @@ def test_criterion_3_single_subchannel_closed_form():
     for P in np.linspace(0.25, 4.0, 10):
         for C in np.linspace(0.25, 6.0, 10):
             closed = np.log2((h**2 * P + 1.0) / (1.0 + 2.0**-C * h**2 * P))
-            for direction in ("uplink", "downlink"):
-                a = solve_scalar_allocation(np.array([h]), P, C, 1.0, direction)
-                worst_solver = max(worst_solver, abs(a.diagnostics["rate"] - closed))
-            g = grid_oracle_scalar(np.array([h]), P, C, 1.0, "uplink", resolution=101)
+            a = solve_scalar_allocation(np.array([h]), P, C, 1.0)
+            worst_solver = max(worst_solver, abs(a.diagnostics["rate"] - closed))
+            g = grid_oracle_scalar(np.array([h]), P, C, 1.0, resolution=101)
             worst_oracle = max(worst_oracle, abs(g.diagnostics["rate"] - closed))
     ok = worst_solver <= 1e-9 and worst_oracle <= 1e-9
     assert _verdict(
@@ -123,12 +122,11 @@ def test_criterion_4_budget_limits():
         n_u = 1 + (k // 3) % 3
         H = random_channel(n_r, n_u, seed=30_000 + k)
         gains = svd(H).singular_values
-        for direction in ("uplink", "downlink"):
-            a0 = solve_scalar_allocation(gains, 2.0, 0.0, 1.0, direction)
-            zero_ok = zero_ok and a0.diagnostics["rate"] == 0.0
-            a60 = solve_scalar_allocation(gains, 2.0, 60.0, 1.0, direction)
-            _, cap = waterfilling_capacity(gains, 2.0, 1.0)
-            worst = max(worst, abs(a60.diagnostics["rate"] - cap))
+        a0 = solve_scalar_allocation(gains, 2.0, 0.0, 1.0)
+        zero_ok = zero_ok and a0.diagnostics["rate"] == 0.0
+        a60 = solve_scalar_allocation(gains, 2.0, 60.0, 1.0)
+        _, cap = waterfilling_capacity(gains, 2.0, 1.0)
+        worst = max(worst, abs(a60.diagnostics["rate"] - cap))
     ok = zero_ok and worst <= 1e-3
     assert _verdict(
         "criterion 4 (C=0 and C=60 limits, 50 instances)",
@@ -235,9 +233,8 @@ def test_criterion_7_solver_vs_grid_oracle():
         gains = np.sort(rng.uniform(0.3, 2.5, D))[::-1]
         P = rng.uniform(0.5, 4.0)
         C = rng.uniform(0.5, 8.0)
-        direction = ("uplink", "downlink")[k % 2]
-        a = solve_scalar_allocation(gains, P, C, 1.0, direction)
-        g = grid_oracle_scalar(gains, P, C, 1.0, direction, resolution=61)
+        a = solve_scalar_allocation(gains, P, C, 1.0)
+        g = grid_oracle_scalar(gains, P, C, 1.0, resolution=61)
         worst = min(worst, a.diagnostics["rate"] - g.diagnostics["rate"])
     ok = worst >= -1e-3
     assert _verdict(

@@ -1,4 +1,7 @@
-"""Per-subchannel allocation: closed forms, solver, direction mapping."""
+"""Per-subchannel allocation: closed forms, solver, and its realization in
+both directions."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -8,19 +11,22 @@ from hypothesis import strategies as st
 import cranopt.allocation as allocation
 from cranopt import (
     C_MAX_DEFAULT,
-    DIRECTIONS,
     LN2,
+    ChannelInstance,
     InconsistencyError,
     InvalidInputError,
     SolverOptions,
     SubchannelAllocation,
-    allocation_rate,
-    realize_allocation,
+    assemble_downlink,
+    assemble_uplink,
+    downlink_rate,
+    random_channel,
     solve_scalar_allocation,
     subchannel_rate,
+    svd,
     tight_quantizer_downlink,
     tight_quantizer_uplink,
-    uplink_to_downlink,
+    uplink_rate,
     waterfilling_capacity,
 )
 
@@ -97,10 +103,31 @@ def test_waterfilling_exhausts_power():
         assert cap >= 0
 
 
+def test_degenerate_budgets_stay_finite_without_warnings():
+    # P below the rounding unit of the water level, and c_max below that of
+    # log2 s with equal signal powers, so that every kink of the share
+    # step's budget curve coincides; these gave NaN powers with a
+    # divide-by-zero warning, and a ZeroDivisionError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, cap = waterfilling_capacity([1.0, 1.0], 1e-20, 1.0)
+        a = solve_scalar_allocation(
+            [1.0, 1.0, 1.0], 1.0, 1e-17, 1.0, opts=SolverOptions(c_max=1e-17)
+        )
+        c = allocation._share_step(np.array([5e-324] * 3), 1e-300, 1e-300)
+    assert np.all(np.isfinite(p)) and np.all(p >= 0) and p.sum() <= 1e-20
+    assert np.isfinite(cap) and cap >= 0
+    assert np.all(np.isfinite(a.power)) and np.all(a.power >= 0) and a.power.sum() <= 1.0
+    assert np.all(np.isfinite(a.share)) and np.all(a.share >= 0)
+    assert a.share.sum() <= 1e-17 and a.share.max() <= 1e-17
+    assert np.isfinite(a.diagnostics["rate"])
+    assert np.all(np.isfinite(c)) and np.all(c >= 0) and c.sum() <= 1e-300
+
+
 def test_solver_concentrates_at_small_budgets():
     # equal gains, tight fronthaul: all budget on one subchannel beats the
     # symmetric split (1.0 bit vs log2(3/1.5 * ...) for the spread)
-    a = solve_scalar_allocation(np.array([1.0, 1.0]), 2.0, 2.0, 1.0, "uplink")
+    a = solve_scalar_allocation(np.array([1.0, 1.0]), 2.0, 2.0, 1.0)
     assert np.isclose(a.diagnostics["rate"], 1.0, atol=1e-12)
     assert np.allclose(a.power, [0.0, 2.0], atol=1e-9)
     assert np.allclose(a.share, [0.0, 2.0], atol=1e-9)
@@ -108,7 +135,7 @@ def test_solver_concentrates_at_small_budgets():
 
 def test_solver_zero_budgets():
     for P, C in [(0.0, 2.0), (2.0, 0.0), (0.0, 0.0)]:
-        a = solve_scalar_allocation(np.array([1.0, 2.0]), P, C, 1.0, "uplink")
+        a = solve_scalar_allocation(np.array([1.0, 2.0]), P, C, 1.0)
         assert a.diagnostics["rate"] == 0.0
         assert np.all(a.power == 0)
         assert np.all(a.share == 0)
@@ -116,29 +143,26 @@ def test_solver_zero_budgets():
 
 def test_solver_respects_budgets():
     rng = np.random.default_rng(7)
-    for direction in ("uplink", "downlink"):
-        for _ in range(10):
-            g = rng.uniform(0.2, 2.5, rng.integers(1, 5))
-            P = rng.uniform(0.2, 4.0)
-            C = rng.uniform(0.2, 8.0)
-            a = solve_scalar_allocation(g, P, C, 1.0, direction)
-            assert a.power.sum() <= P + 1e-9
-            assert a.share.sum() <= C + 1e-9
-            assert np.all(a.power >= 0)
-            assert np.all(a.share >= 0)
+    for _ in range(20):
+        g = rng.uniform(0.2, 2.5, rng.integers(1, 5))
+        P = rng.uniform(0.2, 4.0)
+        C = rng.uniform(0.2, 8.0)
+        a = solve_scalar_allocation(g, P, C, 1.0)
+        assert a.power.sum() <= P + 1e-9
+        assert a.share.sum() <= C + 1e-9
+        assert np.all(a.power >= 0)
+        assert np.all(a.share >= 0)
 
 
 def test_solver_deterministic():
     # no randomness is left in the solver: a repeat solve is bit-identical
     g = np.array([1.7, 0.9, 0.4, 0.4])
-    for direction in ("uplink", "downlink"):
-        a1 = solve_scalar_allocation(g, 2.0, 3.0, 1.0, direction)
-        a2 = solve_scalar_allocation(g, 2.0, 3.0, 1.0, direction)
-        assert np.array_equal(a1.power, a2.power)
-        assert np.array_equal(a1.share, a2.share)
-        assert np.array_equal(a1.quantizer, a2.quantizer)
-        assert a1.diagnostics == a2.diagnostics
-        assert a1.diagnostics["starts"] == 5  # top-1..top-4 concentration + water-filling
+    a1 = solve_scalar_allocation(g, 2.0, 3.0, 1.0)
+    a2 = solve_scalar_allocation(g, 2.0, 3.0, 1.0)
+    assert np.array_equal(a1.power, a2.power)
+    assert np.array_equal(a1.share, a2.share)
+    assert a1.diagnostics == a2.diagnostics
+    assert a1.diagnostics["starts"] == 5  # top-1..top-4 concentration + water-filling
 
 
 def test_solver_rate_invariant_under_gain_permutation():
@@ -148,9 +172,9 @@ def test_solver_rate_invariant_under_gain_permutation():
         g = rng.uniform(0.05, 3.0, D)
         P = rng.uniform(0.1, 8.0)
         C = rng.uniform(0.1, 12.0)
-        base = solve_scalar_allocation(g, P, C, 1.0, "uplink")
+        base = solve_scalar_allocation(g, P, C, 1.0)
         perm = rng.permutation(D)
-        shuffled = solve_scalar_allocation(g[perm], P, C, 1.0, "uplink")
+        shuffled = solve_scalar_allocation(g[perm], P, C, 1.0)
         assert abs(shuffled.diagnostics["rate"] - base.diagnostics["rate"]) <= 1e-12, k
 
 
@@ -253,7 +277,7 @@ def test_power_step_stops_on_a_two_cycle():
     assert np.allclose(p, _bisection_power_step(g2, c, P, 1.0), rtol=0.0, atol=1e-13)
     gains = [0.021294525535174014, 0.1083151475882899, 33.332388344609626,
              0.31772273833383213, 53.41464307684514, 0.08900967597941549]
-    a = solve_scalar_allocation(gains, P, 12.319475355085169, 1.0, "uplink")
+    a = solve_scalar_allocation(gains, P, 12.319475355085169, 1.0)
     assert abs(a.power.sum() - P) <= 1e-12 * P
 
 
@@ -283,7 +307,7 @@ def test_random_solves_do_not_raise():
         g = np.exp(rng.uniform(-5.0, 5.0, D))
         P = float(np.exp(rng.uniform(-3.0, 5.0)))
         C = float(np.exp(rng.uniform(-3.0, 4.0)))
-        a = solve_scalar_allocation(g, P, C, 1.0, "uplink")
+        a = solve_scalar_allocation(g, P, C, 1.0)
         assert abs(a.power.sum() - P) <= 1e-12 * P, k
 
 
@@ -432,89 +456,70 @@ def test_solves_match_the_numpy_steps_bit_for_bit(monkeypatch):
         P = 10.0 ** rng.uniform(-2.0, 3.0)
         C = 10.0 ** rng.uniform(-2.0, 2.0)
         opts = (None, SolverOptions(c_max=2.0), SolverOptions(c_max=C / D))[k % 3]
-        cases.append((g, P, C, 10.0 ** rng.uniform(-1.0, 1.0), DIRECTIONS[k % 2], opts))
+        cases.append((g, P, C, 10.0 ** rng.uniform(-1.0, 1.0), opts))
     with monkeypatch.context() as m:
         m.setattr(allocation, "_share_step", _numpy_share_step)
         m.setattr(allocation, "_power_step", _numpy_power_step)
-        refs = [solve_scalar_allocation(*case) for case in cases]
+        refs = [solve_scalar_allocation(*case[:4], opts=case[4]) for case in cases]
     for k, (case, ref) in enumerate(zip(cases, refs)):
-        a = solve_scalar_allocation(*case)
-        for name in ("power", "share", "quantizer"):
+        a = solve_scalar_allocation(*case[:4], opts=case[4])
+        for name in ("power", "share"):
             assert np.array_equal(getattr(a, name), getattr(ref, name)), (k, name)
         assert a.diagnostics == ref.diagnostics, k  # rate, iterations, starts
 
 
 def test_solver_rejects_bad_inputs():
     with pytest.raises(InvalidInputError):
-        solve_scalar_allocation(np.array([-1.0]), 1.0, 1.0, 1.0, "uplink")
+        solve_scalar_allocation(np.array([-1.0]), 1.0, 1.0, 1.0)
     with pytest.raises(InvalidInputError):
-        solve_scalar_allocation(np.array([1.0]), -1.0, 1.0, 1.0, "uplink")
+        solve_scalar_allocation(np.array([1.0]), -1.0, 1.0, 1.0)
     with pytest.raises(InvalidInputError):
-        solve_scalar_allocation(np.array([1.0]), 1.0, -1.0, 1.0, "uplink")
+        solve_scalar_allocation(np.array([1.0]), 1.0, -1.0, 1.0)
+    with pytest.raises(TypeError):  # opts is keyword-only: a stale direction fails
+        solve_scalar_allocation(np.array([1.0]), 1.0, 1.0, 1.0, "uplink")
     with pytest.raises(InvalidInputError):
-        solve_scalar_allocation(np.array([1.0]), 1.0, 1.0, 1.0, "sideways")
-    with pytest.raises(InvalidInputError):
-        solve_scalar_allocation(np.array([1.0]), 1.0, 1.0, -1.0, "uplink")
+        solve_scalar_allocation(np.array([1.0]), 1.0, 1.0, -1.0)
 
 
 def test_allocation_container_validation():
-    with pytest.raises(InvalidInputError):
-        SubchannelAllocation(
-            direction="uplink",
-            power=np.array([1.0]),
-            share=np.array([1.0]),
-            quantizer=np.array([1.0]),
-            signal_power=np.array([1.0]),  # uplink carries no split
-        )
-    with pytest.raises(InvalidInputError):
-        SubchannelAllocation(
-            direction="downlink",
-            power=np.array([1.0]),
-            share=np.array([1.0]),
-            quantizer=np.array([1.0]),
-            signal_power=None,  # downlink requires the split
-        )
+    for power, share in [
+        ([-1.0], [1.0]),          # negative power
+        ([1.0], [np.inf]),        # non-finite share
+        ([1.0, 1.0], [1.0]),      # lengths differ
+        ([], []),                 # no subchannel
+    ]:
+        with pytest.raises(InvalidInputError):
+            SubchannelAllocation(np.array(power), np.array(share))
+    # a subchannel without power carries no share
+    a = SubchannelAllocation(np.array([1.0, 0.0]), np.array([2.0, 3.0]))
+    assert np.array_equal(a.share, [2.0, 0.0])
 
 
-def test_realize_allocation_round_trip():
-    g = np.array([2.0, 1.0])
-    for direction in ("uplink", "downlink"):
-        a = realize_allocation(direction, g, np.array([1.5, 0.5]), np.array([2.0, 1.0]), 1.0)
-        r = allocation_rate(g, a, 1.0)
-        expect = np.sum(subchannel_rate(g**2 * np.array([1.5, 0.5]), np.array([2.0, 1.0]), 1.0))
-        assert np.isclose(r, expect, rtol=1e-12)
-
-
-def test_uplink_to_downlink_preserves_rates():
-    g = np.array([2.0, 1.0, 0.5])
-    ul = realize_allocation("uplink", g, np.array([1.0, 0.8, 0.2]), np.array([3.0, 2.0, 1.0]), 1.0)
-    dl = uplink_to_downlink(ul)
-    assert dl.direction == "downlink"
-    assert np.isclose(allocation_rate(g, dl, 1.0), allocation_rate(g, ul, 1.0), rtol=1e-12)
-    assert np.isclose(dl.power.sum(), ul.power.sum(), rtol=1e-12)
-    assert np.array_equal(dl.share, ul.share)
-
-
-def test_uplink_to_downlink_drops_dead_power():
-    # power parked on a c=0 subchannel contributes no rate either way and has
-    # no finite downlink representation; the map zeroes it
-    g = np.array([1.0, 1.0])
-    ul = realize_allocation("uplink", g, np.array([1.0, 1.0]), np.array([2.0, 0.0]), 1.0)
-    dl = uplink_to_downlink(ul)
-    assert dl.power[1] == 0.0
-    assert np.isclose(allocation_rate(g, dl, 1.0), allocation_rate(g, ul, 1.0), rtol=1e-12)
+def test_one_allocation_gives_equal_rates_in_both_assemblies():
+    # subchannel 1 has power but no share: it adds no rate either way, the
+    # uplink never forwards it and the downlink leaves it off
+    inst = ChannelInstance(H=random_channel(3, 3, 4), P=2.0, C=4.0, sigma2=1.0)
+    spec = svd(inst.H)
+    p, c = np.array([1.0, 0.8, 0.2]), np.array([3.0, 0.0, 1.0])
+    a = SubchannelAllocation(p, c)
+    ul = assemble_uplink(spec, a, inst.sigma2)
+    dl = assemble_downlink(spec, a)
+    expect = np.sum(subchannel_rate(spec.singular_values**2 * p, c, inst.sigma2))
+    assert np.isclose(uplink_rate(inst, ul), expect, rtol=1e-12)
+    assert np.isclose(downlink_rate(inst, dl), uplink_rate(inst, ul), rtol=1e-12)
+    assert np.isclose(np.trace(ul.S).real, 2.0, rtol=1e-12)
+    assert np.isclose(np.trace(dl.S + dl.Q).real, 1.2, rtol=1e-12)
 
 
 def test_duality_example_single_subchannel():
     # h = 1, P = 1, C = 1: r = log2(2 / 1.5) = log2(4/3) on both sides
-    for direction in ("uplink", "downlink"):
-        a = solve_scalar_allocation(np.array([1.0]), 1.0, 1.0, 1.0, direction)
-        assert np.isclose(a.diagnostics["rate"], DUALITY_EXAMPLE, atol=1e-12)
+    a = solve_scalar_allocation(np.array([1.0]), 1.0, 1.0, 1.0)
+    assert np.isclose(a.diagnostics["rate"], DUALITY_EXAMPLE, atol=1e-12)
 
 
 def test_share_cap_default():
     assert C_MAX_DEFAULT == 60.0
-    a = solve_scalar_allocation(np.array([1.0]), 1.0, 200.0, 1.0, "uplink")
+    a = solve_scalar_allocation(np.array([1.0]), 1.0, 200.0, 1.0)
     assert a.share.max() <= 60.0 + 1e-12
 
 
@@ -526,8 +531,8 @@ def test_share_cap_default():
 )
 def test_rate_monotone_in_budgets(g1, g2, P):
     gains = np.array([g1, g2])
-    r_small = solve_scalar_allocation(gains, P, 1.0, 1.0, "uplink").diagnostics["rate"]
-    r_big = solve_scalar_allocation(gains, P, 2.0, 1.0, "uplink").diagnostics["rate"]
-    r_power = solve_scalar_allocation(gains, 2.0 * P, 2.0, 1.0, "uplink").diagnostics["rate"]
+    r_small = solve_scalar_allocation(gains, P, 1.0, 1.0).diagnostics["rate"]
+    r_big = solve_scalar_allocation(gains, P, 2.0, 1.0).diagnostics["rate"]
+    r_power = solve_scalar_allocation(gains, 2.0 * P, 2.0, 1.0).diagnostics["rate"]
     assert r_big >= r_small - 1e-9
     assert r_power >= r_big - 1e-9

@@ -157,6 +157,35 @@ def test_certify_mode_fails_on_planted_base(monkeypatch, identity_file):
     assert any(r.margin_bits < -0.01 for r in rows)
 
 
+def test_certify_mode_fails_an_infeasible_design_without_searching(
+    monkeypatch, identity_file, tmp_path
+):
+    import cranopt.cli as cli_mod
+    from cranopt import check_downlink_feasible, check_uplink_feasible
+
+    real = cli_mod.solve_instance
+
+    def doubled(inst, direction, opts=None):
+        design, _, alloc = real(inst, direction, opts)
+        loud = type(design)(S=2.0 * design.S, Q=design.Q, active_basis=design.active_basis)
+        check = check_uplink_feasible if direction == "uplink" else check_downlink_feasible
+        return loud, check(inst, loud), alloc
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("an infeasible design was searched")
+
+    monkeypatch.setattr(cli_mod, "solve_instance", doubled)
+    monkeypatch.setattr(cli_mod, "perturbation_search", no_search)
+    out = tmp_path / "rows.csv"
+    code = main(["--mode", "certify", "--instances", identity_file, "--trials", "20",
+                 "--out", str(out)])
+    assert code == EXIT_CHECK_FAILED
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3  # header, then both directions
+    margin = CSV_COLUMNS.index("margin_bits")
+    assert [line.split(",")[margin] for line in lines[1:]] == ["", ""]
+
+
 def test_oracle_mode_agrees(identity_file):
     cfg = ExperimentConfig(mode="oracle", instances_path=identity_file)
     rows, status = run(cfg)

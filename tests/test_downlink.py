@@ -7,11 +7,11 @@ from cranopt import (
     ChannelInstance,
     DomainError,
     DownlinkDesign,
+    SubchannelAllocation,
     assemble_downlink,
     check_downlink_feasible,
     downlink_fronthaul,
     downlink_rate,
-    realize_allocation,
     solve_scalar_allocation,
     svd,
 )
@@ -55,7 +55,7 @@ def test_assemble_matches_scalar_objective():
         H = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2)
         inst = ChannelInstance(H=H, P=2.0, C=3.5, sigma2=1.0)
         spec = svd(inst.H)
-        a = solve_scalar_allocation(spec.singular_values, inst.P, inst.C, inst.sigma2, "downlink")
+        a = solve_scalar_allocation(spec.singular_values, inst.P, inst.C, inst.sigma2)
         d = assemble_downlink(spec, a)
         rep = check_downlink_feasible(inst, d)
         assert rep.feasible, rep.diagnostics
@@ -64,7 +64,7 @@ def test_assemble_matches_scalar_objective():
 
 def test_off_subchannels_are_excluded():
     spec = svd(np.diag([2.0, 1.0]))
-    a = realize_allocation("downlink", spec.singular_values, np.array([2.0, 0.0]), np.array([3.0, 0.0]), 1.0)
+    a = SubchannelAllocation(np.array([2.0, 0.0]), np.array([3.0, 0.0]))
     d = assemble_downlink(spec, a)
     assert d.active_basis is not None
     assert d.active_basis.shape == (2, 1)
@@ -72,17 +72,10 @@ def test_off_subchannels_are_excluded():
 
 
 def test_assemble_rejects_signal_without_quantizer():
-    # p_tilde > 0 with q = 0 has unbounded fronthaul cost
+    # p_tilde > 0 with q = 0 has unbounded fronthaul cost; q = x 2^-c
+    # underflows to 0 at c = 1100
     spec = svd(np.eye(2))
-    from cranopt import SubchannelAllocation
-
-    a = SubchannelAllocation(
-        direction="downlink",
-        power=np.array([1.0, 0.0]),
-        share=np.array([2.0, 0.0]),
-        quantizer=np.array([0.0, 0.0]),
-        signal_power=np.array([1.0, 0.0]),
-    )
+    a = SubchannelAllocation(np.array([1.0, 0.0]), np.array([1100.0, 0.0]))
     with pytest.raises(DomainError):
         assemble_downlink(spec, a)
 
@@ -99,7 +92,7 @@ def test_rate_uses_full_space_even_with_active_basis():
     # restriction applies to the fronthaul determinant only; the user hears
     # everything the RRH radiates
     spec = svd(np.diag([2.0, 1.0]))
-    a = realize_allocation("downlink", spec.singular_values, np.array([2.0, 0.0]), np.array([3.0, 0.0]), 1.0)
+    a = SubchannelAllocation(np.array([2.0, 0.0]), np.array([3.0, 0.0]))
     d = assemble_downlink(spec, a)
     inst = ChannelInstance(H=np.diag([2.0, 1.0]), P=2.0, C=3.0, sigma2=1.0)
     full = DownlinkDesign(S=d.S, Q=d.Q + 1e-30 * np.eye(2))

@@ -34,35 +34,48 @@ from cranopt import (
 def test_grid_oracle_single_subchannel_closed_form():
     for P in (0.5, 1.0, 2.0):
         for C in (0.5, 1.0, 3.0):
-            a = grid_oracle_scalar(np.array([1.5]), P, C, 1.0, "uplink", resolution=101)
+            a = grid_oracle_scalar(np.array([1.5]), P, C, 1.0, resolution=101)
             expect = subchannel_rate(1.5**2 * P, C, 1.0)
             assert np.isclose(a.diagnostics["rate"], expect, atol=1e-9)
 
 
 def test_grid_oracle_finds_concentration():
-    a = grid_oracle_scalar(np.array([1.0, 1.0]), 2.0, 2.0, 1.0, "uplink", resolution=201)
+    a = grid_oracle_scalar(np.array([1.0, 1.0]), 2.0, 2.0, 1.0, resolution=201)
     assert np.isclose(a.diagnostics["rate"], 1.0, atol=1e-9)
 
 
 def test_grid_oracle_three_subchannels_budget_feasible():
-    a = grid_oracle_scalar(np.array([2.0, 1.0, 0.5]), 3.0, 4.0, 1.0, "downlink", resolution=41)
+    a = grid_oracle_scalar(np.array([2.0, 1.0, 0.5]), 3.0, 4.0, 1.0, resolution=41)
     assert a.power.sum() <= 3.0 + 1e-9
     assert a.share.sum() <= 4.0 + 1e-9
     assert a.diagnostics["rate"] > 0
 
 
+def test_grid_oracle_powers_are_nonnegative():
+    # the third power, a complement P - p1 - p2, used to round below 0 on
+    # both grids (joint, and power-only at C >= 3 c_max), which the
+    # allocation rejected
+    for gains, P, C in [
+        ([2.638, 1.663, 0.446], 4.0, 8.0),
+        ([2.380407918, 2.0272577, 0.16425855], 0.13968077701261164, 200.0),
+    ]:
+        a = grid_oracle_scalar(gains, P, C, 1.0)
+        assert np.all(a.power >= 0)
+        assert abs(a.power.sum() - P) <= 1e-12
+
+
 def test_grid_oracle_rejects_large_problems():
     with pytest.raises(UnsupportedSizeError):
-        grid_oracle_scalar(np.ones(4), 1.0, 1.0, 1.0, "uplink")
+        grid_oracle_scalar(np.ones(4), 1.0, 1.0, 1.0)
 
 
 def test_grid_oracle_rejects_bad_resolution():
     with pytest.raises(InvalidInputError):
-        grid_oracle_scalar(np.ones(2), 1.0, 1.0, 1.0, "uplink", resolution=1)
+        grid_oracle_scalar(np.ones(2), 1.0, 1.0, 1.0, resolution=1)
 
 
 def test_grid_oracle_zero_budget():
-    a = grid_oracle_scalar(np.array([1.0, 2.0]), 0.0, 3.0, 1.0, "uplink")
+    a = grid_oracle_scalar(np.array([1.0, 2.0]), 0.0, 3.0, 1.0)
     assert a.diagnostics["rate"] == 0.0
 
 
@@ -167,11 +180,13 @@ def test_fronthaul_level_raises_when_it_does_not_converge(monkeypatch):
 
 
 def test_import_does_not_load_scipy():
-    # the fresh interpreter loads cranopt from where this one found it
+    # the fresh interpreter loads cranopt from where this one found it; the
+    # CLI (and argparse with it) loads only when asked for
     src = str(Path(oracle.__file__).resolve().parents[1])
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import cranopt; "
-        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'"
+        " or k in ('cranopt.cli', 'argparse')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True

@@ -155,7 +155,7 @@ def test_duality_gap_solves_the_scalar_problem_once(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[4])
+        calls.append(args)
         return allocation.solve_scalar_allocation(*args, **kwargs)
 
     # solver looks the name up in its own namespace
@@ -163,4 +163,4 @@ def test_duality_gap_solves_the_scalar_problem_once(monkeypatch):
     for k, (inst, opts) in enumerate(_duality_corpus()[::10]):
         calls.clear()
         duality_gap(inst, opts)
-        assert calls == ["uplink"], k
+        assert len(calls) == 1, k

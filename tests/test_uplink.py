@@ -8,8 +8,8 @@ from cranopt import (
     DomainError,
     UplinkDesign,
     assemble_uplink,
+    SubchannelAllocation,
     check_uplink_feasible,
-    realize_allocation,
     solve_scalar_allocation,
     svd,
     uplink_fronthaul,
@@ -64,8 +64,8 @@ def test_assemble_matches_scalar_objective():
         H = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))) / np.sqrt(2)
         inst = ChannelInstance(H=H, P=2.5, C=3.0, sigma2=1.0)
         spec = svd(inst.H)
-        a = solve_scalar_allocation(spec.singular_values, inst.P, inst.C, inst.sigma2, "uplink")
-        d = assemble_uplink(spec, a)
+        a = solve_scalar_allocation(spec.singular_values, inst.P, inst.C, inst.sigma2)
+        d = assemble_uplink(spec, a, inst.sigma2)
         rep = check_uplink_feasible(inst, d)
         assert rep.feasible, rep.diagnostics
         assert np.isclose(rep.rate, a.diagnostics["rate"], rtol=1e-10, atol=1e-12)
@@ -77,8 +77,8 @@ def test_assembled_design_diagonalizes_on_channel_bases():
     H = np.array([[2.0, 0.0], [0.0, 1.0]])
     inst = ChannelInstance(H=H, P=2.0, C=3.0, sigma2=1.0)
     spec = svd(inst.H)
-    a = solve_scalar_allocation(spec.singular_values, inst.P, inst.C, inst.sigma2, "uplink")
-    d = assemble_uplink(spec, a)
+    a = solve_scalar_allocation(spec.singular_values, inst.P, inst.C, inst.sigma2)
+    d = assemble_uplink(spec, a, inst.sigma2)
     # identity bases here, so S and Q must be literally diagonal
     assert np.allclose(d.S, np.diag(np.diag(d.S)))
     assert np.allclose(d.Q, np.diag(np.diag(d.Q)))
@@ -88,8 +88,8 @@ def test_assembled_design_diagonalizes_on_channel_bases():
 def test_excluded_dimension_carries_no_fronthaul():
     # put all fronthaul on subchannel 0; subchannel 1 is off and excluded
     spec = svd(np.diag([2.0, 1.0]))
-    a = realize_allocation("uplink", spec.singular_values, np.array([2.0, 0.0]), np.array([3.0, 0.0]), 1.0)
-    d = assemble_uplink(spec, a)
+    a = SubchannelAllocation(np.array([2.0, 0.0]), np.array([3.0, 0.0]))
+    d = assemble_uplink(spec, a, 1.0)
     assert d.active_basis is not None
     assert d.active_basis.shape == (2, 1)
     inst = ChannelInstance(H=np.diag([2.0, 1.0]), P=2.0, C=3.0, sigma2=1.0)
