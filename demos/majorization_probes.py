@@ -10,7 +10,6 @@ optimal.
 import numpy as np
 
 from cranopt import (
-    MajorizationProbe,
     check_downlink_bounds,
     check_power_lower_bound,
     check_uplink_rate_bound,
@@ -29,10 +28,9 @@ def main():
 
     slack = np.inf
     for _ in range(trials):
-        probe = MajorizationProbe(
-            sigma2=1.0, signal=rand_psd(n, rng), noise=rand_psd(n, rng, lift=1e-3)
+        lhs, rhs, _ = check_uplink_rate_bound(
+            Phi=rand_psd(n, rng), Q=rand_psd(n, rng, lift=1e-3), sigma2=1.0
         )
-        lhs, rhs, _ = check_uplink_rate_bound(probe)
         slack = min(slack, rhs - lhs)
     print(f"uplink rate bound, {trials} random probes: min slack {slack:+.3e}")
 
@@ -41,12 +39,11 @@ def main():
     U = random_unitary(n, 1)
     phi = np.array([4.0, 2.0, 1.0])
     qs = np.array([0.2, 0.5, 1.5])
-    probe = MajorizationProbe(
+    lhs, rhs, equal = check_uplink_rate_bound(
+        Phi=U @ np.diag(phi) @ U.conj().T,
+        Q=U @ np.diag(qs) @ U.conj().T,
         sigma2=1.0,
-        signal=U @ np.diag(phi) @ U.conj().T,
-        noise=U @ np.diag(qs) @ U.conj().T,
     )
-    lhs, rhs, equal = check_uplink_rate_bound(probe)
     print(f"anti-aligned construction: |lhs - rhs| = {abs(lhs - rhs):.2e}, "
           f"equality flag {equal}")
 

@@ -49,7 +49,6 @@ from .kernels import (
     svd,
 )
 from .majorization import (
-    MajorizationProbe,
     check_downlink_bounds,
     check_power_lower_bound,
     check_uplink_rate_bound,
@@ -99,7 +98,6 @@ __all__ = [
     "InstanceFormatError",
     "InvalidInputError",
     "LN2",
-    "MajorizationProbe",
     "ProjectionError",
     "RateReport",
     "SolverOptions",

@@ -95,7 +95,7 @@ def subchannel_rate(s, c, sigma2):
         raise InvalidInputError("share must be finite and >= 0")
     if not np.isfinite(sigma2) or sigma2 <= 0:
         raise InvalidInputError(f"sigma2 must be > 0, got {sigma2}")
-    out = np.log2((s_a + sigma2) / (sigma2 + np.power(2.0, -c_a) * s_a))
+    out = _rates(s_a, c_a, sigma2)
     return float(out) if out.ndim == 0 else out
 
 

@@ -2,7 +2,8 @@
 
 Modes
   solve    one row per instance per direction at the instance's own budgets
-  sweep    rate over a (P, C) budget grid, both directions
+  sweep    rate over a (P, C) budget grid, both directions; solve is its
+           one-point case
   duality  per-instance |uplink rate - downlink rate|, checked against tol
   certify  perturbation search around each solved design, both directions;
            an infeasible design fails its row, with an empty margin
@@ -83,9 +84,10 @@ class ExperimentConfig:
     out_format: str = "csv"
 
     def __post_init__(self):
-        modes = ("solve", "sweep", "duality", "certify", "oracle")
-        if self.mode not in modes:
-            raise InvalidInputError(f"mode must be one of {modes}, got {self.mode!r}")
+        if self.mode not in _MODE_RUNNERS:
+            raise InvalidInputError(
+                f"mode must be one of {tuple(_MODE_RUNNERS)}, got {self.mode!r}"
+            )
         if (self.instances_path is None) == (self.random_spec is None):
             raise InvalidInputError(
                 "exactly one instance source: --instances PATH or --random n_r,n_u,count"
@@ -98,8 +100,10 @@ class ExperimentConfig:
             raise InvalidInputError("sweep mode needs nonempty --P-grid and --C-grid")
         if self.trials < 0:
             raise InvalidInputError(f"--trials must be >= 0, got {self.trials}")
-        if self.tol <= 0:
-            raise InvalidInputError(f"--tol must be > 0, got {self.tol}")
+        if self.seed < 0:
+            raise InvalidInputError(f"--seed must be >= 0, got {self.seed}")
+        if not 0 < self.tol < np.inf:
+            raise InvalidInputError(f"--tol must be finite and > 0, got {self.tol}")
         if self.out_format not in ("csv", "json"):
             raise InvalidInputError(f"format must be csv or json, got {self.out_format!r}")
 
@@ -259,24 +263,19 @@ def _row(label, direction, P, C, report, margin, t0, passed=True) -> ResultRow:
     )
 
 
-def _run_solve(config, inst, label) -> list[ResultRow]:
-    rows = []
-    for direction in DIRECTIONS:
-        t0 = time.perf_counter()
-        _, report, _ = solve_instance(inst, direction)
-        rows.append(_row(label, direction, inst.P, inst.C, report, None, t0, report.feasible))
-    return rows
-
-
 def _run_sweep(config, inst, label) -> list[ResultRow]:
+    # solve mode is the one-point sweep at the instance's own budgets
+    if config.mode == "sweep":
+        points = [(P, C) for P in config.p_grid for C in config.c_grid]
+    else:
+        points = [(inst.P, inst.C)]
     rows = []
     for direction in DIRECTIONS:
-        for P in config.p_grid:
-            for C in config.c_grid:
-                t0 = time.perf_counter()
-                point = ChannelInstance(H=inst.H, P=P, C=C, sigma2=inst.sigma2)
-                _, report, _ = solve_instance(point, direction)
-                rows.append(_row(label, direction, P, C, report, None, t0, report.feasible))
+        for P, C in points:
+            t0 = time.perf_counter()
+            point = ChannelInstance(H=inst.H, P=P, C=C, sigma2=inst.sigma2)
+            _, report, _ = solve_instance(point, direction)
+            rows.append(_row(label, direction, P, C, report, None, t0, report.feasible))
     return rows
 
 
@@ -324,8 +323,9 @@ def _run_oracle(config, inst, label) -> list[ResultRow]:
     return rows
 
 
+# the modes, in the order the parser lists them
 _MODE_RUNNERS = {
-    "solve": _run_solve,
+    "solve": _run_sweep,
     "sweep": _run_sweep,
     "duality": _run_duality,
     "certify": _run_certify,
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mode",
         required=True,
-        choices=("solve", "sweep", "duality", "certify", "oracle"),
+        choices=tuple(_MODE_RUNNERS),
         help="experiment type",
     )
     source = parser.add_mutually_exclusive_group(required=True)

@@ -11,7 +11,10 @@ n_r x n_r; the transmitted covariance is S + Q),
 
 in bits.  The fronthaul ratio is restricted to the described subspace when
 the design carries an ``active_basis``: dimensions carrying nothing
-(S and Q both zero there) cost zero bits.
+(S and Q both zero there) cost zero bits.  The rate is defined once, by
+:func:`downlink_rate_stacked` on stacks of designs; :func:`downlink_rate` is
+its one-design case, and the perturbation search measures its candidates
+with the stacked form.
 
 A scalar allocation (power p_d, share c_d on the channel's singular values)
 is realized here: the downlink meets each share by splitting p_d into the
@@ -24,7 +27,7 @@ import numpy as np
 
 from .allocation import tight_quantizer_downlink
 from .errors import DomainError, InvalidInputError
-from .kernels import LN2, TOL, ChannelSpectrum, logdet_ratio
+from .kernels import LN2, ChannelSpectrum, logdet_ratio, logdet_ratio_stacked, one_lane
 from .problem import ChannelInstance, DownlinkDesign, RateReport, restrict
 
 
@@ -33,13 +36,20 @@ def _check_dims(inst: ChannelInstance, d: DownlinkDesign) -> None:
         raise InvalidInputError(f"S must be {inst.n_r}x{inst.n_r}, got {d.S.shape}")
 
 
+def downlink_rate_stacked(inst: ChannelInstance, S: np.ndarray, Q: np.ndarray):
+    """The downlink rate in nats of each design of the (T, n_r, n_r) stacks
+    S and Q, and a mask of the lanes where the rate is defined.  Other
+    lanes hold no rate.  No input validation."""
+    Hh = inst.H.conj().T
+    signal = Hh @ S @ inst.H
+    base = Hh @ Q @ inst.H + inst.sigma2 * np.eye(inst.n_u)
+    return logdet_ratio_stacked(signal, base)
+
+
 def downlink_rate(inst: ChannelInstance, d: DownlinkDesign) -> float:
     """Achievable downlink rate in bits per channel use."""
     _check_dims(inst, d)
-    Hh = inst.H.conj().T
-    signal = Hh @ d.S @ inst.H
-    base = Hh @ d.Q @ inst.H + inst.sigma2 * np.eye(inst.n_u)
-    return logdet_ratio(signal, base) / LN2
+    return one_lane(downlink_rate_stacked(inst, d.S[None], d.Q[None])) / LN2
 
 
 def downlink_fronthaul(d: DownlinkDesign) -> float:
@@ -50,8 +60,6 @@ def downlink_fronthaul(d: DownlinkDesign) -> float:
     otherwise: a noiseless description would take infinitely many bits).
     """
     W = d.active_basis
-    if W is not None and W.shape[1] == 0:
-        return 0.0
     return logdet_ratio(restrict(d.S, W), restrict(d.Q, W)) / LN2
 
 
@@ -93,18 +101,7 @@ def assemble_downlink(spec: ChannelSpectrum, a) -> DownlinkDesign:
 
 
 def check_downlink_feasible(inst: ChannelInstance, d: DownlinkDesign) -> RateReport:
-    """Evaluate the functionals and slacks; power counts signal plus
-    compression noise, trace(S + Q)."""
-    rate = downlink_rate(inst, d)
-    fh = downlink_fronthaul(d)
+    """Evaluate the functionals against the budgets; power counts signal
+    plus compression noise, trace(S + Q)."""
     power = float(np.trace(d.S + d.Q).real)
-    slack_p = inst.P - power
-    slack_f = inst.C - fh
-    return RateReport(
-        rate=rate,
-        fronthaul_used=fh,
-        power_used=power,
-        slack_power=slack_p,
-        slack_fronthaul=slack_f,
-        feasible=bool(slack_p >= -TOL.feasibility and slack_f >= -TOL.feasibility),
-    )
+    return RateReport(inst, downlink_rate(inst, d), downlink_fronthaul(d), power)

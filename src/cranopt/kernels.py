@@ -114,10 +114,13 @@ def logdet_ratio(M, B) -> float:
     B = np.asarray(B, dtype=complex)
     if M.shape != B.shape or M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"logdet_ratio shape mismatch: {M.shape} vs {B.shape}")
-    n = M.shape[0]
-    if n == 0:
-        return 0.0
-    nats, ok = logdet_ratio_stacked(M[None], B[None])
+    return one_lane(logdet_ratio_stacked(M[None], B[None]))
+
+
+def one_lane(ratios: tuple[np.ndarray, np.ndarray]) -> float:
+    """The ratio of a one-lane :func:`logdet_ratio_stacked` result, raising
+    DomainError where it is undefined."""
+    nats, ok = ratios
     if not ok[0]:
         raise DomainError("B or B + M is not positive definite")
     return float(nats[0])
@@ -126,7 +129,10 @@ def logdet_ratio(M, B) -> float:
 def logdet_ratio_stacked(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`logdet_ratio` for each pair of (T, n, n) stacks, without input
     validation: the ratios in nats, and a mask of the lanes where B and
-    B + M are positive definite.  Other lanes hold no ratio."""
+    B + M are positive definite.  Other lanes hold no ratio.  Empty
+    matrices (n = 0) give 0."""
+    if M.shape[-1] == 0:
+        return np.zeros(len(M)), np.ones(len(M), dtype=bool)
     w, ok = whitened_eigvalsh(M, B)
     ok &= w[:, 0] > -1.0
     return np.log1p(np.where(ok[:, None], w, 0.0)).sum(axis=-1), ok

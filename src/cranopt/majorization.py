@@ -22,8 +22,6 @@ non-Hermitian product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InconsistencyError, InvalidInputError
@@ -32,30 +30,16 @@ from .kernels import as_complex_matrix, hermitian_part, is_psd, svd
 EQUALITY_TOL = 1e-9
 
 
-@dataclass
-class MajorizationProbe:
-    """One receive-side rate-bound check: signal covariance Phi = H S H^H,
-    quantization covariance Q, noise floor sigma2.  The compared spectra
-    are filled in by the check that consumes the probe."""
+def _check_sigma2(sigma2: float) -> None:
+    if not np.isfinite(sigma2) or sigma2 <= 0:
+        raise InvalidInputError(f"sigma2 must be > 0, got {sigma2}")
 
-    sigma2: float
-    signal: np.ndarray
-    noise: np.ndarray
-    lhs_spectrum: np.ndarray | None = field(default=None, compare=False)
-    rhs_spectrum: np.ndarray | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        if not np.isfinite(self.sigma2) or self.sigma2 <= 0:
-            raise InvalidInputError(f"sigma2 must be > 0, got {self.sigma2}")
-        for name in ("signal", "noise"):
-            M = as_complex_matrix(getattr(self, name), name)
-            if not is_psd(M):
-                raise InvalidInputError(f"{name} must be Hermitian PSD")
-            setattr(self, name, M)
-        if self.signal.shape != self.noise.shape:
-            raise InvalidInputError(
-                f"shape mismatch: {self.signal.shape} vs {self.noise.shape}"
-            )
+def _psd_matrix(M, name: str) -> np.ndarray:
+    A = as_complex_matrix(M, name)
+    if not is_psd(A):
+        raise InvalidInputError(f"{name} must be Hermitian PSD")
+    return A
 
 
 def _sqrt_psd(A: np.ndarray) -> np.ndarray:
@@ -110,8 +94,9 @@ def _spectra_match(x: np.ndarray, y: np.ndarray, scale: float) -> bool:
     return bool(np.all(np.abs(x - y) <= EQUALITY_TOL * max(1.0, scale)))
 
 
-def check_uplink_rate_bound(probe: MajorizationProbe):
-    """Evaluate the uplink rate bound on (signal=Phi, noise=Q, sigma2).
+def check_uplink_rate_bound(Phi, Q, sigma2: float):
+    """Evaluate the uplink rate bound for signal covariance Phi = H S H^H,
+    quantization covariance Q and noise floor sigma2.
 
     Returns (lhs, rhs, equal_at) in bits with
         lhs = log2|I + Phi (Q + sigma2 I)^-1|,
@@ -120,17 +105,19 @@ def check_uplink_rate_bound(probe: MajorizationProbe):
     paired products, the basis-agnostic form of "Q's eigenbasis matches
     Phi's with ascending eigenvalues on descending directions".
     """
-    Phi, Q, s2 = probe.signal, probe.noise, probe.sigma2
+    _check_sigma2(sigma2)
+    Phi = _psd_matrix(Phi, "signal")
+    Q = _psd_matrix(Q, "noise")
+    if Phi.shape != Q.shape:
+        raise InvalidInputError(f"shape mismatch: {Phi.shape} vs {Q.shape}")
     n = Phi.shape[0]
-    base_inv = np.linalg.inv(hermitian_part(Q) + s2 * np.eye(n))
+    base_inv = np.linalg.inv(hermitian_part(Q) + sigma2 * np.eye(n))
     prod = product_spectrum(Phi, hermitian_part(base_inv))
     lhs = float(np.sum(np.log2(1.0 + prod)))
     l_phi = np.sort(np.linalg.eigvalsh(hermitian_part(Phi)))[::-1]
     l_q = np.sort(np.linalg.eigvalsh(hermitian_part(Q)))
-    paired = l_phi / (l_q + s2)
+    paired = l_phi / (l_q + sigma2)
     rhs = float(np.sum(np.log2(1.0 + paired)))
-    probe.lhs_spectrum = prod
-    probe.rhs_spectrum = paired.copy()
     equal_at = _spectra_match(prod, np.sort(paired)[::-1], float(paired.max(initial=0.0)))
     return lhs, rhs, equal_at
 
@@ -146,9 +133,7 @@ def check_power_lower_bound(H, S):
     the same way as the gains (the diagonal aligned form).
     """
     Hm = as_complex_matrix(H, "H")
-    Sm = as_complex_matrix(S, "S")
-    if not is_psd(Sm):
-        raise InvalidInputError("S must be Hermitian PSD")
+    Sm = _psd_matrix(S, "S")
     if Sm.shape != (Hm.shape[1], Hm.shape[1]):
         raise InvalidInputError(f"S must be {Hm.shape[1]}x{Hm.shape[1]}")
     spec = svd(Hm)
@@ -194,12 +179,9 @@ def check_downlink_bounds(H, M, which: str, sigma2: float):
     """
     if which not in ("signal", "quantizer"):
         raise InvalidInputError("which must be 'signal' or 'quantizer'")
-    if not np.isfinite(sigma2) or sigma2 <= 0:
-        raise InvalidInputError(f"sigma2 must be > 0, got {sigma2}")
+    _check_sigma2(sigma2)
     Hm = as_complex_matrix(H, "H")
-    Mm = as_complex_matrix(M, "M")
-    if not is_psd(Mm):
-        raise InvalidInputError("M must be Hermitian PSD")
+    Mm = _psd_matrix(M, "M")
     G = hermitian_part(Hm @ Hm.conj().T)
     if Mm.shape != G.shape:
         raise InvalidInputError(f"shape mismatch: {Mm.shape} vs {G.shape}")
@@ -224,8 +206,7 @@ def schur_geo_convexity_probe(x, y, sigma2: float) -> bool:
     Raises InvalidInputError when the precondition fails: the comparison is
     only meaningful on a log-majorized pair.
     """
-    if not np.isfinite(sigma2) or sigma2 <= 0:
-        raise InvalidInputError(f"sigma2 must be > 0, got {sigma2}")
+    _check_sigma2(sigma2)
     if not log_majorizes(x, y):
         raise InvalidInputError("x does not log-majorize y")
     fx = float(np.sum(np.log2(sigma2 + np.asarray(x, dtype=float))))

@@ -12,7 +12,9 @@ Two independent routes check the solver's optimality claims:
     boundary, and reports the worst-case margin.  It draws, projects and
     evaluates its candidates in fixed blocks of stacked (T, n, n) arrays;
     a candidate that cannot be projected or evaluated fails alone, not
-    its block.
+    its block.  The candidates are validated and measured by the same
+    covariance check and the same stacked rate functional of their
+    direction as the base design.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import C_MAX_DEFAULT, SubchannelAllocation, _rates
-from .downlink import DownlinkDesign, check_downlink_feasible
+from .downlink import DownlinkDesign, check_downlink_feasible, downlink_rate_stacked
 from .errors import (
     InconsistencyError,
     InvalidInputError,
@@ -34,12 +36,10 @@ from .kernels import (
     TOL,
     as_complex_matrix,
     hermitian_part,
-    is_psd_stacked,
-    logdet_ratio_stacked,
     whitened_eigvalsh,
 )
-from .problem import DIRECTIONS, UPLINK, ChannelInstance, psd_part
-from .uplink import UplinkDesign, check_uplink_feasible
+from .problem import DIRECTIONS, UPLINK, ChannelInstance, psd_part, validate_covariance
+from .uplink import UplinkDesign, check_uplink_feasible, uplink_rate_stacked
 
 CERTIFICATION_TOL = TOL.certification
 GEODESIC_STEPS = (0.3, 0.1, 0.03)
@@ -416,30 +416,6 @@ def _candidates(S0: np.ndarray, Q0: np.ndarray, trial: np.ndarray, rng):
     return S, Q
 
 
-def _check_designs(S: np.ndarray, Q: np.ndarray) -> None:
-    """The validation UplinkDesign and DownlinkDesign run on their
-    covariances, for stacks of projected pairs."""
-    for name, A in (("S", S), ("Q", Q)):
-        if not np.all(np.isfinite(A)):
-            raise InvalidInputError(f"{name} contains non-finite entries")
-        if not np.all(is_psd_stacked(A)):
-            raise InvalidInputError(f"{name} must be Hermitian positive semidefinite")
-
-
-def _candidate_rates(inst: ChannelInstance, direction: str, S: np.ndarray, Q: np.ndarray):
-    """uplink_rate or downlink_rate, in bits, of each design of a stack
-    (designs without an active basis), and a mask of the lanes where the
-    rate is defined."""
-    H, Hh = inst.H, inst.H.conj().T
-    if direction == UPLINK:
-        nats, ok = logdet_ratio_stacked(H @ S @ Hh, Q + inst.sigma2 * np.eye(inst.n_r))
-    else:
-        nats, ok = logdet_ratio_stacked(
-            Hh @ S @ H, Hh @ Q @ H + inst.sigma2 * np.eye(inst.n_u)
-        )
-    return nats / LN2, ok
-
-
 def _densify(inst: ChannelInstance, direction: str, base) -> tuple:
     """Full-space covariance seeds nearly equivalent to a base design whose
     fronthaul skips some dimensions: the skipped subspace gets a quantizer
@@ -497,10 +473,12 @@ def perturbation_search(
         if not isinstance(base, UplinkDesign):
             raise InvalidInputError("uplink certification needs an UplinkDesign")
         report = check_uplink_feasible(inst, base)
+        rate_stacked = uplink_rate_stacked
     else:
         if not isinstance(base, DownlinkDesign):
             raise InvalidInputError("downlink certification needs a DownlinkDesign")
         report = check_downlink_feasible(inst, base)
+        rate_stacked = downlink_rate_stacked
     if not report.feasible:
         raise InvalidInputError(
             f"base design is infeasible: power slack {report.slack_power:.3e}, "
@@ -532,11 +510,12 @@ def perturbation_search(
         except ProjectionError:
             continue  # no lane of the block has a design
         S, Q, trial = S[projected], Q[projected], trial[projected]
-        _check_designs(S, Q)
+        validate_covariance(S, "S")
+        validate_covariance(Q, "Q")
         # a lane whose rate is undefined (quantizer too ill-conditioned to
         # evaluate) is skipped rather than aborting the campaign
-        rate, defined = _candidate_rates(inst, direction, S, Q)
-        rate, trial = rate[defined], trial[defined]
+        nats, defined = rate_stacked(inst, S, Q)
+        rate, trial = nats[defined] / LN2, trial[defined]
         evaluated += rate.size
         if rate.size:
             k = int(np.argmax(rate))  # the earliest trial among equal rates

@@ -6,16 +6,23 @@ sigma2.  Designs hold the covariance pair being evaluated; the optional
 ``active_basis`` restricts the fronthaul determinant ratio to the subspace
 the fronthaul actually carries (dimensions that are never compressed, or
 never described, cost zero bits and are excluded from the ratio).
+
+One validator, :func:`validate_covariance`, checks a covariance (finite,
+Hermitian PSD) for both design types and for the stacks of candidate
+designs the perturbation search evaluates.  A :class:`RateReport` is built
+from a design's rate, fronthaul cost and power, and derives both budget
+slacks and the feasibility verdict itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .kernels import TOL, as_complex_matrix, hermitian_part, is_psd
+from .kernels import TOL, as_complex_matrix, hermitian_part, is_psd_stacked
 
 UPLINK = "uplink"
 DOWNLINK = "downlink"
@@ -53,13 +60,15 @@ class ChannelInstance:
         return self.H.shape[1]
 
 
-def _validate_covariance(M: np.ndarray, n: int, name: str) -> np.ndarray:
-    A = as_complex_matrix(M, name)
-    if A.shape != (n, n):
-        raise InvalidInputError(f"{name} must be {n}x{n}, got {A.shape}")
-    if not is_psd(A, TOL.psd):
+def validate_covariance(A: np.ndarray, name: str) -> None:
+    """Check that A, one complex matrix (n, n) or a stack (T, n, n) of
+    them, is finite and Hermitian positive semidefinite, per matrix."""
+    if A.shape[-1] != A.shape[-2]:
+        raise InvalidInputError(f"{name} must be square, got {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    if not np.all(is_psd_stacked(A, TOL.psd)):
         raise InvalidInputError(f"{name} must be Hermitian positive semidefinite")
-    return A
 
 
 def _validate_active_basis(W, n: int):
@@ -75,63 +84,74 @@ def _validate_active_basis(W, n: int):
 
 
 @dataclass(frozen=True)
-class UplinkDesign:
-    """Uplink pair: transmit covariance S (n_u x n_u) and quantization
-    covariance Q (n_r x n_r).  active_basis spans the forwarded subspace;
-    None means every receive dimension is compressed and forwarded."""
+class _Design:
+    """A covariance pair (S, Q) with an optional orthonormal active_basis
+    (n x k) of the subspace the fronthaul carries."""
 
     S: np.ndarray
     Q: np.ndarray
     active_basis: np.ndarray | None = None
+    # S and Q live on the same space (the downlink's n_r x n_r pair)
+    _same_space: ClassVar[bool] = False
 
     def __post_init__(self):
         S = as_complex_matrix(self.S, "S")
         Q = as_complex_matrix(self.Q, "Q")
-        object.__setattr__(self, "S", _validate_covariance(S, S.shape[0], "S"))
-        object.__setattr__(self, "Q", _validate_covariance(Q, Q.shape[0], "Q"))
+        if self._same_space and S.shape != Q.shape:
+            raise InvalidInputError(f"S and Q must match, got {S.shape} vs {Q.shape}")
+        validate_covariance(S, "S")
+        validate_covariance(Q, "Q")
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "Q", Q)
         object.__setattr__(
             self, "active_basis", _validate_active_basis(self.active_basis, Q.shape[0])
         )
 
 
 @dataclass(frozen=True)
-class DownlinkDesign:
+class UplinkDesign(_Design):
+    """Uplink pair: transmit covariance S (n_u x n_u) and quantization
+    covariance Q (n_r x n_r).  active_basis spans the forwarded subspace;
+    None means every receive dimension is compressed and forwarded."""
+
+
+@dataclass(frozen=True)
+class DownlinkDesign(_Design):
     """Downlink pair, both n_r x n_r: S is the covariance of the precoded
     signal before compression noise is added, Q the compression covariance.
     The transmitted covariance is S + Q.  active_basis spans the described
     subspace; None means every dimension is described over the fronthaul."""
 
-    S: np.ndarray
-    Q: np.ndarray
-    active_basis: np.ndarray | None = None
-
-    def __post_init__(self):
-        S = as_complex_matrix(self.S, "S")
-        Q = as_complex_matrix(self.Q, "Q")
-        if S.shape != Q.shape:
-            raise InvalidInputError(f"S and Q must match, got {S.shape} vs {Q.shape}")
-        object.__setattr__(self, "S", _validate_covariance(S, S.shape[0], "S"))
-        object.__setattr__(self, "Q", _validate_covariance(Q, Q.shape[0], "Q"))
-        object.__setattr__(
-            self, "active_basis", _validate_active_basis(self.active_basis, Q.shape[0])
-        )
+    _same_space: ClassVar[bool] = True
 
 
 @dataclass
 class RateReport:
-    """Result of evaluating a design against an instance's budgets."""
+    """Result of evaluating a design against an instance's budgets: built
+    from the design's rate, fronthaul cost and power, it derives both
+    slacks and the verdict."""
 
+    inst: InitVar[ChannelInstance]
     rate: float
     fronthaul_used: float
     power_used: float
-    slack_power: float
-    slack_fronthaul: float
-    feasible: bool
+    slack_power: float = field(init=False)
+    slack_fronthaul: float = field(init=False)
+    feasible: bool = field(init=False)
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self, inst: ChannelInstance):
+        self.slack_power = inst.P - self.power_used
+        self.slack_fronthaul = inst.C - self.fronthaul_used
+        self.feasible = bool(
+            self.slack_power >= -TOL.feasibility
+            and self.slack_fronthaul >= -TOL.feasibility
+        )
 
 
 def restrict(M: np.ndarray, W: np.ndarray | None) -> np.ndarray:
-    """W^H M W, or M itself when no restriction applies."""
+    """W^H M W, per matrix for a stack (..., n, n), or M itself when no
+    restriction applies."""
     if W is None:
         return M
     return W.conj().T @ M @ W

@@ -12,7 +12,6 @@ import pytest
 
 from cranopt import (
     ChannelInstance,
-    MajorizationProbe,
     SolverOptions,
     check_downlink_bounds,
     check_power_lower_bound,
@@ -143,12 +142,11 @@ def test_criterion_5_majorization_suite():
     for k in range(1000):
         n = 2 + k % 3
         sigma2 = 0.5 + (k % 4) * 0.25
-        probe = MajorizationProbe(
+        lhs, rhs, _ = check_uplink_rate_bound(
+            Phi=_rand_psd(n, rng),
+            Q=_rand_psd(n, rng) + 1e-3 * np.eye(n),
             sigma2=sigma2,
-            signal=_rand_psd(n, rng),
-            noise=_rand_psd(n, rng) + 1e-3 * np.eye(n),
         )
-        lhs, rhs, _ = check_uplink_rate_bound(probe)
         worst = min(worst, rhs - lhs)
 
         H = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
@@ -169,7 +167,7 @@ def test_criterion_5_majorization_suite():
         phi = np.sort(rng.uniform(0.5, 4.0, n))[::-1]
         qs = np.sort(rng.uniform(0.1, 2.0, n))
         lhs, rhs, equal = check_uplink_rate_bound(
-            MajorizationProbe(sigma2=1.0, signal=U @ np.diag(phi) @ U.conj().T, noise=U @ np.diag(qs) @ U.conj().T)
+            U @ np.diag(phi) @ U.conj().T, U @ np.diag(qs) @ U.conj().T, 1.0
         )
         assert equal
         eq_dev = max(eq_dev, abs(lhs - rhs))

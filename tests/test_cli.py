@@ -209,12 +209,17 @@ def test_csv_rendering_and_determinism():
     assert len(csv1.splitlines()) == 4
 
 
-@pytest.mark.parametrize("mode", ["duality", "solve"])
+# sweep's C = 0 points assemble designs with an empty forwarded subspace
+_GOLDEN_GRIDS = {"sweep": {"p_grid": (0.5, 2.0), "c_grid": (0.0, 2.0)}}
+
+
+@pytest.mark.parametrize("mode", ["duality", "solve", "sweep"])
 def test_csv_matches_golden_file(mode):
     # the golden files hold the CSV of an earlier release with wall_ms
     # stripped; every other byte must stay stable
     golden = Path(__file__).parent / "golden" / f"{mode}_random_2_2_3_seed11.csv"
-    rows, status = run(ExperimentConfig(mode=mode, random_spec=(2, 2, 3), seed=11))
+    grids = _GOLDEN_GRIDS.get(mode, {})
+    rows, status = run(ExperimentConfig(mode=mode, random_spec=(2, 2, 3), seed=11, **grids))
     assert status == EXIT_OK
     assert _strip_wall_ms(render_rows(rows, "csv")) == golden.read_text(encoding="utf-8")
 
@@ -281,3 +286,35 @@ def test_parser_grid_syntax():
     )
     assert ns.p_grid == "1:4:4"
     assert ns.c_grid == "0:2:3"
+
+
+def _assert_one_error_line(capsys):
+    outerr = capsys.readouterr()
+    assert outerr.out == ""
+    lines = outerr.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_main_parses_budget_grids(capsys):
+    code = main(
+        ["--mode", "sweep", "--random", "1,1,1", "--P-grid", "1:4:4", "--C-grid", "0,2"]
+    )
+    assert code == EXIT_OK
+    # header + 2 directions x 4 powers x 2 fronthaul budgets
+    assert len(capsys.readouterr().out.splitlines()) == 17
+
+
+@pytest.mark.parametrize("grid", ["1:4", "1:4:0", "a,b", ","])
+def test_main_rejects_malformed_grids(capsys, grid):
+    code = main(["--mode", "sweep", "--random", "1,1,1", "--P-grid", grid, "--C-grid", "0,2"])
+    assert code == EXIT_USAGE
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("option", ["--tol=nan", "--tol=inf", "--seed=-1"])
+def test_main_rejects_non_finite_tol_and_negative_seed(capsys, option):
+    # a NaN tol failed every row, an infinite one passed every check, and a
+    # negative seed ended in a numpy traceback
+    code = main(["--mode", "duality", "--random", "2,2,2", option])
+    assert code == EXIT_USAGE
+    _assert_one_error_line(capsys)

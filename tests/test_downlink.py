@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cranopt import (
+    LN2,
     ChannelInstance,
     DomainError,
     DownlinkDesign,
@@ -15,6 +16,7 @@ from cranopt import (
     solve_scalar_allocation,
     svd,
 )
+from cranopt.downlink import downlink_rate_stacked
 
 TWO_LOG2_3_2 = 1.1699250014423124  # 2*log2(3/2)
 
@@ -97,3 +99,17 @@ def test_rate_uses_full_space_even_with_active_basis():
     inst = ChannelInstance(H=np.diag([2.0, 1.0]), P=2.0, C=3.0, sigma2=1.0)
     full = DownlinkDesign(S=d.S, Q=d.Q + 1e-30 * np.eye(2))
     assert np.isclose(downlink_rate(inst, d), downlink_rate(inst, full), rtol=1e-9)
+
+
+def test_stacked_rate_is_the_one_design_rate():
+    # downlink_rate is the one-design case of downlink_rate_stacked, bit for bit
+    rng = np.random.default_rng(22)
+    H = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))) / np.sqrt(2)
+    inst = ChannelInstance(H=H, P=2.0, C=3.0, sigma2=0.8)
+    X = rng.standard_normal((8, 3, 3)) + 1j * rng.standard_normal((8, 3, 3))
+    M = X @ X.conj().swapaxes(-1, -2) / 3
+    S, Q = M[:4], M[4:]
+    nats, ok = downlink_rate_stacked(inst, S, Q)
+    assert ok.all()
+    for t in range(4):
+        assert nats[t] / LN2 == downlink_rate(inst, DownlinkDesign(S=S[t], Q=Q[t]))

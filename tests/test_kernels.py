@@ -93,6 +93,14 @@ def test_logdet_ratio_stacked_fails_only_the_bad_lanes():
         assert nats[k] == logdet_ratio(M[k], B[k])
 
 
+def test_logdet_ratio_stacked_empty_spectrum_is_zero():
+    # an empty forwarded subspace restricts every lane to a 0 x 0 pair
+    nats, ok = logdet_ratio_stacked(np.zeros((3, 0, 0), complex), np.zeros((3, 0, 0), complex))
+    assert nats.tolist() == [0.0, 0.0, 0.0]
+    assert ok.all()
+    assert logdet_ratio(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
+
+
 def test_hermitian_part_and_defect():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -5,7 +5,6 @@ import pytest
 
 from cranopt import (
     InvalidInputError,
-    MajorizationProbe,
     check_downlink_bounds,
     check_power_lower_bound,
     check_uplink_rate_bound,
@@ -27,12 +26,11 @@ def _rand_psd(n, seed, lift=0.0):
 def test_uplink_rate_bound_holds_randomized():
     for seed in range(300):
         n = 2 + seed % 3
-        probe = MajorizationProbe(
+        lhs, rhs, _ = check_uplink_rate_bound(
+            Phi=_rand_psd(n, seed),
+            Q=_rand_psd(n, seed + 1000, lift=1e-3),
             sigma2=0.5 + (seed % 5) * 0.3,
-            signal=_rand_psd(n, seed),
-            noise=_rand_psd(n, seed + 1000, lift=1e-3),
         )
-        lhs, rhs, _ = check_uplink_rate_bound(probe)
         assert rhs - lhs >= -EQ_TOL
 
 
@@ -45,12 +43,11 @@ def test_uplink_rate_bound_equality_anti_aligned():
         U = random_unitary(n, seed)
         phi = np.sort(rng.uniform(0.5, 4.0, n))[::-1]
         qs = np.sort(rng.uniform(0.1, 2.0, n))
-        probe = MajorizationProbe(
+        lhs, rhs, equal = check_uplink_rate_bound(
+            Phi=U @ np.diag(phi) @ U.conj().T,
+            Q=U @ np.diag(qs) @ U.conj().T,
             sigma2=1.0,
-            signal=U @ np.diag(phi) @ U.conj().T,
-            noise=U @ np.diag(qs) @ U.conj().T,
         )
-        lhs, rhs, equal = check_uplink_rate_bound(probe)
         assert abs(lhs - rhs) <= EQ_TOL
         assert equal
 
@@ -59,26 +56,24 @@ def test_uplink_rate_bound_aligned_is_strictly_loose():
     # same eigenvector order for both (descending-descending) leaves slack
     d_phi = np.diag([5.0, 2.0, 1.0])
     d_q = np.diag([2.0, 1.0, 0.1])
-    probe = MajorizationProbe(sigma2=0.8, signal=d_phi, noise=d_q)
-    lhs, rhs, equal = check_uplink_rate_bound(probe)
+    lhs, rhs, equal = check_uplink_rate_bound(d_phi, d_q, 0.8)
     assert rhs - lhs > 0.1
     assert not equal
 
 
 def test_uplink_rate_bound_scalar_matrix_equality():
-    probe = MajorizationProbe(sigma2=1.0, signal=2.0 * np.eye(3), noise=0.5 * np.eye(3))
-    lhs, rhs, equal = check_uplink_rate_bound(probe)
+    lhs, rhs, equal = check_uplink_rate_bound(2.0 * np.eye(3), 0.5 * np.eye(3), 1.0)
     assert abs(lhs - rhs) <= EQ_TOL
     assert equal
 
 
 def test_probe_validation():
     with pytest.raises(InvalidInputError):
-        MajorizationProbe(sigma2=0.0, signal=np.eye(2), noise=np.eye(2))
+        check_uplink_rate_bound(np.eye(2), np.eye(2), 0.0)
     with pytest.raises(InvalidInputError):
-        MajorizationProbe(sigma2=1.0, signal=np.diag([1.0, -0.5]), noise=np.eye(2))
+        check_uplink_rate_bound(np.diag([1.0, -0.5]), np.eye(2), 1.0)
     with pytest.raises(InvalidInputError):
-        MajorizationProbe(sigma2=1.0, signal=np.eye(2), noise=np.eye(3))
+        check_uplink_rate_bound(np.eye(2), np.eye(3), 1.0)
 
 
 def test_power_lower_bound_holds_randomized():

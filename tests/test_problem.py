@@ -6,11 +6,14 @@ import pytest
 from cranopt import (
     ChannelInstance,
     DownlinkDesign,
+    TOL,
     InvalidInputError,
+    RateReport,
     UplinkDesign,
     psd_part,
     restrict,
 )
+from cranopt.problem import validate_covariance
 
 
 def _inst(H=None, P=2.0, C=2.0, sigma2=1.0):
@@ -55,6 +58,28 @@ def test_designs_validate_psd():
         UplinkDesign(S=np.diag([1.0, -0.1]), Q=np.eye(2))
     with pytest.raises(InvalidInputError):
         DownlinkDesign(S=np.eye(2), Q=np.diag([-0.1, 1.0]))
+
+
+def test_validate_covariance_checks_each_matrix_of_a_stack():
+    good = np.stack([np.eye(2), np.diag([2.0, 0.0])]).astype(complex)
+    validate_covariance(good, "S")
+    validate_covariance(good[0], "S")
+    bad_psd = good.copy()
+    bad_psd[1] = np.diag([1.0, -0.1])
+    bad_finite = good.copy()
+    bad_finite[0, 0, 1] = np.nan
+    for A in (bad_psd, bad_finite, np.zeros((2, 2, 3), complex)):
+        with pytest.raises(InvalidInputError):
+            validate_covariance(A, "S")
+
+
+def test_rate_report_derives_slacks_and_verdict():
+    inst = _inst(P=2.0, C=3.0)
+    rep = RateReport(inst, 1.0, 3.0 + 0.5 * TOL.feasibility, 1.5)
+    assert (rep.slack_power, rep.slack_fronthaul) == (0.5, 3.0 - rep.fronthaul_used)
+    assert rep.feasible and rep.diagnostics == {}
+    assert not RateReport(inst, 1.0, 3.0, 2.0 + 2 * TOL.feasibility).feasible
+    assert not RateReport(inst, 1.0, np.nan, 1.0).feasible
 
 
 def test_designs_validate_active_basis():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cranopt import (
+    LN2,
     ChannelInstance,
     DomainError,
     UplinkDesign,
@@ -15,6 +16,7 @@ from cranopt import (
     uplink_fronthaul,
     uplink_rate,
 )
+from cranopt.uplink import uplink_rate_stacked
 
 TWO_LOG2_3_2 = 1.1699250014423124  # 2*log2(3/2)
 TWO_LOG2_3 = 3.169925001442312    # 2*log2(3)
@@ -121,3 +123,27 @@ def test_check_flags_power_violation():
     rep = check_uplink_feasible(inst, d)
     assert not rep.feasible
     assert rep.slack_power < 0
+
+
+def _rand_psd(n, rng):
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return X @ X.conj().T / n
+
+
+@pytest.mark.parametrize("k", [None, 1, 0])
+def test_stacked_rate_is_the_one_design_rate(k):
+    # uplink_rate is the one-design case of uplink_rate_stacked, bit for
+    # bit, with no restriction, a 1-dim and an empty forwarded subspace
+    rng = np.random.default_rng(21)
+    H = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))) / np.sqrt(2)
+    inst = ChannelInstance(H=H, P=2.0, C=3.0, sigma2=0.8)
+    W = None if k is None else np.eye(3, dtype=complex)[:, :k]
+    S = np.stack([_rand_psd(2, rng) for _ in range(4)])
+    Q = np.stack([_rand_psd(3, rng) + 0.1 * np.eye(3) for _ in range(4)])
+    nats, ok = uplink_rate_stacked(inst, S, Q, W)
+    assert ok.all()
+    for t in range(4):
+        d = UplinkDesign(S=S[t], Q=Q[t], active_basis=W)
+        assert nats[t] / LN2 == uplink_rate(inst, d)
+    if k == 0:
+        assert not nats.any()
