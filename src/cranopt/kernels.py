@@ -209,10 +209,18 @@ def svd(H) -> ChannelSpectrum:
     )
 
 
+def check_seed(seed) -> None:
+    """Raise InvalidInputError unless seed is a nonnegative integer, the
+    seeds the repo-wide random contract accepts."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def random_channel(n_r: int, n_u: int, seed: int) -> np.ndarray:
     """Unit-variance complex Gaussian channel, deterministic in the seed."""
     if n_r < 1 or n_u < 1:
         raise InvalidInputError(f"dimensions must be positive, got ({n_r}, {n_u})")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     return (
         rng.standard_normal((n_r, n_u)) + 1j * rng.standard_normal((n_r, n_u))
@@ -223,6 +231,7 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-distributed n x n unitary (QR of a complex Gaussian, phases fixed)."""
     if n < 1:
         raise InvalidInputError(f"dimension must be positive, got {n}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Qm, R = np.linalg.qr(Z)

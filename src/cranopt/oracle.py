@@ -12,9 +12,10 @@ Two independent routes check the solver's optimality claims:
     boundary, and reports the worst-case margin.  It draws, projects and
     evaluates its candidates in fixed blocks of stacked (T, n, n) arrays;
     a candidate that cannot be projected or evaluated fails alone, not
-    its block.  The candidates are validated and measured by the same
-    covariance check and the same stacked rate functional of their
-    direction as the base design.
+    its block.  The candidates are PSD by construction, so the search
+    projects them as they are, with no eigendecomposition per trial; they
+    are validated and measured by the same covariance check and the same
+    stacked rate functional of their direction as the base design.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .kernels import (
     LN2,
     TOL,
     as_complex_matrix,
+    check_seed,
     hermitian_part,
     whitened_eigvalsh,
 )
@@ -297,9 +299,13 @@ def _project(inst: ChannelInstance, direction: str, S: np.ndarray, Q: np.ndarray
     shapes.  Returns the rescaled stacks and a mask of the lanes that have
     a design; the other lanes' quantizer is singular or zero, and they hold
     no design.  An uplink instance with C = 0 has no design in any lane and
-    raises ProjectionError."""
-    S = psd_part(S)
-    Q = psd_part(Q)
+    raises ProjectionError.
+
+    The stacks must be PSD up to rounding; only their Hermitian part is
+    taken, nothing is clipped.  The scale factors are nonnegative, so the
+    rescaled stacks stay PSD and are returned without a second clip."""
+    S = hermitian_part(S)
+    Q = hermitian_part(Q)
     T = len(S)
     tS = np.trace(S, axis1=-2, axis2=-1).real
     if direction == UPLINK:
@@ -326,7 +332,7 @@ def _project(inst: ChannelInstance, direction: str, S: np.ndarray, Q: np.ndarray
         beta = np.divide(inst.P, tQ, out=np.ones(T), where=ok)
         beta[live] = inst.P / (rho * tS[live] + tQ[live])
         alpha[live] = rho * beta[live]
-    return psd_part(alpha[:, None, None] * S), psd_part(beta[:, None, None] * Q), ok
+    return alpha[:, None, None] * S, beta[:, None, None] * Q, ok
 
 
 def feasibility_projection(
@@ -339,8 +345,10 @@ def feasibility_projection(
     Uplink: alpha saturates the power budget, then the fronthaul equation
     in 1/beta is solved exactly (it is strictly monotone).  Downlink: the
     fronthaul depends only on alpha/beta, solved first, then both are
-    scaled together onto the power budget.  This is the one-pair case of
-    the stacked projection :func:`perturbation_search` runs on its blocks.
+    scaled together onto the power budget.  The pair need not be PSD: it
+    is clipped once to its PSD part (Hermitian part, negative eigenvalues
+    zeroed) and then goes through the stacked projection
+    :func:`perturbation_search` runs on its blocks of PSD candidates.
 
     Raises ProjectionError when no scaling works: a singular quantizer
     covariance, or an uplink instance with C = 0 (compressing even pure
@@ -353,7 +361,7 @@ def feasibility_projection(
     nS = inst.n_u if direction == UPLINK else inst.n_r
     if S.shape != (nS, nS) or Q.shape != (inst.n_r, inst.n_r):
         raise InvalidInputError("covariance shapes do not match the instance")
-    S, Q, ok = _project(inst, direction, S[None], Q[None])
+    S, Q, ok = _project(inst, direction, psd_part(S)[None], psd_part(Q)[None])
     if not ok[0]:
         raise ProjectionError("quantization covariance is singular or zero")
     design = UplinkDesign if direction == UPLINK else DownlinkDesign
@@ -469,6 +477,7 @@ def perturbation_search(
         raise InvalidInputError(f"direction must be one of {DIRECTIONS}")
     if trials < 0:
         raise InvalidInputError(f"trials must be >= 0, got {trials}")
+    check_seed(seed)
     if direction == UPLINK:
         if not isinstance(base, UplinkDesign):
             raise InvalidInputError("uplink certification needs an UplinkDesign")

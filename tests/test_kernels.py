@@ -161,6 +161,26 @@ def test_random_channel_deterministic():
     assert H1.dtype == np.complex128
 
 
+_BAD_SEEDS = [-1, 1.5, True, "3", None]
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
+def test_random_channel_rejects_bad_seed(seed):
+    with pytest.raises(InvalidInputError, match="seed"):
+        random_channel(1, 1, seed=seed)
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
+def test_random_unitary_rejects_bad_seed(seed):
+    with pytest.raises(InvalidInputError, match="seed"):
+        random_unitary(2, seed=seed)
+
+
+def test_random_generators_accept_numpy_integer_seeds():
+    assert np.array_equal(random_channel(2, 2, np.int64(5)), random_channel(2, 2, 5))
+    assert np.array_equal(random_unitary(2, np.uint32(5)), random_unitary(2, 5))
+
+
 def test_ln2_constant():
     assert LN2 == np.log(2.0)
 

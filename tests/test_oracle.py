@@ -16,19 +16,24 @@ from cranopt import (
     InconsistencyError,
     InvalidInputError,
     ProjectionError,
+    TOL,
     UnsupportedSizeError,
     UplinkDesign,
     check_downlink_feasible,
     check_uplink_feasible,
+    downlink_fronthaul,
     downlink_rate,
     feasibility_projection,
     grid_oracle_scalar,
     perturbation_search,
     random_channel,
+    random_unitary,
     solve_instance,
     subchannel_rate,
+    uplink_fronthaul,
     uplink_rate,
 )
+from cranopt.problem import validate_covariance
 
 
 def test_grid_oracle_single_subchannel_closed_form():
@@ -126,6 +131,86 @@ def test_projection_downlink_zero_fronthaul_gives_silence():
     rep = check_downlink_feasible(inst, d)
     assert rep.feasible
     assert rep.rate == 0.0
+
+
+def _projection_instance(name):
+    """A 3x3 channel whose base uses every subchannel ("3x3-full"), the
+    same channel at a fronthaul budget that turns one off ("3x3-off"), or a
+    1x4 channel with rank-1 transmit covariances ("1x4")."""
+    if name == "1x4":
+        return ChannelInstance(H=random_channel(1, 4, 32_003), P=1.0, C=2.0, sigma2=1.0)
+    U, V = random_unitary(3, 32_001), random_unitary(3, 32_002)
+    H = (U * np.array([1.5, 1.2, 1.0])) @ V.conj().T
+    return ChannelInstance(H=H, P=4.0, C=12.0 if name == "3x3-full" else 8.0, sigma2=1.0)
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+@pytest.mark.parametrize("name", ["3x3-full", "3x3-off", "1x4"])
+def test_block_projection_of_candidates_lands_on_the_boundary(name, direction):
+    inst = _projection_instance(name)
+    # the search hands _project its candidates unclipped; every lane it
+    # marks ok must still be a valid design that spends P (so the power
+    # budget is active) and at most C
+    design, _, _ = solve_instance(inst, direction)
+    assert (design.active_basis is not None) == (name == "3x3-off")
+    S0, Q0 = oracle._densify(inst, direction, design)
+    rng = np.random.default_rng(6)
+    S_c, Q_c = oracle._candidates(S0, Q0, np.arange(200), rng)
+    S, Q, ok = oracle._project(inst, direction, S_c, Q_c)
+    assert ok.any()
+    # _densify's dead-dimension quantizer puts ~1e-8-bit noise on uplink
+    # fronthaul (the level solve and its evaluation alike), the noise the
+    # search's rate comparisons already allow for
+    dense = direction == "uplink" and design.active_basis is not None
+    fronthaul_tol = 1e-7 if dense else TOL.feasibility
+    for s, q in zip(S[ok], Q[ok]):
+        validate_covariance(s, "S")
+        validate_covariance(q, "Q")
+        if direction == "uplink":
+            power = np.trace(s).real
+            fronthaul = uplink_fronthaul(inst, UplinkDesign(S=s, Q=q))
+        else:
+            power = np.trace(s + q).real
+            fronthaul = downlink_fronthaul(DownlinkDesign(S=s, Q=q))
+        assert abs(power - inst.P) <= TOL.feasibility
+        assert fronthaul <= inst.C + fronthaul_tol
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+def test_search_does_no_eigendecomposition_per_trial(monkeypatch, direction):
+    # only _densify clips (once per search); the projection of the
+    # candidates must not, however many trials run
+    inst = _projection_instance("3x3-off")
+    design, _, _ = solve_instance(inst, direction)
+    calls = [0]
+    real = oracle.psd_part
+
+    def counting(M):
+        calls[0] += 1
+        return real(M)
+
+    monkeypatch.setattr(oracle, "psd_part", counting)
+    counts = []
+    for trials in (7, 1000):
+        calls[0] = 0
+        perturbation_search(inst, direction, design, trials=trials, seed=0)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] == 1
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+def test_projection_clips_an_indefinite_pair(direction):
+    inst = _identity_instance(P=3.0, C=4.0)
+    U = random_unitary(2, 9)
+    S = (U * np.array([1.0, -0.5])) @ U.conj().T  # Hermitian, one eigenvalue < 0
+    Q = np.diag([0.5, 0.2]) + 0.0j
+    d = feasibility_projection(inst, direction, S, Q)
+    assert np.linalg.eigvalsh(d.S)[0] >= -TOL.psd  # the negative part is gone
+    assert np.linalg.matrix_rank(d.S, tol=1e-9) == 1
+    check = check_uplink_feasible if direction == "uplink" else check_downlink_feasible
+    rep = check(inst, d)
+    assert rep.feasible
+    assert abs(rep.slack_power) <= 1e-8
 
 
 def _bisection_level(ev, C):
@@ -266,6 +351,15 @@ def test_certification_validates_arguments():
     dl = DownlinkDesign(S=np.eye(2), Q=np.eye(2))
     with pytest.raises(InvalidInputError):
         perturbation_search(inst, "uplink", dl, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None], ids=repr)
+def test_certification_rejects_bad_seed(seed):
+    inst = _identity_instance()
+    design, _, _ = solve_instance(inst, "uplink")
+    for trials in (0, 10):
+        with pytest.raises(InvalidInputError, match="seed"):
+            perturbation_search(inst, "uplink", design, trials=trials, seed=seed)
 
 
 def _reference_rotation(n, eps, rng):
