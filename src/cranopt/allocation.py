@@ -71,13 +71,16 @@ class SubchannelAllocation:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for solve_scalar_allocation: c_max caps each share (bits, > 0)."""
+    """Knobs for solve_scalar_allocation: c_max caps each share (bits,
+    finite and > 0)."""
 
     c_max: float = C_MAX_DEFAULT
 
     def __post_init__(self):
-        if self.c_max <= 0:
-            raise InvalidInputError("c_max in SolverOptions must be positive")
+        if not (np.isfinite(self.c_max) and self.c_max > 0):
+            raise InvalidInputError(
+                f"c_max in SolverOptions must be finite and positive, got {self.c_max}"
+            )
 
 
 def subchannel_rate(s, c, sigma2):
@@ -114,6 +117,13 @@ def tight_quantizer_uplink(h2, p, c, sigma2):
     h2_a = np.asarray(h2, dtype=float)
     p_a = np.asarray(p, dtype=float)
     c_a = np.asarray(c, dtype=float)
+    if not (
+        np.isfinite(h2_a).all()
+        and np.isfinite(p_a).all()
+        and np.isfinite(c_a).all()
+        and np.isfinite(sigma2)
+    ):
+        raise InvalidInputError("gains, powers, shares and sigma2 must be finite")
     if np.any(h2_a < 0) or np.any(p_a < 0) or sigma2 <= 0:
         raise InvalidInputError("gains and powers must be >= 0 and sigma2 > 0")
     if np.any(c_a <= 0):
@@ -132,6 +142,8 @@ def tight_quantizer_downlink(x, c):
     c_a = np.asarray(c, dtype=float)
     if np.any(x_a < 0) or not np.all(np.isfinite(x_a)):
         raise InvalidInputError("total subchannel power must be finite and >= 0")
+    if not np.isfinite(c_a).all():
+        raise InvalidInputError("share must be finite")
     if np.any(c_a <= 0):
         raise DomainError("zero share cannot carry a description")
     q = x_a * np.power(2.0, -c_a)
@@ -434,11 +446,15 @@ def solve_scalar_allocation(
         diagnostics = {"rate": 0.0, "iterations": 0, "starts": 0}
         return SubchannelAllocation(np.zeros(D), np.zeros(D), diagnostics)
 
+    # no share exceeds C, so a cap above max(C, C_MAX_DEFAULT) poses the same
+    # problem; lowering it keeps the share step's level u, interpolated from
+    # the kinks log2 s - c_max, from cancelling when c_max >> C
+    c_max = min(opts.c_max, max(C, C_MAX_DEFAULT))
     starts = _start_points(g2, P, sigma2)
     best = (-np.inf, None, None)
     total_rounds = 0
     for p0 in starts:
-        rate, p, c, rounds = _ascend(p0, g2, P, C, sigma2, opts.c_max)
+        rate, p, c, rounds = _ascend(p0, g2, P, C, sigma2, c_max)
         total_rounds += rounds
         if rate > best[0] + 1e-12:
             best = (rate, p, c)

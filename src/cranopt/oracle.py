@@ -5,8 +5,10 @@ Two independent routes check the solver's optimality claims:
   * :func:`grid_oracle_scalar` enumerates the scalar problem both
     directions share on dense budget-simplex grids (D <= 3) and refines
     the best grid point with a derivative-free pattern search, so one grid
-    checks the solver for both.  It shares only the objective function
-    with the solver, none of its KKT machinery.
+    checks the solver for both.  One scan of the grid's index splits,
+    adding rows of a rate table per subchannel, serves every D <= 3.  It
+    shares only the objective function and the input checks with the
+    solver, none of its KKT machinery.
   * :func:`perturbation_search` attacks an assembled matrix design with
     random covariance candidates, each rescaled onto the constraint
     boundary, and reports the worst-case margin.  It draws, projects and
@@ -24,7 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import C_MAX_DEFAULT, SubchannelAllocation, _rates
+from .allocation import (
+    C_MAX_DEFAULT,
+    SubchannelAllocation,
+    _rates,
+    _validate_budgets,
+    _validate_gains,
+)
 from .downlink import DownlinkDesign, check_downlink_feasible, downlink_rate_stacked
 from .errors import (
     InconsistencyError,
@@ -120,20 +128,18 @@ def grid_oracle_scalar(
 
     Enumerates every grid split of the power and share budgets (the
     optimum saturates both, since the subchannel rate is nondecreasing in
-    each) and refines the best grid point by pattern search.  Like the
-    solver's, its allocation serves both directions.  Deterministic.
+    each; with C >= D c_max every share sits at its cap) and refines the
+    best grid point by pattern search.  Like the solver's, its allocation
+    serves both directions.  Deterministic.
     """
     if resolution < 2:
         raise InvalidInputError(f"resolution must be >= 2, got {resolution}")
-    g = np.atleast_1d(np.asarray(gains, dtype=float))
-    if g.size == 0 or np.any(g < 0) or not np.all(np.isfinite(g)):
-        raise InvalidInputError("gains must be nonempty, finite and >= 0")
+    g = _validate_gains(gains)
     if g.size > 3:
         raise UnsupportedSizeError(
             f"grid oracle enumerates at most 3 subchannels, got {g.size}"
         )
-    if not np.isfinite(P) or P < 0 or not np.isfinite(C) or C < 0 or sigma2 <= 0:
-        raise InvalidInputError("budgets must be >= 0 and sigma2 > 0")
+    _validate_budgets(P, C, sigma2)
 
     D = g.size
     g2 = g**2
@@ -146,12 +152,7 @@ def grid_oracle_scalar(
 
     c_max = C_MAX_DEFAULT
     ga = g2[pos]
-    n = pos.size
-    if C >= n * c_max:
-        # every share capped; only the power split remains
-        pbest, cbest, grid_rate = _grid_power_only(ga, P, c_max, sigma2, resolution)
-    else:
-        pbest, cbest, grid_rate = _grid_joint(ga, P, min(C, n * c_max), c_max, sigma2, resolution)
+    pbest, cbest, grid_rate = _grid(ga, P, C, c_max, sigma2, resolution)
     pbest, cbest, rate = _pattern_polish(ga, pbest, cbest, P, C, sigma2, c_max)
 
     p_full[pos] = pbest
@@ -160,91 +161,58 @@ def grid_oracle_scalar(
     return SubchannelAllocation(p_full, c_full, diagnostics)
 
 
-def _grid_power_only(g2, P, c_max, sigma2, res):
-    n = len(g2)
-    c = np.full(n, c_max)
+def _splits(n: int, total: int) -> list:
+    """Every n-tuple of nonnegative grid indices summing to total, in
+    lexicographic order."""
     if n == 1:
-        return np.array([P]), c, _objective(g2, np.array([P]), c, sigma2)
-    pgrid = np.linspace(0.0, P, res)
-    best = (-np.inf, None)
-    if n == 2:
-        rates = _rates(g2[0] * pgrid, c_max, sigma2) + _rates(
-            g2[1] * (P - pgrid), c_max, sigma2
-        )
-        k = int(np.argmax(rates))
-        return np.array([pgrid[k], P - pgrid[k]]), c, float(rates[k])
-    for i in range(res):
-        rem = P - pgrid[i]
-        sub = pgrid[: res - i]
-        rates = (
-            _rates(g2[0] * pgrid[i], c_max, sigma2)
-            + _rates(g2[1] * sub, c_max, sigma2)
-            + _rates(g2[2] * (rem - sub), c_max, sigma2)
-        )
-        k = int(np.argmax(rates))
-        if rates[k] > best[0]:
-            best = (float(rates[k]), np.array([pgrid[i], sub[k], rem - sub[k]]))
-    return np.clip(best[1], 0.0, None), c, best[0]  # rem - sub can round below 0
+        return [(total,)]
+    return [(i, *rest) for i in range(total + 1) for rest in _splits(n - 1, total - i)]
 
 
-def _grid_joint(g2, P, Ct, c_max, sigma2, res):
+def _complement(parts: np.ndarray, total: float) -> np.ndarray:
+    """parts with its last entry replaced by total minus the others, taken
+    left to right and clipped at 0 (the difference can round below it)."""
+    last = total
+    for x in parts[:-1]:
+        last -= x
+    return np.clip(np.append(parts[:-1], last), 0.0, None)
+
+
+def _grid(g2, P, C, c_max, sigma2, res):
+    """Best point of the power and share simplex grids, each with res
+    points per axis: the first strict maximum, power splits scanned in
+    lexicographic order and share splits within each in lexicographic
+    order.  With C >= n c_max every share is capped and the share set is
+    the one point (c_max, ..., c_max); otherwise it is the grid's splits of
+    C inside the caps, and the midpoint split when there is none.  The
+    rates are read from one table per subchannel on (power grid point x
+    share split); the last power and share returned are the complements
+    of the others."""
     n = len(g2)
-    if n == 1:
-        p = np.array([P])
-        c = np.array([min(Ct, c_max)])
-        return p, c, _objective(g2, p, c, sigma2)
-    pgrid = np.linspace(0.0, P, res)
-    cgrid = np.linspace(0.0, Ct, res)
-    c_ok = cgrid <= c_max
-    if n == 2:
-        # rate tables indexed [power point, share point]
-        R = [
-            _rates(g2[d] * pgrid[:, None], cgrid[None, :], sigma2) for d in range(2)
-        ]
-        best = (-np.inf, 0, 0)
-        for i in range(res):
-            # share index m pairs with its complement res-1-m
-            row = R[0][i] + R[1][res - 1 - i][::-1]
-            mask = c_ok & c_ok[::-1]
-            row = np.where(mask, row, -np.inf)
-            m = int(np.argmax(row))
-            if row[m] > best[0]:
-                best = (float(row[m]), i, m)
-        rate, i, m = best
-        if not np.isfinite(rate):
-            # Ct within one grid step of every cap: fall back to the
-            # midpoint split, always inside the cap box.
-            p = np.full(2, P / 2)
-            c = np.full(2, Ct / 2)
+    splits = _splits(n, res - 1)
+    capped = C >= n * c_max
+    if capped:
+        shares = np.full((1, n), c_max)
+    else:
+        shares = np.linspace(0.0, C, res)[splits]
+        shares = shares[np.all(shares <= c_max, axis=1)]
+        if len(shares) == 0:
+            p, c = np.full(n, P / n), np.full(n, C / n)
             return p, c, _objective(g2, p, c, sigma2)
-        p = np.array([pgrid[i], P - pgrid[i]])
-        c = np.array([cgrid[m], Ct - cgrid[m]])
-        return p, c, rate
-    # n == 3: exact simplex via index complements
-    R = [_rates(g2[d] * pgrid[:, None], cgrid[None, :], sigma2) for d in range(3)]
-    M, N = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
-    K_c = res - 1 - M - N
-    inner_ok = (K_c >= 0) & c_ok[M] & c_ok[N] & c_ok[np.clip(K_c, 0, res - 1)]
-    K_c = np.clip(K_c, 0, res - 1)
-    best = (-np.inf, 0, 0, 0, 0)
-    for i in range(res):
-        for j in range(res - i):
-            k = res - 1 - i - j
-            T = R[0][i][:, None] + R[1][j][None, :] + R[2][k][K_c]
-            T = np.where(inner_ok, T, -np.inf)
-            flat = int(np.argmax(T))
-            m, nn = divmod(flat, res)
-            if T[m, nn] > best[0]:
-                best = (float(T[m, nn]), i, j, m, nn)
-    rate, i, j, m, nn = best
-    if not np.isfinite(rate):
-        p = np.full(3, P / 3)
-        c = np.full(3, Ct / 3)
-        return p, c, _objective(g2, p, c, sigma2)
-    # the complements can round below 0
-    p = np.array([pgrid[i], pgrid[j], P - pgrid[i] - pgrid[j]])
-    c = np.array([cgrid[m], cgrid[nn], Ct - cgrid[m] - cgrid[nn]])
-    return np.clip(p, 0.0, None), np.clip(c, 0.0, None), rate
+    pgrid = np.linspace(0.0, P, res)
+    tables = [
+        _rates(g2[d] * pgrid[:, None], shares[None, :, d], sigma2) for d in range(n)
+    ]
+    best, arg = -np.inf, None
+    for split in splits:
+        row = sum(table[i] for table, i in zip(tables, split))
+        k = int(np.argmax(row))
+        if row[k] > best:
+            best, arg = float(row[k]), (split, k)
+    split, k = arg
+    p = _complement(pgrid[list(split)], P)
+    c = shares[k] if capped else _complement(shares[k], C)
+    return p, c, best
 
 
 # Newton iterations allowed for the fronthaul level; a solve that needs more
@@ -475,8 +443,8 @@ def perturbation_search(
     """
     if direction not in DIRECTIONS:
         raise InvalidInputError(f"direction must be one of {DIRECTIONS}")
-    if trials < 0:
-        raise InvalidInputError(f"trials must be >= 0, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise InvalidInputError(f"trials must be a nonnegative integer, got {trials!r}")
     check_seed(seed)
     if direction == UPLINK:
         if not isinstance(base, UplinkDesign):

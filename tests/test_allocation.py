@@ -79,6 +79,23 @@ def test_tight_quantizer_downlink_rejects_zero_share():
         tight_quantizer_downlink(1.0, 0.0)
 
 
+def test_tight_quantizers_reject_non_finite_inputs():
+    # NaN used to pass through both quantizers
+    for args in [
+        (np.nan, 1.0, 1.0, 1.0),
+        (1.0, np.nan, 1.0, 1.0),
+        (1.0, 1.0, np.nan, 1.0),
+        (1.0, 1.0, 1.0, np.nan),
+        (1.0, np.inf, 1.0, 1.0),
+        (np.array([1.0, 2.0]), np.array([1.0, np.nan]), np.array([1.0, 1.0]), 1.0),
+    ]:
+        with pytest.raises(InvalidInputError):
+            tight_quantizer_uplink(*args)
+    for args in [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)]:
+        with pytest.raises(InvalidInputError):
+            tight_quantizer_downlink(*args)
+
+
 def test_waterfilling_frozen_value():
     p, cap = waterfilling_capacity(np.array([2.0, 1.0]), 1.0, 1.0)
     assert np.allclose(p, [0.875, 0.125], atol=1e-12)
@@ -479,6 +496,24 @@ def test_solver_rejects_bad_inputs():
         solve_scalar_allocation(np.array([1.0]), 1.0, 1.0, 1.0, "uplink")
     with pytest.raises(InvalidInputError):
         solve_scalar_allocation(np.array([1.0]), 1.0, 1.0, -1.0)
+
+
+def test_share_cap_far_above_the_budget_poses_the_same_problem():
+    # a cap far above C is inactive, so the solve must equal the default's;
+    # c_max = 1e12 lost 4e-5 bits, and 1e16 gave all-zero powers at rate 0,
+    # as the share step's kinks log2 s - c_max cancelled
+    default = solve_scalar_allocation([1.0, 0.5], 1.0, 1.0, 1.0)
+    assert default.diagnostics["rate"] == DUALITY_EXAMPLE
+    for c_max in (1e12, 1e16, 1e300):
+        a = solve_scalar_allocation(
+            [1.0, 0.5], 1.0, 1.0, 1.0, opts=SolverOptions(c_max=c_max)
+        )
+        assert a.diagnostics["rate"] == DUALITY_EXAMPLE, c_max
+        assert np.array_equal(a.power, default.power), c_max
+        assert np.array_equal(a.share, default.share), c_max
+    for c_max in (np.inf, np.nan, -np.inf, 0.0):
+        with pytest.raises(InvalidInputError, match="c_max"):
+            SolverOptions(c_max=c_max)
 
 
 def test_allocation_container_validation():

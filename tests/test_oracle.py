@@ -1,5 +1,6 @@
 """Independent verification routes: grid oracle, projection, perturbation."""
 
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,8 @@ from cranopt import (
     uplink_fronthaul,
     uplink_rate,
 )
+from cranopt.allocation import _rates
+from cranopt.oracle import _objective
 from cranopt.problem import validate_covariance
 
 
@@ -82,6 +85,168 @@ def test_grid_oracle_rejects_bad_resolution():
 def test_grid_oracle_zero_budget():
     a = grid_oracle_scalar(np.array([1.0, 2.0]), 0.0, 3.0, 1.0)
     assert a.diagnostics["rate"] == 0.0
+
+
+@pytest.mark.parametrize("sigma2", [np.nan, np.inf, -np.inf, 0.0], ids=repr)
+def test_grid_oracle_rejects_bad_noise(sigma2):
+    # a NaN or infinite sigma2 used to pass: rate nan, or a divide warning
+    with pytest.raises(InvalidInputError, match="sigma2"):
+        grid_oracle_scalar(np.array([1.0, 0.5]), 1.0, 1.0, sigma2)
+
+
+# The grid enumerations the oracle had before it enumerated every size with
+# one simplex scan, kept verbatim as the reference of the differential test.
+def _grid_power_only(g2, P, c_max, sigma2, res):
+    n = len(g2)
+    c = np.full(n, c_max)
+    if n == 1:
+        return np.array([P]), c, _objective(g2, np.array([P]), c, sigma2)
+    pgrid = np.linspace(0.0, P, res)
+    best = (-np.inf, None)
+    if n == 2:
+        rates = _rates(g2[0] * pgrid, c_max, sigma2) + _rates(
+            g2[1] * (P - pgrid), c_max, sigma2
+        )
+        k = int(np.argmax(rates))
+        return np.array([pgrid[k], P - pgrid[k]]), c, float(rates[k])
+    for i in range(res):
+        rem = P - pgrid[i]
+        sub = pgrid[: res - i]
+        rates = (
+            _rates(g2[0] * pgrid[i], c_max, sigma2)
+            + _rates(g2[1] * sub, c_max, sigma2)
+            + _rates(g2[2] * (rem - sub), c_max, sigma2)
+        )
+        k = int(np.argmax(rates))
+        if rates[k] > best[0]:
+            best = (float(rates[k]), np.array([pgrid[i], sub[k], rem - sub[k]]))
+    return np.clip(best[1], 0.0, None), c, best[0]  # rem - sub can round below 0
+
+
+def _grid_joint(g2, P, Ct, c_max, sigma2, res):
+    n = len(g2)
+    if n == 1:
+        p = np.array([P])
+        c = np.array([min(Ct, c_max)])
+        return p, c, _objective(g2, p, c, sigma2)
+    pgrid = np.linspace(0.0, P, res)
+    cgrid = np.linspace(0.0, Ct, res)
+    c_ok = cgrid <= c_max
+    if n == 2:
+        # rate tables indexed [power point, share point]
+        R = [
+            _rates(g2[d] * pgrid[:, None], cgrid[None, :], sigma2) for d in range(2)
+        ]
+        best = (-np.inf, 0, 0)
+        for i in range(res):
+            # share index m pairs with its complement res-1-m
+            row = R[0][i] + R[1][res - 1 - i][::-1]
+            mask = c_ok & c_ok[::-1]
+            row = np.where(mask, row, -np.inf)
+            m = int(np.argmax(row))
+            if row[m] > best[0]:
+                best = (float(row[m]), i, m)
+        rate, i, m = best
+        if not np.isfinite(rate):
+            # Ct within one grid step of every cap: fall back to the
+            # midpoint split, always inside the cap box.
+            p = np.full(2, P / 2)
+            c = np.full(2, Ct / 2)
+            return p, c, _objective(g2, p, c, sigma2)
+        p = np.array([pgrid[i], P - pgrid[i]])
+        c = np.array([cgrid[m], Ct - cgrid[m]])
+        return p, c, rate
+    # n == 3: exact simplex via index complements
+    R = [_rates(g2[d] * pgrid[:, None], cgrid[None, :], sigma2) for d in range(3)]
+    M, N = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
+    K_c = res - 1 - M - N
+    inner_ok = (K_c >= 0) & c_ok[M] & c_ok[N] & c_ok[np.clip(K_c, 0, res - 1)]
+    K_c = np.clip(K_c, 0, res - 1)
+    best = (-np.inf, 0, 0, 0, 0)
+    for i in range(res):
+        for j in range(res - i):
+            k = res - 1 - i - j
+            T = R[0][i][:, None] + R[1][j][None, :] + R[2][k][K_c]
+            T = np.where(inner_ok, T, -np.inf)
+            flat = int(np.argmax(T))
+            m, nn = divmod(flat, res)
+            if T[m, nn] > best[0]:
+                best = (float(T[m, nn]), i, j, m, nn)
+    rate, i, j, m, nn = best
+    if not np.isfinite(rate):
+        p = np.full(3, P / 3)
+        c = np.full(3, Ct / 3)
+        return p, c, _objective(g2, p, c, sigma2)
+    # the complements can round below 0
+    p = np.array([pgrid[i], pgrid[j], P - pgrid[i] - pgrid[j]])
+    c = np.array([cgrid[m], cgrid[nn], Ct - cgrid[m] - cgrid[nn]])
+    return np.clip(p, 0.0, None), np.clip(c, 0.0, None), rate
+
+
+def _reference_grid(g2, P, C, c_max, sigma2, res):
+    # the dispatch grid_oracle_scalar made between the two enumerations
+    n = len(g2)
+    if C >= n * c_max:
+        return _grid_power_only(g2, P, c_max, sigma2, res)
+    return _grid_joint(g2, P, min(C, n * c_max), c_max, sigma2, res)
+
+
+def _grid_case(rng, k):
+    """Case k of the differential corpus: D = 1..3, resolution 11/41/61,
+    c_max 60/2/0.7, and C drawn below 8, at 200 (every share capped), within
+    one share-grid step below D c_max, anywhere below D c_max, or anywhere
+    up to 200; every fourth case has P = 0."""
+    D = 1 + k % 3
+    res = (11, 41, 61)[(k // 3) % 3]
+    c_max = (60.0, 2.0, 0.7)[(k // 9) % 3]
+    g2 = np.sqrt(rng.exponential(3.0, D)) ** 2  # squares of the oracle's gains
+    P = 0.0 if k % 4 == 3 else float(rng.uniform(0.0, 5.0))
+    cap = D * c_max
+    C = (
+        float(rng.uniform(0.0, 8.0)),
+        200.0,
+        cap - float(rng.uniform(0.0, 1.0)) * cap / (res - 1),
+        float(rng.uniform(0.0, cap)),
+        float(rng.uniform(0.0, 200.0)),
+    )[(k // 27) % 5]
+    return g2, P, C, c_max, res
+
+
+def _has_share_split_inside_caps(D, C, c_max, res):
+    cgrid = np.linspace(0.0, C, res)
+    return any(
+        sum(split) == res - 1 and all(cgrid[m] <= c_max for m in split)
+        for split in itertools.product(range(res), repeat=D)
+    )
+
+
+def test_unified_grid_matches_the_parent_enumerations():
+    rng = np.random.default_rng(13)
+    counts = {"capped": 0, "fallback": 0, "p0": 0, "near_cap": 0}
+    for k in range(405):
+        g2, P, C, c_max, res = _grid_case(rng, k)
+        D = len(g2)
+        capped = C >= D * c_max
+        counts["capped"] += capped
+        counts["p0"] += P == 0.0
+        counts["near_cap"] += 0 < D * c_max - C <= D * c_max / (res - 1)
+        if not capped and not _has_share_split_inside_caps(D, C, c_max, res):
+            counts["fallback"] += 1
+        p_ref, c_ref, rate_ref = _reference_grid(g2, P, C, c_max, 1.0, res)
+        p, c, rate = oracle._grid(g2, P, C, c_max, 1.0, res)
+        assert np.array_equal(p, p_ref), k
+        assert np.array_equal(c, c_ref), k
+        # the old capped enumeration rated the last subchannel at the
+        # complement P - p of the others, not at its grid point
+        assert rate == rate_ref or (capped and abs(rate - rate_ref) <= 1e-15), k
+        if c_max == oracle.C_MAX_DEFAULT and P > 0:
+            # the polished oracle answer starts from the same point
+            a = grid_oracle_scalar(np.sqrt(g2), P, C, 1.0, resolution=res)
+            polished = oracle._pattern_polish(g2, p_ref, c_ref, P, C, 1.0, c_max)
+            assert np.array_equal(a.power, polished[0]), k
+            assert np.array_equal(a.share, np.where(a.power > 0, polished[1], 0.0)), k
+            assert a.diagnostics["rate"] == polished[2], k
+    assert all(n > 0 for n in counts.values()), counts
 
 
 def _identity_instance(P=2.0, C=2.0, n=2):
@@ -351,6 +516,22 @@ def test_certification_validates_arguments():
     dl = DownlinkDesign(S=np.eye(2), Q=np.eye(2))
     with pytest.raises(InvalidInputError):
         perturbation_search(inst, "uplink", dl, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("trials", [-1, 2.5, True, "3", None], ids=repr)
+def test_certification_rejects_bad_trial_count(trials):
+    # trials=True used to run a one-trial search, and 2.5 raised numpy's TypeError
+    inst = _identity_instance()
+    design, _, _ = solve_instance(inst, "uplink")
+    with pytest.raises(InvalidInputError, match="trials"):
+        perturbation_search(inst, "uplink", design, trials=trials, seed=0)
+
+
+def test_certification_accepts_numpy_integer_trials():
+    inst = _identity_instance()
+    design, _, _ = solve_instance(inst, "uplink")
+    report = perturbation_search(inst, "uplink", design, trials=np.int64(8), seed=0)
+    assert report.trials == 8
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None], ids=repr)
