@@ -42,7 +42,6 @@ from .kernels import (
     Tolerances,
     hermitian_part,
     is_psd,
-    logdet_hpd,
     logdet_ratio,
     random_channel,
     random_unitary,
@@ -122,7 +121,6 @@ __all__ = [
     "hermitian_part",
     "is_psd",
     "log_majorizes",
-    "logdet_hpd",
     "logdet_ratio",
     "perturbation_search",
     "product_spectrum",

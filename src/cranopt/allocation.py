@@ -39,7 +39,7 @@ from operator import add
 import numpy as np
 
 from .errors import DomainError, InconsistencyError, InvalidInputError
-from .kernels import LN2
+from .kernels import LN2, check_nonneg, check_positive
 
 C_MAX_DEFAULT = 60.0
 
@@ -55,16 +55,12 @@ class SubchannelAllocation:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.power, dtype=float))
-        c = np.atleast_1d(np.asarray(self.share, dtype=float))
+        p = np.atleast_1d(check_nonneg(self.power, "power"))
+        c = np.atleast_1d(check_nonneg(self.share, "share"))
         if len(p) == 0:
             raise InvalidInputError("allocation must cover at least one subchannel")
         if len(c) != len(p):
             raise InvalidInputError("allocation arrays must share one length")
-        if not (np.all(np.isfinite(p)) and np.all(p >= 0)):
-            raise InvalidInputError("power entries must be finite and >= 0")
-        if not (np.all(np.isfinite(c)) and np.all(c >= 0)):
-            raise InvalidInputError("share entries must be finite and >= 0")
         self.power = p
         self.share = np.where(p > 0, c, 0.0)
 
@@ -77,10 +73,7 @@ class SolverOptions:
     c_max: float = C_MAX_DEFAULT
 
     def __post_init__(self):
-        if not (np.isfinite(self.c_max) and self.c_max > 0):
-            raise InvalidInputError(
-                f"c_max in SolverOptions must be finite and positive, got {self.c_max}"
-            )
+        check_positive(self.c_max, "c_max")
 
 
 def subchannel_rate(s, c, sigma2):
@@ -90,15 +83,9 @@ def subchannel_rate(s, c, sigma2):
     uncompressed limit (r <= log2(1 + s/sigma2)).  Exactly 0 at c = 0 or
     s = 0.  Accepts scalars or equally shaped arrays.
     """
-    s_a = np.asarray(s, dtype=float)
-    c_a = np.asarray(c, dtype=float)
-    if np.any(s_a < 0) or not np.all(np.isfinite(s_a)):
-        raise InvalidInputError("signal power must be finite and >= 0")
-    if np.any(c_a < 0) or not np.all(np.isfinite(c_a)):
-        raise InvalidInputError("share must be finite and >= 0")
-    if not np.isfinite(sigma2) or sigma2 <= 0:
-        raise InvalidInputError(f"sigma2 must be > 0, got {sigma2}")
-    out = _rates(s_a, c_a, sigma2)
+    s_a = check_nonneg(s, "signal power")
+    c_a = check_nonneg(c, "share")
+    out = _rates(s_a, c_a, check_positive(sigma2, "sigma2"))
     return float(out) if out.ndim == 0 else out
 
 
@@ -114,19 +101,11 @@ def tight_quantizer_uplink(h2, p, c, sigma2):
     Substituting back reproduces the share to rounding:
     log2((h2 p + q + sigma2)/q) = log1p((h2 p + sigma2)/q)/ln 2 = c.
     """
-    h2_a = np.asarray(h2, dtype=float)
-    p_a = np.asarray(p, dtype=float)
-    c_a = np.asarray(c, dtype=float)
-    if not (
-        np.isfinite(h2_a).all()
-        and np.isfinite(p_a).all()
-        and np.isfinite(c_a).all()
-        and np.isfinite(sigma2)
-    ):
-        raise InvalidInputError("gains, powers, shares and sigma2 must be finite")
-    if np.any(h2_a < 0) or np.any(p_a < 0) or sigma2 <= 0:
-        raise InvalidInputError("gains and powers must be >= 0 and sigma2 > 0")
-    if np.any(c_a <= 0):
+    h2_a = check_nonneg(h2, "h2")
+    p_a = check_nonneg(p, "p")
+    c_a = check_nonneg(c, "c")
+    sigma2 = check_positive(sigma2, "sigma2")
+    if np.any(c_a == 0):
         raise DomainError("zero share cannot carry a description; q would be infinite")
     out = (h2_a * p_a + sigma2) / np.expm1(c_a * LN2)
     return float(out) if out.ndim == 0 else out
@@ -138,13 +117,9 @@ def tight_quantizer_downlink(x, c):
 
     x = 0 returns (0, 0): the subchannel is off.
     """
-    x_a = np.asarray(x, dtype=float)
-    c_a = np.asarray(c, dtype=float)
-    if np.any(x_a < 0) or not np.all(np.isfinite(x_a)):
-        raise InvalidInputError("total subchannel power must be finite and >= 0")
-    if not np.isfinite(c_a).all():
-        raise InvalidInputError("share must be finite")
-    if np.any(c_a <= 0):
+    x_a = check_nonneg(x, "x")
+    c_a = check_nonneg(c, "c")
+    if np.any(c_a == 0):
         raise DomainError("zero share cannot carry a description")
     q = x_a * np.power(2.0, -c_a)
     pt = x_a - q
@@ -351,20 +326,16 @@ def waterfilling_capacity(gains, P: float, sigma2: float):
 
 
 def _validate_gains(gains) -> np.ndarray:
-    g = np.atleast_1d(np.asarray(gains, dtype=float))
+    g = np.atleast_1d(check_nonneg(gains, "gains"))
     if g.ndim != 1 or g.size == 0:
         raise InvalidInputError("gains must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(g)) or np.any(g < 0):
-        raise InvalidInputError("gains must be finite and >= 0")
     return g
 
 
 def _validate_budgets(P: float, C: float, sigma2: float) -> None:
-    for name, v in (("P", P), ("C", C)):
-        if not np.isfinite(v) or v < 0:
-            raise InvalidInputError(f"{name} must be finite and >= 0, got {v}")
-    if not np.isfinite(sigma2) or sigma2 <= 0:
-        raise InvalidInputError(f"sigma2 must be > 0, got {sigma2}")
+    check_nonneg(P, "P")
+    check_nonneg(C, "C")
+    check_positive(sigma2, "sigma2")
 
 
 def _canonicalize(gains: np.ndarray, p: np.ndarray, c: np.ndarray):

@@ -45,7 +45,7 @@ from .errors import (
     ProjectionError,
     UnsupportedSizeError,
 )
-from .kernels import random_channel, svd
+from .kernels import check_count, check_positive, random_channel, svd
 from .oracle import grid_oracle_scalar, perturbation_search
 from .problem import DIRECTIONS, ChannelInstance
 from .solver import duality_gap, solve_instance
@@ -93,17 +93,13 @@ class ExperimentConfig:
                 "exactly one instance source: --instances PATH or --random n_r,n_u,count"
             )
         if self.random_spec is not None:
-            n_r, n_u, count = self.random_spec
-            if n_r < 1 or n_u < 1 or count < 1:
-                raise InvalidInputError("--random needs n_r, n_u, count all >= 1")
+            for name, n in zip(("n_r", "n_u", "count"), self.random_spec):
+                check_count(n, f"--random {name}", 1)
         if self.mode == "sweep" and not (self.p_grid and self.c_grid):
             raise InvalidInputError("sweep mode needs nonempty --P-grid and --C-grid")
-        if self.trials < 0:
-            raise InvalidInputError(f"--trials must be >= 0, got {self.trials}")
-        if self.seed < 0:
-            raise InvalidInputError(f"--seed must be >= 0, got {self.seed}")
-        if not 0 < self.tol < np.inf:
-            raise InvalidInputError(f"--tol must be finite and > 0, got {self.tol}")
+        check_count(self.trials, "--trials")
+        check_count(self.seed, "--seed")
+        check_positive(self.tol, "--tol")
         if self.out_format not in ("csv", "json"):
             raise InvalidInputError(f"format must be csv or json, got {self.out_format!r}")
 
@@ -371,8 +367,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise InvalidInputError(f"bad grid {text!r}: {exc}") from exc
-        if steps < 1:
-            raise InvalidInputError(f"grid needs at least 1 step, got {steps}")
+        check_count(steps, "grid steps", 1)
         return tuple(float(x) for x in np.linspace(a, b, steps))
     try:
         values = tuple(float(x) for x in text.split(",") if x != "")

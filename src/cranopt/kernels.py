@@ -4,6 +4,12 @@ Thin, validated wrappers around numpy's LAPACK bindings plus the seeded
 random generators used everywhere else.  Randomness follows one repo-wide
 contract: ``numpy.random.default_rng(seed)`` (PCG64) with 64-bit integer
 seeds, so any result in this package is reproducible from its seed.
+
+The argument checks every public entry point shares live here too:
+:func:`as_complex_matrix` for matrices, :func:`check_count` for seeds,
+dimensions and counts, :func:`check_nonneg` for budgets, powers, shares,
+gains and spectra, and :func:`check_positive` for noise powers, caps and
+tolerances.  Each raises InvalidInputError naming the argument.
 """
 
 from __future__ import annotations
@@ -53,6 +59,38 @@ def as_complex_matrix(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def check_count(n, name: str, least: int = 0) -> None:
+    """Raise InvalidInputError unless n is an integer (Python or numpy, not
+    a bool) of at least ``least``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise InvalidInputError(f"{name} must be an integer >= {least}{_echo(n)}")
+
+
+def check_nonneg(x, name: str) -> np.ndarray:
+    """x, a real scalar or array, as a float ndarray (0-d for a scalar);
+    raises InvalidInputError unless every entry is finite and >= 0."""
+    a = np.asarray(x)
+    if a.dtype.kind in "biuf":
+        a = a.astype(float, copy=False)
+        if np.all((a >= 0) & (a < np.inf)):
+            return a
+    raise InvalidInputError(f"{name} must be finite and >= 0{_echo(x)}")
+
+
+def check_positive(v, name: str) -> float:
+    """v as a float; raises InvalidInputError unless it is one finite real
+    number > 0."""
+    a = np.asarray(v)
+    if a.ndim == 0 and a.dtype.kind in "biuf" and 0 < a < np.inf:
+        return float(a)
+    raise InvalidInputError(f"{name} must be a finite number > 0{_echo(v)}")
+
+
+def _echo(x) -> str:
+    # a rejected scalar is quoted in the message, an array is not
+    return f", got {x!r}" if np.ndim(x) == 0 else ""
+
+
 def hermitian_part(M: np.ndarray) -> np.ndarray:
     """(M + M^H) / 2, per matrix for a stack (..., n, n)."""
     return 0.5 * (M + M.conj().swapaxes(-1, -2))
@@ -75,7 +113,7 @@ def is_psd(M, tol: float = TOL.psd) -> bool:
     A = as_complex_matrix(M, "M")
     if A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"is_psd expects a square matrix, got {A.shape}")
-    return bool(is_psd_stacked(A, tol))
+    return bool(is_psd_stacked(A, check_nonneg(tol, "tol")))
 
 
 def is_psd_stacked(A: np.ndarray, tol: float = TOL.psd):
@@ -83,24 +121,6 @@ def is_psd_stacked(A: np.ndarray, tol: float = TOL.psd):
     input validation."""
     w = np.linalg.eigvalsh(hermitian_part(A))
     return (hermitian_defect(A) <= tol) & (w[..., 0] >= -tol * np.maximum(1.0, w[..., -1]))
-
-
-def logdet_hpd(M) -> float:
-    """Natural-log determinant of a Hermitian positive definite matrix.
-
-    Raises DomainError unless every eigenvalue exceeds 1e-12; callers that
-    need determinant *ratios* of nearly singular matrices should whiten and
-    use :func:`logdet_ratio` instead, which is scale invariant.
-    """
-    A = as_complex_matrix(M, "M")
-    if A.shape[0] != A.shape[1]:
-        raise InvalidInputError(f"logdet_hpd expects a square matrix, got {A.shape}")
-    if hermitian_defect(A) > TOL.hermitian:
-        raise InvalidInputError("logdet_hpd expects a Hermitian matrix")
-    w = np.linalg.eigvalsh(hermitian_part(A))
-    if w[0] <= 1e-12:
-        raise DomainError(f"matrix not positive definite: min eigenvalue {w[0]:.3e}")
-    return float(np.sum(np.log(w)))
 
 
 def logdet_ratio(M, B) -> float:
@@ -175,7 +195,10 @@ class ChannelSpectrum:
     singular_values: np.ndarray
     left_basis: np.ndarray
     right_basis: np.ndarray
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.singular_values)
 
     @property
     def n_r(self) -> int:
@@ -201,26 +224,14 @@ def svd(H) -> ChannelSpectrum:
     resid = np.linalg.norm(U @ Lam @ Vh - A)
     if resid > TOL.reconstruction * max(1.0, float(np.linalg.norm(A))):
         raise InconsistencyError(f"SVD reconstruction residual {resid:.3e}")
-    return ChannelSpectrum(
-        singular_values=s,
-        left_basis=U,
-        right_basis=Vh.conj().T,
-        rank=D,
-    )
-
-
-def check_seed(seed) -> None:
-    """Raise InvalidInputError unless seed is a nonnegative integer, the
-    seeds the repo-wide random contract accepts."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
+    return ChannelSpectrum(singular_values=s, left_basis=U, right_basis=Vh.conj().T)
 
 
 def random_channel(n_r: int, n_u: int, seed: int) -> np.ndarray:
     """Unit-variance complex Gaussian channel, deterministic in the seed."""
-    if n_r < 1 or n_u < 1:
-        raise InvalidInputError(f"dimensions must be positive, got ({n_r}, {n_u})")
-    check_seed(seed)
+    check_count(n_r, "n_r", 1)
+    check_count(n_u, "n_u", 1)
+    check_count(seed, "seed")
     rng = np.random.default_rng(seed)
     return (
         rng.standard_normal((n_r, n_u)) + 1j * rng.standard_normal((n_r, n_u))
@@ -229,9 +240,8 @@ def random_channel(n_r: int, n_u: int, seed: int) -> np.ndarray:
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-distributed n x n unitary (QR of a complex Gaussian, phases fixed)."""
-    if n < 1:
-        raise InvalidInputError(f"dimension must be positive, got {n}")
-    check_seed(seed)
+    check_count(n, "n", 1)
+    check_count(seed, "seed")
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Qm, R = np.linalg.qr(Z)

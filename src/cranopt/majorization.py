@@ -25,14 +25,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InconsistencyError, InvalidInputError
-from .kernels import as_complex_matrix, hermitian_part, is_psd, svd
+from .kernels import (
+    as_complex_matrix,
+    check_nonneg,
+    check_positive,
+    hermitian_part,
+    is_psd,
+    svd,
+)
 
 EQUALITY_TOL = 1e-9
-
-
-def _check_sigma2(sigma2: float) -> None:
-    if not np.isfinite(sigma2) or sigma2 <= 0:
-        raise InvalidInputError(f"sigma2 must be > 0, got {sigma2}")
 
 
 def _psd_matrix(M, name: str) -> np.ndarray:
@@ -63,13 +65,11 @@ def log_majorizes(a, b, tol: float = 1e-9) -> bool:
     Both spectra are sorted descending first.  Zeros are handled as
     log = -inf; two -inf prefixes compare equal.
     """
-    av = np.sort(np.atleast_1d(np.asarray(a, dtype=float)))[::-1]
-    bv = np.sort(np.atleast_1d(np.asarray(b, dtype=float)))[::-1]
+    av = np.sort(np.atleast_1d(check_nonneg(a, "a")))[::-1]
+    bv = np.sort(np.atleast_1d(check_nonneg(b, "b")))[::-1]
     if av.size != bv.size:
         raise InvalidInputError(f"spectrum lengths differ: {av.size} vs {bv.size}")
-    if np.any(av < 0) or np.any(bv < 0):
-        raise InvalidInputError("spectra must be >= 0")
-    if not 0 <= tol < 1:
+    if not check_nonneg(tol, "tol") < 1:
         raise InvalidInputError(f"tol must be in [0, 1), got {tol}")
     with np.errstate(divide="ignore"):
         la = np.cumsum(np.log(av))
@@ -105,7 +105,7 @@ def check_uplink_rate_bound(Phi, Q, sigma2: float):
     paired products, the basis-agnostic form of "Q's eigenbasis matches
     Phi's with ascending eigenvalues on descending directions".
     """
-    _check_sigma2(sigma2)
+    check_positive(sigma2, "sigma2")
     Phi = _psd_matrix(Phi, "signal")
     Q = _psd_matrix(Q, "noise")
     if Phi.shape != Q.shape:
@@ -179,7 +179,7 @@ def check_downlink_bounds(H, M, which: str, sigma2: float):
     """
     if which not in ("signal", "quantizer"):
         raise InvalidInputError("which must be 'signal' or 'quantizer'")
-    _check_sigma2(sigma2)
+    check_positive(sigma2, "sigma2")
     Hm = as_complex_matrix(H, "H")
     Mm = _psd_matrix(M, "M")
     G = hermitian_part(Hm @ Hm.conj().T)
@@ -206,7 +206,7 @@ def schur_geo_convexity_probe(x, y, sigma2: float) -> bool:
     Raises InvalidInputError when the precondition fails: the comparison is
     only meaningful on a log-majorized pair.
     """
-    _check_sigma2(sigma2)
+    check_positive(sigma2, "sigma2")
     if not log_majorizes(x, y):
         raise InvalidInputError("x does not log-majorize y")
     fx = float(np.sum(np.log2(sigma2 + np.asarray(x, dtype=float))))

@@ -44,11 +44,11 @@ from .kernels import (
     LN2,
     TOL,
     as_complex_matrix,
-    check_seed,
+    check_count,
     hermitian_part,
     whitened_eigvalsh,
 )
-from .problem import DIRECTIONS, UPLINK, ChannelInstance, psd_part, validate_covariance
+from .problem import UPLINK, ChannelInstance, check_direction, psd_part, validate_covariance
 from .uplink import UplinkDesign, check_uplink_feasible, uplink_rate_stacked
 
 CERTIFICATION_TOL = TOL.certification
@@ -132,8 +132,7 @@ def grid_oracle_scalar(
     best grid point by pattern search.  Like the solver's, its allocation
     serves both directions.  Deterministic.
     """
-    if resolution < 2:
-        raise InvalidInputError(f"resolution must be >= 2, got {resolution}")
+    check_count(resolution, "resolution", 2)
     g = _validate_gains(gains)
     if g.size > 3:
         raise UnsupportedSizeError(
@@ -322,8 +321,7 @@ def feasibility_projection(
     covariance, or an uplink instance with C = 0 (compressing even pure
     noise costs bits, so only the C -> 0 limit exists).
     """
-    if direction not in DIRECTIONS:
-        raise InvalidInputError(f"direction must be one of {DIRECTIONS}")
+    check_direction(direction)
     S = as_complex_matrix(S_like, "S")
     Q = as_complex_matrix(Q_like, "Q")
     nS = inst.n_u if direction == UPLINK else inst.n_r
@@ -441,11 +439,9 @@ def perturbation_search(
     candidate evaluated the margin is +inf.  ``best_trial`` is the trial
     number of the best candidate.  Deterministic given the seed.
     """
-    if direction not in DIRECTIONS:
-        raise InvalidInputError(f"direction must be one of {DIRECTIONS}")
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
-        raise InvalidInputError(f"trials must be a nonnegative integer, got {trials!r}")
-    check_seed(seed)
+    check_direction(direction)
+    check_count(trials, "trials")
+    check_count(seed, "seed")
     if direction == UPLINK:
         if not isinstance(base, UplinkDesign):
             raise InvalidInputError("uplink certification needs an UplinkDesign")

@@ -22,11 +22,24 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidInputError
-from .kernels import TOL, as_complex_matrix, hermitian_part, is_psd_stacked
+from .kernels import (
+    TOL,
+    as_complex_matrix,
+    check_nonneg,
+    check_positive,
+    hermitian_part,
+    is_psd_stacked,
+)
 
 UPLINK = "uplink"
 DOWNLINK = "downlink"
 DIRECTIONS = (UPLINK, DOWNLINK)
+
+
+def check_direction(direction) -> None:
+    """Raise InvalidInputError unless direction is one of DIRECTIONS."""
+    if direction not in DIRECTIONS:
+        raise InvalidInputError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
 @dataclass(frozen=True)
@@ -39,17 +52,12 @@ class ChannelInstance:
     def __post_init__(self):
         H = as_complex_matrix(self.H, "H")
         object.__setattr__(self, "H", H)
-        for name in ("P", "C", "sigma2"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise InvalidInputError(f"{name} must be finite, got {v}")
+        for name in ("P", "C"):
+            v = check_nonneg(getattr(self, name), name)
+            if v.ndim:
+                raise InvalidInputError(f"{name} must be a number, got shape {v.shape}")
             object.__setattr__(self, name, float(v))
-        if self.P < 0:
-            raise InvalidInputError(f"P must be >= 0, got {self.P}")
-        if self.C < 0:
-            raise InvalidInputError(f"C must be >= 0, got {self.C}")
-        if self.sigma2 <= 0:
-            raise InvalidInputError(f"sigma2 must be > 0, got {self.sigma2}")
+        object.__setattr__(self, "sigma2", check_positive(self.sigma2, "sigma2"))
 
     @property
     def n_r(self) -> int:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from .allocation import SolverOptions, solve_scalar_allocation
 from .downlink import assemble_downlink, check_downlink_feasible
-from .errors import InvalidInputError
 from .kernels import svd
-from .problem import DIRECTIONS, UPLINK, ChannelInstance
+from .problem import UPLINK, ChannelInstance, check_direction
 from .uplink import assemble_uplink, check_uplink_feasible
 
 
@@ -27,8 +26,7 @@ def solve_instance(
     Returns (design, report, allocation); the report carries the solver
     diagnostics (achieved rate, iteration count) merged into its own.
     """
-    if direction not in DIRECTIONS:
-        raise InvalidInputError(f"direction must be uplink or downlink, got {direction!r}")
+    check_direction(direction)
     spec = svd(inst.H)
     alloc = solve_scalar_allocation(
         spec.singular_values, inst.P, inst.C, inst.sigma2, opts=opts

@@ -6,18 +6,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cranopt import (
+    ChannelInstance,
     DomainError,
+    InstanceFormatError,
     InvalidInputError,
     LN2,
+    SolverOptions,
+    SubchannelAllocation,
     TOL,
+    check_downlink_bounds,
+    check_uplink_rate_bound,
+    feasibility_projection,
+    grid_oracle_scalar,
     hermitian_part,
     is_psd,
-    logdet_hpd,
+    log_majorizes,
     logdet_ratio,
+    perturbation_search,
     random_channel,
     random_unitary,
+    schur_geo_convexity_probe,
+    solve_instance,
+    solve_scalar_allocation,
+    subchannel_rate,
     svd,
+    tight_quantizer_downlink,
+    tight_quantizer_uplink,
+    waterfilling_capacity,
 )
+from cranopt.cli import ExperimentConfig, instance_from_record
 from cranopt.kernels import as_complex_matrix, hermitian_defect, logdet_ratio_stacked
 
 
@@ -27,39 +44,17 @@ def _rand_hpd(n, seed, scale=1.0):
     return scale * (X @ X.conj().T) / n + 1e-3 * scale * np.eye(n)
 
 
-def test_logdet_hpd_identity_is_zero():
-    assert logdet_hpd(np.eye(4)) == 0.0
-
-
-def test_logdet_hpd_diagonal():
-    d = np.array([2.0, 3.0, 5.0])
-    assert np.isclose(logdet_hpd(np.diag(d)), np.sum(np.log(d)), rtol=1e-14)
-
-
-def test_logdet_hpd_rejects_singular():
-    M = np.diag([1.0, 0.0])
-    with pytest.raises(DomainError):
-        logdet_hpd(M)
-
-
-def test_logdet_hpd_rejects_tiny_eigenvalue():
-    # pinned domain floor: eigenvalues at or below 1e-12 are out of domain
-    M = np.diag([1.0, 1e-13])
-    with pytest.raises(DomainError):
-        logdet_hpd(M)
-
-
 def test_logdet_ratio_matches_logdet_difference():
     for seed in range(8):
         M = _rand_hpd(3, seed)
         B = _rand_hpd(3, seed + 100)
-        direct = logdet_hpd(B + M) - logdet_hpd(B)
+        direct = np.linalg.slogdet(B + M)[1] - np.linalg.slogdet(B)[1]
         assert np.isclose(logdet_ratio(M, B), direct, rtol=1e-11, atol=1e-12)
 
 
 def test_logdet_ratio_scale_invariance():
     # log|B+M| - log|B| with M,B scaled together only shifts by nothing:
-    # ratio form must survive scales where logdet_hpd's floor would trip
+    # ratio form must survive scales far below any absolute eigenvalue floor
     M = _rand_hpd(2, 0, scale=1e-16)
     B = _rand_hpd(2, 1, scale=1e-16)
     ref = logdet_ratio(1e16 * M, 1e16 * B)
@@ -195,3 +190,131 @@ def test_logdet_ratio_positive_for_psd_load(n, seed):
     M = _rand_hpd(n, seed)
     B = _rand_hpd(n, seed + 1)
     assert logdet_ratio(M, B) >= 0.0
+
+
+# Rejection matrix: each public entry point, crossed with the bad values that
+# apply to each of its arguments, must raise InvalidInputError (or
+# InstanceFormatError where the JSON schema rejects the value first).
+_H = np.diag([2.0, 1.0])
+_INST = ChannelInstance(H=_H, P=2.0, C=3.0, sigma2=1.0)
+_BASE = solve_instance(_INST, "uplink")[0]
+_NONNEG = [np.nan, np.inf, -np.inf, -1.0, "x", "2", None, 1j]
+_NONNEG_ARRAY = _NONNEG + [[1.0, np.nan], [-1.0, 1.0], [np.inf, 1.0]]
+_POSITIVE = _NONNEG + [0.0, [1.0, 2.0]]
+_COUNT = [np.nan, np.inf, -1, True, 1.5, 2.0, 2.5, "3", None]
+_DIRECTION = ["sideways", "UPLINK", True, None]
+
+
+def _config(**kw):
+    kw.setdefault("random_spec", (1, 1, 1))
+    return ExperimentConfig(mode="solve", **kw)
+
+
+def _search(direction="uplink", trials=2, seed=0):
+    return perturbation_search(_INST, direction, _BASE, trials, seed)
+
+
+def _record(**kw):
+    rec = {"n_r": 1, "n_u": 1, "H": [[[1.0, 0.0]]], "P": 1.0, "C": 1.0, "sigma2": 1.0}
+    return instance_from_record({**rec, **kw})
+
+
+# (entry point.argument, call with the argument set to v, bad values)
+_REJECTIONS = [
+    ("ChannelInstance.P", lambda v: ChannelInstance(_H, v, 1.0, 1.0), _NONNEG_ARRAY + [[1.0, 2.0]]),
+    ("ChannelInstance.C", lambda v: ChannelInstance(_H, 1.0, v, 1.0), _NONNEG_ARRAY + [[1.0, 2.0]]),
+    ("ChannelInstance.sigma2", lambda v: ChannelInstance(_H, 1.0, 1.0, v), _POSITIVE),
+    ("SubchannelAllocation.power", lambda v: SubchannelAllocation(v, 1.0), _NONNEG_ARRAY),
+    ("SubchannelAllocation.share", lambda v: SubchannelAllocation(1.0, v), _NONNEG_ARRAY),
+    ("SolverOptions.c_max", lambda v: SolverOptions(c_max=v), _POSITIVE),
+    ("subchannel_rate.s", lambda v: subchannel_rate(v, 1.0, 1.0), _NONNEG_ARRAY),
+    ("subchannel_rate.c", lambda v: subchannel_rate(1.0, v, 1.0), _NONNEG_ARRAY),
+    ("subchannel_rate.sigma2", lambda v: subchannel_rate(1.0, 1.0, v), _POSITIVE),
+    ("tight_quantizer_uplink.h2", lambda v: tight_quantizer_uplink(v, 1, 1, 1), _NONNEG_ARRAY),
+    ("tight_quantizer_uplink.p", lambda v: tight_quantizer_uplink(1, v, 1, 1), _NONNEG_ARRAY),
+    ("tight_quantizer_uplink.c", lambda v: tight_quantizer_uplink(1, 1, v, 1), _NONNEG_ARRAY),
+    ("tight_quantizer_uplink.sigma2", lambda v: tight_quantizer_uplink(1, 1, 1, v), _POSITIVE),
+    ("tight_quantizer_downlink.x", lambda v: tight_quantizer_downlink(v, 1.0), _NONNEG_ARRAY),
+    ("tight_quantizer_downlink.c", lambda v: tight_quantizer_downlink(1.0, v), _NONNEG_ARRAY),
+    ("solve_scalar_allocation.gains", lambda v: solve_scalar_allocation(v, 1, 1, 1), _NONNEG_ARRAY),
+    ("solve_scalar_allocation.P", lambda v: solve_scalar_allocation([1], v, 1, 1), _NONNEG_ARRAY),
+    ("solve_scalar_allocation.C", lambda v: solve_scalar_allocation([1], 1, v, 1), _NONNEG_ARRAY),
+    ("solve_scalar_allocation.sigma2", lambda v: solve_scalar_allocation([1], 1, 1, v), _POSITIVE),
+    ("waterfilling_capacity.gains", lambda v: waterfilling_capacity(v, 1.0, 1.0), _NONNEG_ARRAY),
+    ("waterfilling_capacity.P", lambda v: waterfilling_capacity([1.0], v, 1.0), _NONNEG_ARRAY),
+    ("waterfilling_capacity.sigma2", lambda v: waterfilling_capacity([1.0], 1.0, v), _POSITIVE),
+    ("grid_oracle_scalar.gains", lambda v: grid_oracle_scalar(v, 1, 1, 1), _NONNEG_ARRAY),
+    ("grid_oracle_scalar.P", lambda v: grid_oracle_scalar([1], v, 1, 1), _NONNEG_ARRAY),
+    ("grid_oracle_scalar.C", lambda v: grid_oracle_scalar([1], 1, v, 1), _NONNEG_ARRAY),
+    ("grid_oracle_scalar.sigma2", lambda v: grid_oracle_scalar([1], 1, 1, v), _POSITIVE),
+    (
+        "grid_oracle_scalar.resolution",
+        lambda v: grid_oracle_scalar([1], 1, 1, 1, resolution=v),
+        _COUNT + [1, np.float64(11.0)],
+    ),
+    ("perturbation_search.direction", lambda v: _search(direction=v), _DIRECTION),
+    ("perturbation_search.trials", lambda v: _search(trials=v), _COUNT),
+    ("perturbation_search.seed", lambda v: _search(seed=v), _COUNT),
+    (
+        "feasibility_projection.direction",
+        lambda v: feasibility_projection(_INST, v, np.eye(2), np.eye(2)),
+        _DIRECTION,
+    ),
+    ("solve_instance.direction", lambda v: solve_instance(_INST, v), _DIRECTION),
+    ("random_channel.n_r", lambda v: random_channel(v, 1, 0), _COUNT + [0]),
+    ("random_channel.n_u", lambda v: random_channel(1, v, 0), _COUNT + [0]),
+    ("random_channel.seed", lambda v: random_channel(1, 1, v), _COUNT),
+    ("random_unitary.n", lambda v: random_unitary(v, 0), _COUNT + [0]),
+    ("random_unitary.seed", lambda v: random_unitary(1, v), _COUNT),
+    ("is_psd.tol", lambda v: is_psd(np.eye(2), v), _NONNEG_ARRAY),
+    ("log_majorizes.a", lambda v: log_majorizes([1.0, v], [1.0, 1.0]), _NONNEG),
+    ("log_majorizes.b", lambda v: log_majorizes([1.0, 1.0], [1.0, v]), _NONNEG),
+    ("log_majorizes.tol", lambda v: log_majorizes([1.0], [1.0], v), _NONNEG + [1.0]),
+    (
+        "check_uplink_rate_bound.sigma2",
+        lambda v: check_uplink_rate_bound(np.eye(2), np.eye(2), v),
+        _POSITIVE,
+    ),
+    (
+        "check_downlink_bounds.sigma2",
+        lambda v: check_downlink_bounds(_H, np.eye(2), "signal", v),
+        _POSITIVE,
+    ),
+    (
+        "schur_geo_convexity_probe.sigma2",
+        lambda v: schur_geo_convexity_probe([1.0], [1.0], v),
+        _POSITIVE,
+    ),
+    ("ExperimentConfig.seed", lambda v: _config(seed=v), _COUNT),
+    ("ExperimentConfig.trials", lambda v: _config(trials=v), _COUNT),
+    ("ExperimentConfig.tol", lambda v: _config(tol=v), _POSITIVE),
+    ("ExperimentConfig.random_spec.n_r", lambda v: _config(random_spec=(v, 1, 1)), _COUNT + [0]),
+    ("ExperimentConfig.random_spec.n_u", lambda v: _config(random_spec=(1, v, 1)), _COUNT + [0]),
+    ("ExperimentConfig.random_spec.count", lambda v: _config(random_spec=(1, 1, v)), _COUNT + [0]),
+]
+# the JSON path: numbers of the wrong domain reach ChannelInstance, other
+# values fail the schema
+_JSON_REJECTIONS = [
+    ("instance_from_record.P", lambda v: _record(P=v), [np.nan, np.inf, -1.0], [True, "x", None]),
+    ("instance_from_record.C", lambda v: _record(C=v), [np.nan, np.inf, -1.0], [True, "x", None]),
+    ("instance_from_record.sigma2", lambda v: _record(sigma2=v), [np.nan, 0.0], [True, "x", None]),
+    ("instance_from_record.n_r", lambda v: _record(n_r=v), [], [-1, 0, True, 2.5, "1", None]),
+]
+
+
+def _rejection_cases():
+    for arg, call, values in _REJECTIONS:
+        for v in values:
+            yield pytest.param(call, v, InvalidInputError, id=f"{arg}={v!r}")
+    for arg, call, domain, schema in _JSON_REJECTIONS:
+        for v in domain:
+            yield pytest.param(call, v, InvalidInputError, id=f"{arg}={v!r}")
+        for v in schema:
+            yield pytest.param(call, v, InstanceFormatError, id=f"{arg}={v!r}")
+
+
+@pytest.mark.parametrize("call, value, error", _rejection_cases())
+def test_entry_points_reject_bad_arguments(call, value, error):
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
