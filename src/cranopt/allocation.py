@@ -39,7 +39,7 @@ from operator import add
 import numpy as np
 
 from .errors import DomainError, InconsistencyError, InvalidInputError
-from .kernels import LN2, check_nonneg, check_positive
+from .kernels import LN2, check_nonneg, check_nonneg_number, check_positive
 
 C_MAX_DEFAULT = 60.0
 
@@ -333,8 +333,8 @@ def _validate_gains(gains) -> np.ndarray:
 
 
 def _validate_budgets(P: float, C: float, sigma2: float) -> None:
-    check_nonneg(P, "P")
-    check_nonneg(C, "C")
+    check_nonneg_number(P, "P")
+    check_nonneg_number(C, "C")
     check_positive(sigma2, "sigma2")
 
 

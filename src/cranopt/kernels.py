@@ -7,9 +7,10 @@ seeds, so any result in this package is reproducible from its seed.
 
 The argument checks every public entry point shares live here too:
 :func:`as_complex_matrix` for matrices, :func:`check_count` for seeds,
-dimensions and counts, :func:`check_nonneg` for budgets, powers, shares,
-gains and spectra, and :func:`check_positive` for noise powers, caps and
-tolerances.  Each raises InvalidInputError naming the argument.
+dimensions and counts, :func:`check_nonneg` for powers, shares, gains and
+spectra, :func:`check_nonneg_number` for budgets, and
+:func:`check_positive` for noise powers, caps and tolerances.  Each raises
+InvalidInputError naming the argument.
 """
 
 from __future__ import annotations
@@ -75,6 +76,15 @@ def check_nonneg(x, name: str) -> np.ndarray:
         if np.all((a >= 0) & (a < np.inf)):
             return a
     raise InvalidInputError(f"{name} must be finite and >= 0{_echo(x)}")
+
+
+def check_nonneg_number(x, name: str) -> float:
+    """x as a float; raises InvalidInputError unless it is one finite real
+    number >= 0."""
+    a = check_nonneg(x, name)
+    if a.ndim:
+        raise InvalidInputError(f"{name} must be a number, got shape {a.shape}")
+    return float(a)
 
 
 def check_positive(v, name: str) -> float:

@@ -14,15 +14,22 @@ Two independent routes check the solver's optimality claims:
     boundary, and reports the worst-case margin.  It draws, projects and
     evaluates its candidates in fixed blocks of stacked (T, n, n) arrays;
     a candidate that cannot be projected or evaluated fails alone, not
-    its block.  The candidates are PSD by construction, so the search
-    projects them as they are, with no eigendecomposition per trial; they
-    are validated and measured by the same covariance check and the same
-    stacked rate functional of their direction as the base design.
+    its block.  The random directions (unitaries and random pairs) depend
+    only on the seed, the trial count and the two matrix sizes, so they are
+    computed once per such key, kept read-only in a small memo and reused
+    by every search with that key, both directions included; only the
+    conjugation of the base pair is per search.  The candidates are PSD by
+    construction, so the search projects them as they are, with no
+    eigendecomposition per trial; they are validated and measured by the
+    same covariance check and the same stacked rate functional of their
+    direction as the base design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -363,16 +370,28 @@ def _random_psd(X: np.ndarray) -> np.ndarray:
     return (X @ X.conj().swapaxes(-1, -2)) / X.shape[-1]
 
 
-def _candidates(S0: np.ndarray, Q0: np.ndarray, trial: np.ndarray, rng):
-    """Candidate pairs (S, Q) for the given trial numbers, in trial order.
+class _Directions(NamedTuple):
+    """The random part of one block of candidates, independent of the base
+    pair: the trial numbers, the mask of the rotated lanes, the S- and
+    Q-side unitaries of those lanes, and the random pairs of the others."""
 
-    Trial t with t % 4 < 3 conjugates the base pair by random unitaries at
-    geodesic step GEODESIC_STEPS[t % 4]; the others are fully random pairs.
-    Either kind draws nS^2 real, nS^2 imaginary, nQ^2 real and nQ^2
-    imaginary normals, in that order, so one draw for the whole block is
-    the stream a draw per matrix would read.
-    """
-    T, nS, nQ = len(trial), S0.shape[0], Q0.shape[0]
+    trial: np.ndarray
+    rot: np.ndarray
+    W_S: np.ndarray
+    W_Q: np.ndarray
+    S_rand: np.ndarray
+    Q_rand: np.ndarray
+
+
+def _directions(trial: np.ndarray, nS: int, nQ: int, rng) -> _Directions:
+    """The directions of the given trial numbers, in trial order.
+
+    Trial t with t % 4 < 3 is a pair of random unitaries at geodesic step
+    GEODESIC_STEPS[t % 4]; the others are fully random pairs.  Either kind
+    draws nS^2 real, nS^2 imaginary, nQ^2 real and nQ^2 imaginary normals,
+    in that order, so one draw for the whole block is the stream a draw per
+    matrix would read.  The arrays are read-only: a plan shares them."""
+    T = len(trial)
     z = rng.standard_normal((T, 2 * nS * nS + 2 * nQ * nQ))
     cut = np.cumsum([nS * nS, nS * nS, nQ * nQ])
     s_re, s_im, q_re, q_im = np.split(z, cut, axis=1)
@@ -381,12 +400,65 @@ def _candidates(S0: np.ndarray, Q0: np.ndarray, trial: np.ndarray, rng):
     kind = trial % (len(GEODESIC_STEPS) + 1)
     rot = kind < len(GEODESIC_STEPS)
     eps = np.asarray(GEODESIC_STEPS)[kind[rot]]
-    S = np.empty_like(Gs)
-    Q = np.empty_like(Gq)
-    S[rot] = _conjugate(_random_rotations(Gs[rot], eps), S0)
-    Q[rot] = _conjugate(_random_rotations(Gq[rot], eps), Q0)
-    S[~rot] = _random_psd(Gs[~rot])
-    Q[~rot] = _random_psd(Gq[~rot]) + 1e-6 * np.eye(nQ)
+    block = _Directions(
+        trial,
+        rot,
+        _random_rotations(Gs[rot], eps),
+        _random_rotations(Gq[rot], eps),
+        _random_psd(Gs[~rot]),
+        _random_psd(Gq[~rot]) + 1e-6 * np.eye(nQ),
+    )
+    for a in block:
+        a.flags.writeable = False
+    return block
+
+
+def _draw(seed: int, trials: int, nS: int, nQ: int):
+    """The directions of trials 0 .. trials-1, drawn block by block from
+    one generator seeded with seed."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, _BLOCK):
+        yield _directions(np.arange(start, min(start + _BLOCK, trials)), nS, nQ, rng)
+
+
+# the directions depend only on (seed, trials, nS, nQ), and a CLI run
+# certifies every design with one seed, so a few plans are kept; one over the
+# size cap is drawn as the search goes, keeping its peak memory flat
+_PLANS = 8
+_PLAN_MAX_BYTES = 2 << 20
+
+
+def _plan_nbytes(trials: int, nS: int, nQ: int) -> int:
+    """Bytes of a plan's arrays: a trial number, a mask entry and one
+    complex nS x nS and nQ x nQ matrix per trial."""
+    return trials * (8 + 1 + 16 * (nS * nS + nQ * nQ))
+
+
+@lru_cache(maxsize=_PLANS)
+def _plan(seed: int, trials: int, nS: int, nQ: int) -> tuple:
+    return tuple(_draw(seed, trials, nS, nQ))
+
+
+def _blocks(seed: int, trials: int, nS: int, nQ: int):
+    """The search's directions, block by block: the memoized plan when it
+    fits the size cap, else a fresh draw of the same stream."""
+    key = int(seed), int(trials), nS, nQ
+    if _plan_nbytes(trials, nS, nQ) > _PLAN_MAX_BYTES:
+        return _draw(*key)
+    return _plan(*key)
+
+
+def _candidates(S0: np.ndarray, Q0: np.ndarray, block: _Directions):
+    """Candidate pairs (S, Q) of one block, in trial order: the base pair
+    conjugated by the block's unitaries in the rotated lanes, its random
+    pairs in the others."""
+    T = len(block.trial)
+    S = np.empty((T, *S0.shape), dtype=complex)
+    Q = np.empty((T, *Q0.shape), dtype=complex)
+    S[block.rot] = _conjugate(block.W_S, S0)
+    Q[block.rot] = _conjugate(block.W_Q, Q0)
+    S[~block.rot] = block.S_rand
+    Q[~block.rot] = block.Q_rand
     return S, Q
 
 
@@ -432,12 +504,16 @@ def perturbation_search(
 
     The candidates are drawn, projected and evaluated in blocks of stacked
     arrays (at most 128 trials each), reading the random stream in trial
-    order; a candidate whose projection or rate fails (a singular or
-    ill-conditioned quantizer) is counted in ``projection_failures`` and
-    skipped.  A search that evaluated fewer than half of its trials has too
-    little evidence and fails its verdict, whatever its margin; with no
-    candidate evaluated the margin is +inf.  ``best_trial`` is the trial
-    number of the best candidate.  Deterministic given the seed.
+    order.  The random directions are computed once per (seed, trials,
+    shapes) and reused by later searches with the same key (a handful of
+    keys is kept, and a plan over 2 MiB is drawn afresh each time); the
+    candidates and the report are the same either way.  A candidate whose
+    projection or rate fails (a singular or ill-conditioned quantizer) is
+    counted in ``projection_failures`` and skipped.  A search that
+    evaluated fewer than half of its trials has too little evidence and
+    fails its verdict, whatever its margin; with no candidate evaluated
+    the margin is +inf.  ``best_trial`` is the trial number of the best
+    candidate.  Deterministic given the seed.
     """
     check_direction(direction)
     check_count(trials, "trials")
@@ -471,18 +547,16 @@ def perturbation_search(
         )
 
     S0, Q0 = _densify(inst, direction, base)
-    rng = np.random.default_rng(seed)
     best_rate = -np.inf
     best_trial = -1
     evaluated = 0
-    for start in range(0, trials, _BLOCK):
-        trial = np.arange(start, min(start + _BLOCK, trials))
-        S_c, Q_c = _candidates(S0, Q0, trial, rng)
+    for block in _blocks(seed, trials, S0.shape[0], Q0.shape[0]):
+        S_c, Q_c = _candidates(S0, Q0, block)
         try:
             S, Q, projected = _project(inst, direction, S_c, Q_c)
         except ProjectionError:
             continue  # no lane of the block has a design
-        S, Q, trial = S[projected], Q[projected], trial[projected]
+        S, Q, trial = S[projected], Q[projected], block.trial[projected]
         validate_covariance(S, "S")
         validate_covariance(Q, "Q")
         # a lane whose rate is undefined (quantizer too ill-conditioned to

@@ -25,7 +25,7 @@ from .errors import InvalidInputError
 from .kernels import (
     TOL,
     as_complex_matrix,
-    check_nonneg,
+    check_nonneg_number,
     check_positive,
     hermitian_part,
     is_psd_stacked,
@@ -53,10 +53,7 @@ class ChannelInstance:
         H = as_complex_matrix(self.H, "H")
         object.__setattr__(self, "H", H)
         for name in ("P", "C"):
-            v = check_nonneg(getattr(self, name), name)
-            if v.ndim:
-                raise InvalidInputError(f"{name} must be a number, got shape {v.shape}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, check_nonneg_number(getattr(self, name), name))
         object.__setattr__(self, "sigma2", check_positive(self.sigma2, "sigma2"))
 
     @property

@@ -27,7 +27,14 @@ import numpy as np
 
 from .allocation import tight_quantizer_uplink
 from .errors import InvalidInputError
-from .kernels import LN2, ChannelSpectrum, logdet_ratio, logdet_ratio_stacked, one_lane
+from .kernels import (
+    LN2,
+    ChannelSpectrum,
+    check_positive,
+    logdet_ratio,
+    logdet_ratio_stacked,
+    one_lane,
+)
 from .problem import ChannelInstance, RateReport, UplinkDesign, restrict
 
 
@@ -78,6 +85,7 @@ def assemble_uplink(spec: ChannelSpectrum, a, sigma2: float) -> UplinkDesign:
     dimensions beyond the channel rank are left out of the forwarded
     subspace, so their fronthaul cost is exactly zero.
     """
+    check_positive(sigma2, "sigma2")
     D = spec.rank
     if len(a.power) != D:
         raise InvalidInputError(f"allocation length {len(a.power)} != rank {D}")

@@ -209,17 +209,25 @@ def test_csv_rendering_and_determinism():
     assert len(csv1.splitlines()) == 4
 
 
-# sweep's C = 0 points assemble designs with an empty forwarded subspace
-_GOLDEN_GRIDS = {"sweep": {"p_grid": (0.5, 2.0), "c_grid": (0.0, 2.0)}}
+# the --random spec (n_r, n_u, count) and the options of each mode's golden
+# file, all at seed 11; sweep's C = 0 points assemble designs with an empty
+# forwarded subspace, and certify holds the perturbation search's margins
+_GOLDEN = {
+    "duality": ((2, 2, 3), {}),
+    "solve": ((2, 2, 3), {}),
+    "sweep": ((2, 2, 3), {"p_grid": (0.5, 2.0), "c_grid": (0.0, 2.0)}),
+    "certify": ((3, 3, 3), {"trials": 300}),
+}
 
 
-@pytest.mark.parametrize("mode", ["duality", "solve", "sweep"])
+@pytest.mark.parametrize("mode", list(_GOLDEN))
 def test_csv_matches_golden_file(mode):
     # the golden files hold the CSV of an earlier release with wall_ms
     # stripped; every other byte must stay stable
-    golden = Path(__file__).parent / "golden" / f"{mode}_random_2_2_3_seed11.csv"
-    grids = _GOLDEN_GRIDS.get(mode, {})
-    rows, status = run(ExperimentConfig(mode=mode, random_spec=(2, 2, 3), seed=11, **grids))
+    spec, options = _GOLDEN[mode]
+    name = f"{mode}_random_{'_'.join(map(str, spec))}_seed11.csv"
+    golden = Path(__file__).parent / "golden" / name
+    rows, status = run(ExperimentConfig(mode=mode, random_spec=spec, seed=11, **options))
     assert status == EXIT_OK
     assert _strip_wall_ms(render_rows(rows, "csv")) == golden.read_text(encoding="utf-8")
 

@@ -14,6 +14,7 @@ from cranopt import (
     SolverOptions,
     SubchannelAllocation,
     TOL,
+    assemble_uplink,
     check_downlink_bounds,
     check_uplink_rate_bound,
     feasibility_projection,
@@ -200,7 +201,9 @@ _INST = ChannelInstance(H=_H, P=2.0, C=3.0, sigma2=1.0)
 _BASE = solve_instance(_INST, "uplink")[0]
 _NONNEG = [np.nan, np.inf, -np.inf, -1.0, "x", "2", None, 1j]
 _NONNEG_ARRAY = _NONNEG + [[1.0, np.nan], [-1.0, 1.0], [np.inf, 1.0]]
-_POSITIVE = _NONNEG + [0.0, [1.0, 2.0]]
+_POSITIVE = _NONNEG + [0.0, [1.0, 2.0], [1.0]]
+# a budget is one number: arrays are rejected whatever their length
+_BUDGET = _NONNEG_ARRAY + [[1.0, 2.0], [1.0], np.array([1.0, 2.0])]
 _COUNT = [np.nan, np.inf, -1, True, 1.5, 2.0, 2.5, "3", None]
 _DIRECTION = ["sideways", "UPLINK", True, None]
 
@@ -221,8 +224,8 @@ def _record(**kw):
 
 # (entry point.argument, call with the argument set to v, bad values)
 _REJECTIONS = [
-    ("ChannelInstance.P", lambda v: ChannelInstance(_H, v, 1.0, 1.0), _NONNEG_ARRAY + [[1.0, 2.0]]),
-    ("ChannelInstance.C", lambda v: ChannelInstance(_H, 1.0, v, 1.0), _NONNEG_ARRAY + [[1.0, 2.0]]),
+    ("ChannelInstance.P", lambda v: ChannelInstance(_H, v, 1.0, 1.0), _BUDGET),
+    ("ChannelInstance.C", lambda v: ChannelInstance(_H, 1.0, v, 1.0), _BUDGET),
     ("ChannelInstance.sigma2", lambda v: ChannelInstance(_H, 1.0, 1.0, v), _POSITIVE),
     ("SubchannelAllocation.power", lambda v: SubchannelAllocation(v, 1.0), _NONNEG_ARRAY),
     ("SubchannelAllocation.share", lambda v: SubchannelAllocation(1.0, v), _NONNEG_ARRAY),
@@ -234,18 +237,23 @@ _REJECTIONS = [
     ("tight_quantizer_uplink.p", lambda v: tight_quantizer_uplink(1, v, 1, 1), _NONNEG_ARRAY),
     ("tight_quantizer_uplink.c", lambda v: tight_quantizer_uplink(1, 1, v, 1), _NONNEG_ARRAY),
     ("tight_quantizer_uplink.sigma2", lambda v: tight_quantizer_uplink(1, 1, 1, v), _POSITIVE),
+    (
+        "assemble_uplink.sigma2",
+        lambda v: assemble_uplink(svd(np.eye(2)), SubchannelAllocation([0.0, 0.0], [0.0, 0.0]), v),
+        _POSITIVE,
+    ),
     ("tight_quantizer_downlink.x", lambda v: tight_quantizer_downlink(v, 1.0), _NONNEG_ARRAY),
     ("tight_quantizer_downlink.c", lambda v: tight_quantizer_downlink(1.0, v), _NONNEG_ARRAY),
     ("solve_scalar_allocation.gains", lambda v: solve_scalar_allocation(v, 1, 1, 1), _NONNEG_ARRAY),
-    ("solve_scalar_allocation.P", lambda v: solve_scalar_allocation([1], v, 1, 1), _NONNEG_ARRAY),
-    ("solve_scalar_allocation.C", lambda v: solve_scalar_allocation([1], 1, v, 1), _NONNEG_ARRAY),
+    ("solve_scalar_allocation.P", lambda v: solve_scalar_allocation([1], v, 1, 1), _BUDGET),
+    ("solve_scalar_allocation.C", lambda v: solve_scalar_allocation([1], 1, v, 1), _BUDGET),
     ("solve_scalar_allocation.sigma2", lambda v: solve_scalar_allocation([1], 1, 1, v), _POSITIVE),
     ("waterfilling_capacity.gains", lambda v: waterfilling_capacity(v, 1.0, 1.0), _NONNEG_ARRAY),
-    ("waterfilling_capacity.P", lambda v: waterfilling_capacity([1.0], v, 1.0), _NONNEG_ARRAY),
+    ("waterfilling_capacity.P", lambda v: waterfilling_capacity([1.0], v, 1.0), _BUDGET),
     ("waterfilling_capacity.sigma2", lambda v: waterfilling_capacity([1.0], 1.0, v), _POSITIVE),
     ("grid_oracle_scalar.gains", lambda v: grid_oracle_scalar(v, 1, 1, 1), _NONNEG_ARRAY),
-    ("grid_oracle_scalar.P", lambda v: grid_oracle_scalar([1], v, 1, 1), _NONNEG_ARRAY),
-    ("grid_oracle_scalar.C", lambda v: grid_oracle_scalar([1], 1, v, 1), _NONNEG_ARRAY),
+    ("grid_oracle_scalar.P", lambda v: grid_oracle_scalar([1], v, 1, 1), _BUDGET),
+    ("grid_oracle_scalar.C", lambda v: grid_oracle_scalar([1], 1, v, 1), _BUDGET),
     ("grid_oracle_scalar.sigma2", lambda v: grid_oracle_scalar([1], 1, 1, v), _POSITIVE),
     (
         "grid_oracle_scalar.resolution",

@@ -11,6 +11,8 @@ import pytest
 import cranopt.oracle as oracle
 from cranopt import (
     CERTIFICATION_TOL,
+    LN2,
+    CertificationReport,
     ChannelInstance,
     DomainError,
     DownlinkDesign,
@@ -35,8 +37,10 @@ from cranopt import (
     uplink_rate,
 )
 from cranopt.allocation import _rates
+from cranopt.downlink import downlink_rate_stacked
 from cranopt.oracle import _objective
 from cranopt.problem import validate_covariance
+from cranopt.uplink import uplink_rate_stacked
 
 
 def test_grid_oracle_single_subchannel_closed_form():
@@ -319,8 +323,8 @@ def test_block_projection_of_candidates_lands_on_the_boundary(name, direction):
     design, _, _ = solve_instance(inst, direction)
     assert (design.active_basis is not None) == (name == "3x3-off")
     S0, Q0 = oracle._densify(inst, direction, design)
-    rng = np.random.default_rng(6)
-    S_c, Q_c = oracle._candidates(S0, Q0, np.arange(200), rng)
+    blocks = oracle._blocks(6, 200, S0.shape[0], Q0.shape[0])
+    S_c, Q_c = (np.concatenate(x) for x in zip(*(oracle._candidates(S0, Q0, b) for b in blocks)))
     S, Q, ok = oracle._project(inst, direction, S_c, Q_c)
     assert ok.any()
     # _densify's dead-dimension quantizer puts ~1e-8-bit noise on uplink
@@ -630,6 +634,125 @@ def test_block_search_matches_per_candidate_loop(shape, direction):
         assert abs(report.best_perturbed_rate - best_rate) <= tol, trials
         ref_margin = report.diagonal_rate - best_rate
         assert report.verdict == (2 * evaluated >= trials and ref_margin >= -CERTIFICATION_TOL)
+
+
+def _reference_candidates(S0, Q0, trial, rng):
+    """The candidates of one block as the search drew them before its
+    directions were memoized: from the search's own generator, as it
+    reached the block."""
+    T, nS, nQ = len(trial), S0.shape[0], Q0.shape[0]
+    z = rng.standard_normal((T, 2 * nS * nS + 2 * nQ * nQ))
+    cut = np.cumsum([nS * nS, nS * nS, nQ * nQ])
+    s_re, s_im, q_re, q_im = np.split(z, cut, axis=1)
+    Gs = (s_re + 1j * s_im).reshape(T, nS, nS)
+    Gq = (q_re + 1j * q_im).reshape(T, nQ, nQ)
+    kind = trial % (len(oracle.GEODESIC_STEPS) + 1)
+    rot = kind < len(oracle.GEODESIC_STEPS)
+    eps = np.asarray(oracle.GEODESIC_STEPS)[kind[rot]]
+    S = np.empty_like(Gs)
+    Q = np.empty_like(Gq)
+    S[rot] = oracle._conjugate(oracle._random_rotations(Gs[rot], eps), S0)
+    Q[rot] = oracle._conjugate(oracle._random_rotations(Gq[rot], eps), Q0)
+    S[~rot] = oracle._random_psd(Gs[~rot])
+    Q[~rot] = oracle._random_psd(Gq[~rot]) + 1e-6 * np.eye(nQ)
+    return S, Q
+
+
+def _reference_search(inst, direction, base, trials, seed):
+    """The report of the block search drawing its candidates per block with
+    _reference_candidates."""
+    S0, Q0 = oracle._densify(inst, direction, base)
+    uplink = direction == "uplink"
+    rate_stacked = uplink_rate_stacked if uplink else downlink_rate_stacked
+    rng = np.random.default_rng(seed)
+    best_rate, best_trial, evaluated = -np.inf, -1, 0
+    for start in range(0, trials, oracle._BLOCK):
+        trial = np.arange(start, min(start + oracle._BLOCK, trials))
+        S_c, Q_c = _reference_candidates(S0, Q0, trial, rng)
+        try:
+            S, Q, ok = oracle._project(inst, direction, S_c, Q_c)
+        except ProjectionError:
+            continue
+        nats, defined = rate_stacked(inst, S[ok], Q[ok])
+        rate, trial = nats[defined] / LN2, trial[ok][defined]
+        evaluated += rate.size
+        if rate.size and rate.max() > best_rate:
+            k = int(np.argmax(rate))
+            best_rate, best_trial = float(rate[k]), int(trial[k])
+    diagonal = (check_uplink_feasible if uplink else check_downlink_feasible)(inst, base).rate
+    margin = diagonal - best_rate
+    return CertificationReport(
+        instance_id="",
+        direction=direction,
+        diagonal_rate=diagonal,
+        best_perturbed_rate=best_rate,
+        margin=margin,
+        trials=trials,
+        seed=seed,
+        verdict=bool(2 * evaluated >= trials and margin >= -CERTIFICATION_TOL),
+        diagnostics={
+            "evaluated": evaluated,
+            "projection_failures": trials - evaluated,
+            "best_trial": best_trial,
+        },
+    )
+
+
+_MEMO_SHAPES = [(1, 1), (2, 3), (3, 2), (3, 3), (4, 4)]
+# the fewest trials whose 4x4 plan is over the size cap, so it is not stored
+_OVER_CAP = oracle._PLAN_MAX_BYTES // oracle._plan_nbytes(1, 4, 4) + 1
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+@pytest.mark.parametrize("shape", _MEMO_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_memoized_directions_match_the_per_block_draw(shape, direction):
+    # 1 and 127 trials fill part of one block, 128 exactly one, 129 and 1000
+    # end on a ragged block; each count runs on a cold memo and a warm one
+    k = _MEMO_SHAPES.index(shape)
+    inst = ChannelInstance(
+        H=random_channel(*shape, seed=33_000 + k),
+        P=(0.5, 1.0, 4.0)[k % 3],
+        C=(0.5, 2.0, 8.0)[(k + 1) % 3],
+        sigma2=1.0,
+    )
+    design, _, _ = solve_instance(inst, direction)
+    counts = (1, 127, 128, 129, 1000) + ((_OVER_CAP,) if shape == (4, 4) else ())
+    expected = {t: _reference_search(inst, direction, design, t, seed=k) for t in counts}
+    stored = sum(t < _OVER_CAP for t in counts)
+    oracle._plan.cache_clear()
+    for memo, calls in (("cold", (0, stored)), ("warm", (stored, stored))):
+        for trials in counts:
+            report = perturbation_search(inst, direction, design, trials=trials, seed=k)
+            assert report == expected[trials], (memo, trials)
+        assert oracle._plan.cache_info()[:2] == calls, memo
+
+
+def test_direction_plans_are_read_only_and_bounded():
+    inst = _identity_instance()
+    design, _, _ = solve_instance(inst, "uplink")
+    oracle._plan.cache_clear()
+    for seed in range(oracle._PLANS + 3):
+        perturbation_search(inst, "uplink", design, trials=300, seed=seed)
+    info = oracle._plan.cache_info()
+    assert (info.maxsize, info.currsize) == (oracle._PLANS, oracle._PLANS)
+    # the least recently used plans were evicted, the others are kept
+    perturbation_search(inst, "uplink", design, trials=300, seed=oracle._PLANS + 2)
+    assert oracle._plan.cache_info().hits == info.hits + 1
+    perturbation_search(inst, "uplink", design, trials=300, seed=0)
+    assert oracle._plan.cache_info().misses == info.misses + 1
+    plan = oracle._plan(0, 300, 2, 2)
+    arrays = [a for block in plan for a in block]
+    assert sum(a.nbytes for a in arrays) == oracle._plan_nbytes(300, 2, 2)
+    assert oracle._plan_nbytes(300, 2, 2) <= oracle._PLAN_MAX_BYTES
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    # a search over the size cap draws its directions and stores nothing
+    trials = oracle._PLAN_MAX_BYTES // oracle._plan_nbytes(1, 2, 2) + 1
+    before = oracle._plan.cache_info()
+    perturbation_search(inst, "uplink", design, trials=trials, seed=1)
+    assert oracle._plan.cache_info() == before
 
 
 _BLOCK_PROJECTION = oracle._project
