@@ -123,7 +123,7 @@ def is_psd(M, tol: float = TOL.psd) -> bool:
     A = as_complex_matrix(M, "M")
     if A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"is_psd expects a square matrix, got {A.shape}")
-    return bool(is_psd_stacked(A, check_nonneg(tol, "tol")))
+    return bool(is_psd_stacked(A, check_nonneg_number(tol, "tol")))
 
 
 def is_psd_stacked(A: np.ndarray, tol: float = TOL.psd):

@@ -28,6 +28,7 @@ from .errors import InconsistencyError, InvalidInputError
 from .kernels import (
     as_complex_matrix,
     check_nonneg,
+    check_nonneg_number,
     check_positive,
     hermitian_part,
     is_psd,
@@ -69,7 +70,8 @@ def log_majorizes(a, b, tol: float = 1e-9) -> bool:
     bv = np.sort(np.atleast_1d(check_nonneg(b, "b")))[::-1]
     if av.size != bv.size:
         raise InvalidInputError(f"spectrum lengths differ: {av.size} vs {bv.size}")
-    if not check_nonneg(tol, "tol") < 1:
+    tol = check_nonneg_number(tol, "tol")
+    if not tol < 1:
         raise InvalidInputError(f"tol must be in [0, 1), got {tol}")
     with np.errstate(divide="ignore"):
         la = np.cumsum(np.log(av))

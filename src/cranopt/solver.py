@@ -52,6 +52,9 @@ def duality_gap(inst: ChannelInstance, opts: SolverOptions | None = None) -> dic
     functionals, so the gap measures how well the uplink and downlink
     assemblies and rate functionals agree.  Returns a dict with the two
     rates, their absolute gap, and both feasibility reports.
+
+    The CLI's solve, sweep, oracle and duality modes read both directions'
+    rows from one call per budget point.
     """
     _, rep_ul, alloc = solve_instance(inst, UPLINK, opts)
     rep_dl = check_downlink_feasible(inst, assemble_downlink(svd(inst.H), alloc))

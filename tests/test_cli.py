@@ -1,7 +1,11 @@
 """Command line harness: instance files, modes, output formats, exits."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -211,12 +215,14 @@ def test_csv_rendering_and_determinism():
 
 # the --random spec (n_r, n_u, count) and the options of each mode's golden
 # file, all at seed 11; sweep's C = 0 points assemble designs with an empty
-# forwarded subspace, and certify holds the perturbation search's margins
+# forwarded subspace, certify holds the perturbation search's margins, and
+# oracle the solver's lead over the grid
 _GOLDEN = {
     "duality": ((2, 2, 3), {}),
     "solve": ((2, 2, 3), {}),
     "sweep": ((2, 2, 3), {"p_grid": (0.5, 2.0), "c_grid": (0.0, 2.0)}),
     "certify": ((3, 3, 3), {"trials": 300}),
+    "oracle": ((2, 2, 3), {}),
 }
 
 
@@ -230,6 +236,29 @@ def test_csv_matches_golden_file(mode):
     rows, status = run(ExperimentConfig(mode=mode, random_spec=spec, seed=11, **options))
     assert status == EXIT_OK
     assert _strip_wall_ms(render_rows(rows, "csv")) == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "mode, per_point", [("solve", 1), ("sweep", 1), ("oracle", 1), ("duality", 1), ("certify", 2)]
+)
+def test_one_scalar_solve_per_budget_point(monkeypatch, mode, per_point):
+    # both directions realize one allocation, so a budget point needs one
+    # solve; certify solves per direction through cli.solve_instance
+    import cranopt.solver as solver_mod
+
+    real = solver_mod.solve_scalar_allocation
+    calls = Counter()
+
+    def counted(gains, P, C, *args, **kwargs):
+        calls[tuple(gains), P, C] += 1
+        return real(gains, P, C, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "solve_scalar_allocation", counted)
+    grids = {"p_grid": (0.5, 2.0), "c_grid": (0.0, 2.0)} if mode == "sweep" else {}
+    run(ExperimentConfig(mode=mode, random_spec=(2, 2, 2), seed=3, trials=5, **grids))
+    points = 4 if mode == "sweep" else 1
+    assert len(calls) == 2 * points  # two instances
+    assert set(calls.values()) == {per_point}
 
 
 def test_json_rendering():
@@ -266,8 +295,10 @@ def test_main_missing_file_is_usage_error(capsys):
     "mode, target, error",
     [
         ("duality", "duality_gap", DomainError("B or B + M is not positive definite")),
-        ("solve", "solve_instance", InconsistencyError("water level unresolved")),
+        ("solve", "duality_gap", InconsistencyError("water level unresolved")),
         ("certify", "solve_instance", ProjectionError("quantization covariance is singular")),
+        ("sweep", "duality_gap", InconsistencyError("water level unresolved")),
+        ("oracle", "duality_gap", DomainError("B or B + M is not positive definite")),
     ],
 )
 def test_main_reports_numerical_errors_in_one_line(monkeypatch, capsys, mode, target, error):
@@ -277,11 +308,13 @@ def test_main_reports_numerical_errors_in_one_line(monkeypatch, capsys, mode, ta
         raise error
 
     monkeypatch.setattr(cli_mod, target, fail)
-    code = main(["--mode", mode, "--random", "2,2,3", "--trials", "5"])
+    grids = ["--P-grid", "1,2", "--C-grid", "0,2"] if mode == "sweep" else []
+    code = main(["--mode", mode, "--random", "2,2,3", "--trials", "5", *grids])
     assert code == EXIT_CHECK_FAILED
     outerr = capsys.readouterr()
     assert outerr.out == ""
     assert outerr.err == f"error: instance rand-000: {error}\n"
+
 
 def test_main_rejects_double_source(identity_file, capsys):
     code = main(["--mode", "solve", "--instances", identity_file, "--random", "2,2,1"])
@@ -326,3 +359,35 @@ def test_main_rejects_non_finite_tol_and_negative_seed(capsys, option):
     code = main(["--mode", "duality", "--random", "2,2,2", option])
     assert code == EXIT_USAGE
     _assert_one_error_line(capsys)
+
+
+def _cli_process(*args):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "cranopt.cli", *args], cwd=root, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_entry_point_writes_rows_to_out(tmp_path):
+    out = tmp_path / "rows.csv"
+    proc = _cli_process("--mode", "sweep", "--random", "2,2,1", "--P-grid", "1,2",
+                        "--C-grid", "0,2", "--out", str(out))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == ""
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) == 9  # 2 directions x 2 powers x 2 fronthaul budgets
+
+
+def test_module_entry_point_exits_2_on_a_malformed_grid():
+    proc = _cli_process("--mode", "sweep", "--random", "2,2,1", "--P-grid", "1:4",
+                        "--C-grid", "0,2")
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -274,10 +274,10 @@ _REJECTIONS = [
     ("random_channel.seed", lambda v: random_channel(1, 1, v), _COUNT),
     ("random_unitary.n", lambda v: random_unitary(v, 0), _COUNT + [0]),
     ("random_unitary.seed", lambda v: random_unitary(1, v), _COUNT),
-    ("is_psd.tol", lambda v: is_psd(np.eye(2), v), _NONNEG_ARRAY),
+    ("is_psd.tol", lambda v: is_psd(np.eye(2), v), _BUDGET),
     ("log_majorizes.a", lambda v: log_majorizes([1.0, v], [1.0, 1.0]), _NONNEG),
     ("log_majorizes.b", lambda v: log_majorizes([1.0, 1.0], [1.0, v]), _NONNEG),
-    ("log_majorizes.tol", lambda v: log_majorizes([1.0], [1.0], v), _NONNEG + [1.0]),
+    ("log_majorizes.tol", lambda v: log_majorizes([1.0], [1.0], v), _BUDGET + [1.0]),
     (
         "check_uplink_rate_bound.sigma2",
         lambda v: check_uplink_rate_bound(np.eye(2), np.eye(2), v),
