@@ -380,6 +380,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise InvalidInputError(f"bad grid {text!r}: {exc}") from exc
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise InvalidInputError(f"grid endpoints must be finite, got {text!r}")
         check_count(steps, "grid steps", 1)
         return tuple(float(x) for x in np.linspace(a, b, steps))
     try:

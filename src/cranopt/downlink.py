@@ -87,16 +87,11 @@ def assemble_downlink(spec: ChannelSpectrum, a) -> DownlinkDesign:
             f"zero quantizer with nonzero signal power on subchannel {int(np.argmax(bad))}"
         )
     U = spec.left_basis
-    pt_full = np.zeros(spec.n_r)
-    q_full = np.zeros(spec.n_r)
-    pt_full[:D] = pt
-    q_full[:D] = q
-    S = (U * pt_full) @ U.conj().T
-    Q = (U * q_full) @ U.conj().T
+    S = (U * pt) @ U.conj().T
+    Q = (U * q) @ U.conj().T
 
-    active = np.zeros(spec.n_r, dtype=bool)
-    active[:D] = q > 0
-    basis = None if active.all() else U[:, active]
+    active = q > 0
+    basis = None if D == spec.n_r and active.all() else U[:, active]
     return DownlinkDesign(S=S, Q=Q, active_basis=basis)
 
 

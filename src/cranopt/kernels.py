@@ -30,7 +30,7 @@ class Tolerances:
 
     hermitian      relative Frobenius defect allowed in M - M^H
     psd            eigenvalue floor: min eig >= -psd * max(1, max eig)
-    reconstruction relative SVD reconstruction error ||U L V^H - H|| / ||H||
+    reconstruction relative SVD reconstruction error ||U diag(s) V^H - H|| / ||H||
     unitary        allowed defect in ||W^H W - I||
     feasibility    slack below which a constraint counts as violated
     certification  rate margin below which a certification verdict fails
@@ -48,12 +48,15 @@ TOL = Tolerances()
 
 
 def as_complex_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Validate and return M as a 2-D complex ndarray."""
+    """Validate and return M as a 2-D complex ndarray of finite numbers."""
     A = np.asarray(M)
     if A.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got ndim={A.ndim}")
     if A.size == 0:
         raise InvalidInputError(f"{name} must be nonempty")
+    # strings, bytes, dates and objects are not read as numbers
+    if A.dtype.kind not in "biufc":
+        raise InvalidInputError(f"{name} must hold numbers, got dtype {A.dtype}")
     A = A.astype(complex, copy=False)
     if not np.all(np.isfinite(A)):
         raise InvalidInputError(f"{name} contains non-finite entries")
@@ -196,10 +199,11 @@ def whitened_eigvalsh(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class ChannelSpectrum:
-    """SVD of a channel matrix H = U diag(singular_values) V^H.
+    """Thin SVD of a channel matrix H = U diag(singular_values) V^H.
 
     singular_values are descending with length rank = min(n_r, n_u); the
-    bases are full square unitaries (n_r x n_r and n_u x n_u).
+    bases hold one orthonormal column per subchannel (U is n_r x rank, V is
+    n_u x rank).
     """
 
     singular_values: np.ndarray
@@ -215,23 +219,15 @@ class ChannelSpectrum:
         return self.left_basis.shape[0]
 
     @property
-    def n_u(self) -> int:
-        return self.right_basis.shape[0]
-
-    @property
     def gains_squared(self) -> np.ndarray:
         return self.singular_values**2
 
 
 def svd(H) -> ChannelSpectrum:
-    """Full SVD of a channel matrix with explicit post-condition checks."""
+    """Thin SVD of a channel matrix with an explicit reconstruction check."""
     A = as_complex_matrix(H, "H")
-    U, s, Vh = np.linalg.svd(A, full_matrices=True)
-    n_r, n_u = A.shape
-    D = min(n_r, n_u)
-    Lam = np.zeros((n_r, n_u))
-    Lam[:D, :D] = np.diag(s)
-    resid = np.linalg.norm(U @ Lam @ Vh - A)
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    resid = np.linalg.norm((U * s) @ Vh - A)
     if resid > TOL.reconstruction * max(1.0, float(np.linalg.norm(A))):
         raise InconsistencyError(f"SVD reconstruction residual {resid:.3e}")
     return ChannelSpectrum(singular_values=s, left_basis=U, right_basis=Vh.conj().T)

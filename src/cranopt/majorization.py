@@ -155,7 +155,7 @@ def check_power_lower_bound(H, S):
     # of Phi with H H^H matches the descending pairing; zero singular
     # directions belong to the null space even though svd reports them
     pos = spec.singular_values > 1e-12 * max(1.0, float(spec.singular_values.max(initial=0.0)))
-    V = spec.right_basis[:, : spec.rank][:, pos]
+    V = spec.right_basis[:, pos]
     proj = V @ V.conj().T
     null_power = float(np.trace(Sm - proj @ Sm @ proj).real)
     G = Hm @ Hm.conj().T

@@ -150,21 +150,21 @@ def grid_oracle_scalar(
     D = g.size
     g2 = g**2
     pos = np.flatnonzero(g2 > 0)
-    p_full = np.zeros(D)
-    c_full = np.zeros(D)
+    power = np.zeros(D)
+    share = np.zeros(D)
     if pos.size == 0 or P <= 0 or C <= 0:
         diagnostics = {"rate": 0.0, "grid_rate": 0.0, "resolution": resolution}
-        return SubchannelAllocation(p_full, c_full, diagnostics)
+        return SubchannelAllocation(power, share, diagnostics)
 
     c_max = C_MAX_DEFAULT
     ga = g2[pos]
     pbest, cbest, grid_rate = _grid(ga, P, C, c_max, sigma2, resolution)
     pbest, cbest, rate = _pattern_polish(ga, pbest, cbest, P, C, sigma2, c_max)
 
-    p_full[pos] = pbest
-    c_full[pos] = cbest
+    power[pos] = pbest
+    share[pos] = cbest
     diagnostics = {"rate": rate, "grid_rate": grid_rate, "resolution": resolution}
-    return SubchannelAllocation(p_full, c_full, diagnostics)
+    return SubchannelAllocation(power, share, diagnostics)
 
 
 def _splits(n: int, total: int) -> list:

@@ -89,24 +89,19 @@ def assemble_uplink(spec: ChannelSpectrum, a, sigma2: float) -> UplinkDesign:
     D = spec.rank
     if len(a.power) != D:
         raise InvalidInputError(f"allocation length {len(a.power)} != rank {D}")
-    p_full = np.zeros(spec.n_u)
-    p_full[:D] = a.power
     V = spec.right_basis
-    S = (V * p_full) @ V.conj().T
+    S = (V * a.power) @ V.conj().T
 
     q = np.full(D, np.inf)
     on = a.share > 0
     if on.any():
         g2 = spec.singular_values[on] ** 2
         q[on] = tight_quantizer_uplink(g2, a.power[on], a.share[on], sigma2)
-    q_full = np.zeros(spec.n_r)
-    active = np.zeros(spec.n_r, dtype=bool)
-    active[:D] = np.isfinite(q)
-    q_full[active] = q[active[:D]]
+    active = np.isfinite(q)
     U = spec.left_basis
-    Q = (U * q_full) @ U.conj().T
+    Q = (U * np.where(active, q, 0.0)) @ U.conj().T
 
-    basis = None if active.all() else U[:, active]
+    basis = None if D == spec.n_r and active.all() else U[:, active]
     return UplinkDesign(S=S, Q=Q, active_basis=basis)
 
 

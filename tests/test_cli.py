@@ -345,7 +345,7 @@ def test_main_parses_budget_grids(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 17
 
 
-@pytest.mark.parametrize("grid", ["1:4", "1:4:0", "a,b", ","])
+@pytest.mark.parametrize("grid", ["1:4", "1:4:0", "a,b", ",", "1:inf:3", "nan:1:2"])
 def test_main_rejects_malformed_grids(capsys, grid):
     code = main(["--mode", "sweep", "--random", "1,1,1", "--P-grid", grid, "--C-grid", "0,2"])
     assert code == EXIT_USAGE

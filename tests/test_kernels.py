@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from cranopt import (
     ChannelInstance,
     DomainError,
+    DownlinkDesign,
+    InconsistencyError,
     InstanceFormatError,
     InvalidInputError,
     LN2,
     SolverOptions,
     SubchannelAllocation,
     TOL,
+    UplinkDesign,
     assemble_uplink,
     check_downlink_bounds,
     check_uplink_rate_bound,
@@ -123,22 +126,33 @@ def test_svd_reconstruction_and_gains():
     for seed in range(6):
         H = random_channel(3, 2, seed)
         spec = svd(H)
-        n_r, n_u = H.shape
-        S = np.zeros((n_r, n_u))
-        k = spec.singular_values.size
-        S[:k, :k] = np.diag(spec.singular_values)
-        assert np.allclose(spec.left_basis @ S @ spec.right_basis.conj().T, H, atol=TOL.reconstruction)
+        U, s, V = spec.left_basis, spec.singular_values, spec.right_basis
+        assert np.allclose((U * s) @ V.conj().T, H, atol=TOL.reconstruction)
         assert np.all(np.diff(spec.singular_values) <= 0)
         assert np.allclose(spec.gains_squared, spec.singular_values**2)
 
 
 def test_svd_bases_are_unitary():
-    H = random_channel(4, 3, 11)
-    spec = svd(H)
-    for U in (spec.left_basis, spec.right_basis):
-        n = U.shape[0]
-        assert U.shape == (n, n)
-        assert np.allclose(U.conj().T @ U, np.eye(n), atol=TOL.unitary)
+    # thin bases: one orthonormal column per subchannel, D = min(n_r, n_u)
+    for n_r, n_u in [(4, 3), (3, 4)]:
+        spec = svd(random_channel(n_r, n_u, 11))
+        D = min(n_r, n_u)
+        assert spec.left_basis.shape == (n_r, D)
+        assert spec.right_basis.shape == (n_u, D)
+        for U in (spec.left_basis, spec.right_basis):
+            assert np.allclose(U.conj().T @ U, np.eye(D), atol=TOL.unitary)
+
+
+def test_svd_raises_on_a_bad_reconstruction(monkeypatch):
+    lapack_svd = np.linalg.svd
+
+    def off_by_1e6(A, *args, **kwargs):
+        U, s, Vh = lapack_svd(A, *args, **kwargs)
+        return U, s * (1.0 + 1e-6), Vh
+
+    monkeypatch.setattr(np.linalg, "svd", off_by_1e6)
+    with pytest.raises(InconsistencyError, match="SVD reconstruction residual"):
+        svd(random_channel(3, 2, 0))
 
 
 def test_random_unitary_deterministic_and_unitary():
@@ -206,6 +220,17 @@ _POSITIVE = _NONNEG + [0.0, [1.0, 2.0], [1.0]]
 _BUDGET = _NONNEG_ARRAY + [[1.0, 2.0], [1.0], np.array([1.0, 2.0])]
 _COUNT = [np.nan, np.inf, -1, True, 1.5, 2.0, 2.5, "3", None]
 _DIRECTION = ["sideways", "UPLINK", True, None]
+# a matrix argument holds finite numbers in two nonempty dimensions
+_MATRIX = [
+    [["x"]],
+    [["2"]],
+    [[b"1"]],
+    np.array([["2020-01-01"]], dtype="datetime64[D]"),
+    [[None]],
+    [[np.nan]],
+    np.ones(2),
+    np.zeros((0, 2)),
+]
 
 
 def _config(**kw):
@@ -224,6 +249,7 @@ def _record(**kw):
 
 # (entry point.argument, call with the argument set to v, bad values)
 _REJECTIONS = [
+    ("ChannelInstance.H", lambda v: ChannelInstance(v, 1.0, 1.0, 1.0), _MATRIX),
     ("ChannelInstance.P", lambda v: ChannelInstance(_H, v, 1.0, 1.0), _BUDGET),
     ("ChannelInstance.C", lambda v: ChannelInstance(_H, 1.0, v, 1.0), _BUDGET),
     ("ChannelInstance.sigma2", lambda v: ChannelInstance(_H, 1.0, 1.0, v), _POSITIVE),
@@ -272,6 +298,15 @@ _REJECTIONS = [
     ("random_channel.n_r", lambda v: random_channel(v, 1, 0), _COUNT + [0]),
     ("random_channel.n_u", lambda v: random_channel(1, v, 0), _COUNT + [0]),
     ("random_channel.seed", lambda v: random_channel(1, 1, v), _COUNT),
+    ("UplinkDesign.S", lambda v: UplinkDesign(S=v, Q=np.eye(2)), _MATRIX),
+    ("DownlinkDesign.Q", lambda v: DownlinkDesign(S=np.eye(2), Q=v), _MATRIX),
+    ("svd.H", svd, _MATRIX),
+    ("is_psd.M", is_psd, _MATRIX),
+    (
+        "feasibility_projection.S_like",
+        lambda v: feasibility_projection(_INST, "uplink", v, np.eye(2)),
+        _MATRIX,
+    ),
     ("random_unitary.n", lambda v: random_unitary(v, 0), _COUNT + [0]),
     ("random_unitary.seed", lambda v: random_unitary(1, v), _COUNT),
     ("is_psd.tol", lambda v: is_psd(np.eye(2), v), _BUDGET),

@@ -9,9 +9,15 @@ from cranopt import (
     ChannelInstance,
     InvalidInputError,
     SolverOptions,
+    SubchannelAllocation,
+    assemble_downlink,
+    assemble_uplink,
+    check_downlink_feasible,
+    check_uplink_feasible,
     duality_gap,
     random_channel,
     solve_instance,
+    subchannel_rate,
     waterfilling_capacity,
     svd,
 )
@@ -29,6 +35,40 @@ def test_solve_instance_returns_feasible_certified_triple():
         assert report.rate > 0
         assert np.isclose(report.rate, alloc.diagnostics["rate"], rtol=1e-10)
         assert design.S.shape[0] in (inst.n_r, inst.n_u)
+
+
+@pytest.mark.parametrize("n_r", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_u", [1, 2, 3, 4])
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+@pytest.mark.parametrize("off", [False, True], ids=["all-on", "one-off"])
+def test_assembly_contract(n_r, n_u, direction, off):
+    # both assemblies realize an allocation on the channel's D singular
+    # directions: full-space covariances, a forwarded/described basis made
+    # of the left singular vectors that carry a share, and the scalar rate
+    inst = ChannelInstance(H=random_channel(n_r, n_u, 10 * n_r + n_u), P=4.0, C=4.0, sigma2=1.0)
+    spec = svd(inst.H)
+    D = spec.rank
+    power = 1.0 + 0.5 * np.arange(D)
+    share = 0.5 + 0.25 * np.arange(D)
+    if off and D >= 2:
+        share[1] = 0.0
+    alloc = SubchannelAllocation(power, share)
+    if direction == "uplink":
+        design = assemble_uplink(spec, alloc, inst.sigma2)
+        report = check_uplink_feasible(inst, design)
+        assert design.S.shape == (n_u, n_u)
+    else:
+        design = assemble_downlink(spec, alloc)
+        report = check_downlink_feasible(inst, design)
+        assert design.S.shape == (n_r, n_r)
+    assert design.Q.shape == (n_r, n_r)
+    on = alloc.share > 0
+    if D == n_r and on.all():
+        assert design.active_basis is None
+    else:
+        assert np.array_equal(design.active_basis, spec.left_basis[:, :D][:, on])
+    expected = float(np.sum(subchannel_rate(spec.gains_squared * power, alloc.share, inst.sigma2)))
+    assert np.isclose(report.rate, expected, rtol=1e-12, atol=0.0)
 
 
 def test_solve_instance_rejects_bad_direction():
