@@ -27,7 +27,14 @@ import numpy as np
 
 from .allocation import tight_quantizer_downlink
 from .errors import DomainError, InvalidInputError
-from .kernels import LN2, ChannelSpectrum, logdet_ratio, logdet_ratio_stacked, one_lane
+from .kernels import (
+    LN2,
+    ChannelSpectrum,
+    logdet_ratio,
+    logdet_ratio_stacked,
+    one_lane,
+    svd,
+)
 from .problem import ChannelInstance, DownlinkDesign, RateReport, restrict
 
 
@@ -39,10 +46,18 @@ def _check_dims(inst: ChannelInstance, d: DownlinkDesign) -> None:
 def downlink_rate_stacked(inst: ChannelInstance, S: np.ndarray, Q: np.ndarray):
     """The downlink rate in nats of each design of the (T, n_r, n_r) stacks
     S and Q, and a mask of the lanes where the rate is defined.  Other
-    lanes hold no rate.  No input validation."""
-    Hh = inst.H.conj().T
-    signal = Hh @ S @ inst.H
-    base = Hh @ Q @ inst.H + inst.sigma2 * np.eye(inst.n_u)
+    lanes hold no rate.  No input validation.
+
+    The ratio is taken on the channel's D = min(n_r, n_u) subchannels: with
+    H = U diag(s) V^H and G = U diag(s), H^H X H = V G^H X G V^H, so
+    |H^H X H + sigma2 I| = |G^H X G + sigma2 I_D| sigma2^(n_u - D), and the
+    sigma2 factor cancels in the ratio.  The n_u - D dimensions the channel
+    cannot reach never enter the factorizations."""
+    spec = svd(inst.H)
+    G = spec.left_basis * spec.singular_values
+    Gh = G.conj().T
+    signal = Gh @ S @ G
+    base = Gh @ Q @ G + inst.sigma2 * np.eye(spec.rank)
     return logdet_ratio_stacked(signal, base)
 
 

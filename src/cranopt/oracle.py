@@ -20,9 +20,12 @@ Two independent routes check the solver's optimality claims:
     by every search with that key, both directions included; only the
     conjugation of the base pair is per search.  The candidates are PSD by
     construction, so the search projects them as they are, with no
-    eigendecomposition per trial; they are validated and measured by the
-    same covariance check and the same stacked rate functional of their
-    direction as the base design.
+    eigendecomposition per trial, and checks where they come from rather
+    than each one: a plan's unitaries (unitary within TOL.unitary) and
+    random pairs (the covariance check) when it is drawn, the densified base
+    pair once per search, the projection's scale factors (nonnegative) and
+    each projected stack (finite).  They are measured by the same stacked
+    rate functional of their direction as the base design.
 """
 
 from __future__ import annotations
@@ -277,7 +280,8 @@ def _project(inst: ChannelInstance, direction: str, S: np.ndarray, Q: np.ndarray
 
     The stacks must be PSD up to rounding; only their Hermitian part is
     taken, nothing is clipped.  The scale factors are nonnegative, so the
-    rescaled stacks stay PSD and are returned without a second clip."""
+    rescaled stacks stay PSD and are returned without a second clip; a
+    factor that is negative or NaN raises InconsistencyError."""
     S = hermitian_part(S)
     Q = hermitian_part(Q)
     T = len(S)
@@ -306,6 +310,8 @@ def _project(inst: ChannelInstance, direction: str, S: np.ndarray, Q: np.ndarray
         beta = np.divide(inst.P, tQ, out=np.ones(T), where=ok)
         beta[live] = inst.P / (rho * tS[live] + tQ[live])
         alpha[live] = rho * beta[live]
+    if not (np.all(alpha >= 0.0) and np.all(beta >= 0.0)):
+        raise InconsistencyError("a projection scale factor is negative or NaN")
     return alpha[:, None, None] * S, beta[:, None, None] * Q, ok
 
 
@@ -413,12 +419,29 @@ def _directions(trial: np.ndarray, nS: int, nQ: int, rng) -> _Directions:
     return block
 
 
+def _check_directions(block: _Directions) -> None:
+    """The check that stands in for validating every candidate: the
+    unitaries are unitary within TOL.unitary (so a rotated candidate is a
+    congruence of the base pair, and PSD when it is), and the random pairs
+    are finite Hermitian PSD.  Raises InconsistencyError or
+    InvalidInputError."""
+    for W in (block.W_S, block.W_Q):
+        n = W.shape[-1]
+        defect = _frobenius(W.conj().swapaxes(-1, -2) @ W - np.eye(n))
+        if not np.all(defect <= TOL.unitary):
+            raise InconsistencyError("a candidate rotation is not unitary")
+    validate_covariance(block.S_rand, "S")
+    validate_covariance(block.Q_rand, "Q")
+
+
 def _draw(seed: int, trials: int, nS: int, nQ: int):
     """The directions of trials 0 .. trials-1, drawn block by block from
-    one generator seeded with seed."""
+    one generator seeded with seed, each block checked as it is drawn."""
     rng = np.random.default_rng(seed)
     for start in range(0, trials, _BLOCK):
-        yield _directions(np.arange(start, min(start + _BLOCK, trials)), nS, nQ, rng)
+        block = _directions(np.arange(start, min(start + _BLOCK, trials)), nS, nQ, rng)
+        _check_directions(block)
+        yield block
 
 
 # the directions depend only on (seed, trials, nS, nQ), and a CLI run
@@ -507,7 +530,10 @@ def perturbation_search(
     order.  The random directions are computed once per (seed, trials,
     shapes) and reused by later searches with the same key (a handful of
     keys is kept, and a plan over 2 MiB is drawn afresh each time); the
-    candidates and the report are the same either way.  A candidate whose
+    candidates and the report are the same either way.  A plan's directions
+    are checked once, when drawn, and the densified base pair once per
+    search; a negative or NaN projection scale factor, or a non-finite
+    projected candidate, raises InconsistencyError.  A candidate whose
     projection or rate fails (a singular or ill-conditioned quantizer) is
     counted in ``projection_failures`` and skipped.  A search that
     evaluated fewer than half of its trials has too little evidence and
@@ -547,6 +573,8 @@ def perturbation_search(
         )
 
     S0, Q0 = _densify(inst, direction, base)
+    validate_covariance(S0, "S")
+    validate_covariance(Q0, "Q")
     best_rate = -np.inf
     best_trial = -1
     evaluated = 0
@@ -557,8 +585,8 @@ def perturbation_search(
         except ProjectionError:
             continue  # no lane of the block has a design
         S, Q, trial = S[projected], Q[projected], block.trial[projected]
-        validate_covariance(S, "S")
-        validate_covariance(Q, "Q")
+        if not (np.all(np.isfinite(S)) and np.all(np.isfinite(Q))):
+            raise InconsistencyError("a projected candidate has a non-finite entry")
         # a lane whose rate is undefined (quantizer too ill-conditioned to
         # evaluate) is skipped rather than aborting the campaign
         nats, defined = rate_stacked(inst, S, Q)

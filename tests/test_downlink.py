@@ -13,6 +13,8 @@ from cranopt import (
     check_downlink_feasible,
     downlink_fronthaul,
     downlink_rate,
+    random_unitary,
+    solve_instance,
     solve_scalar_allocation,
     svd,
 )
@@ -113,3 +115,14 @@ def test_stacked_rate_is_the_one_design_rate():
     assert ok.all()
     for t in range(4):
         assert nats[t] / LN2 == downlink_rate(inst, DownlinkDesign(S=S[t], Q=Q[t]))
+
+
+def test_rank_one_downlink_rate_matches_the_scalar_rate():
+    # a 1 x 7 channel with one gain of 8e5: whitening over all 7 transmit
+    # dimensions put ~eps of the 1.5e13 signal eigenvalue on the six the
+    # channel cannot reach, 8.9e-4 bits in all; the rate on the channel's
+    # one subchannel carries none of it
+    V = random_unitary(7, 5)[:, :1]
+    inst = ChannelInstance(H=8e5 * V.conj().T, P=23.4, C=8.0, sigma2=1.0)
+    _, report, alloc = solve_instance(inst, "downlink")
+    assert abs(report.rate - alloc.diagnostics["rate"]) <= 1e-9

@@ -92,6 +92,42 @@ def test_logdet_ratio_stacked_fails_only_the_bad_lanes():
         assert nats[k] == logdet_ratio(M[k], B[k])
 
 
+def _haar_hpd(eigenvalues, rng):
+    n = eigenvalues.size
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    U, R = np.linalg.qr(Z)
+    U = U * (np.diagonal(R) / np.abs(np.diagonal(R)))
+    return hermitian_part((U * eigenvalues) @ U.conj().T)
+
+
+def test_logdet_ratio_matches_a_50_digit_reference():
+    # 300 seeded pairs, n = 1..4, Haar eigenvectors: each matrix's
+    # eigenvalues spread over up to 9 decades, at a common scale of 1e-12 to
+    # 1e6, with M up to 3 decades above or below B.  The reference is the
+    # exact ratio of the float64 inputs at 50 digits.  Each log-determinant
+    # is exact to about eps times its matrix's condition number, so the
+    # bound is 1e-9 nats or n eps (cond B + cond(B + M)), whichever is larger
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+
+    def exact(A):
+        return mpmath.matrix([[mpmath.mpc(x.real, x.imag) for x in row] for row in A])
+
+    rng = np.random.default_rng(20261018)
+    eps = np.finfo(float).eps
+    for k in range(300):
+        n = 1 + k % 4
+        scale = 10.0 ** rng.uniform(-12, 6)
+        B = _haar_hpd(scale * 10.0 ** rng.uniform(0, rng.uniform(0, 9), n), rng)
+        shift = 10.0 ** rng.uniform(-3, 3)
+        M = _haar_hpd(scale * shift * 10.0 ** rng.uniform(0, rng.uniform(0, 9), n), rng)
+        B_exact = exact(B)
+        ref = mpmath.log(mpmath.det(B_exact + exact(M)).real) - mpmath.log(mpmath.det(B_exact).real)
+        err = abs(float(logdet_ratio(M, B) - ref))
+        bound = max(1e-9, n * eps * (np.linalg.cond(B) + np.linalg.cond(B + M)))
+        assert err <= bound, (k, err, bound)
+
+
 def test_logdet_ratio_stacked_empty_spectrum_is_zero():
     # an empty forwarded subspace restricts every lane to a 0 x 0 pair
     nats, ok = logdet_ratio_stacked(np.zeros((3, 0, 0), complex), np.zeros((3, 0, 0), complex))

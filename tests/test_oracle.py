@@ -806,3 +806,98 @@ def test_certification_needs_half_its_trials_evaluated(monkeypatch):
     assert short.diagnostics["evaluated"] == 5
     assert short.margin >= -CERTIFICATION_TOL  # the margin alone would pass
     assert not short.verdict
+
+
+# Faults planted where the search's candidates come from.  The search
+# validates its random directions once per plan, its densified base once per
+# search, the projection's scale factors and the finiteness of the projected
+# stacks, instead of running the covariance check on every candidate; each
+# planted fault must still stop the search.
+
+
+def _poison_first_lane(W):
+    W = W.copy()
+    W[0, 0, 0] = np.nan
+    return W
+
+
+def _overflow_first_lane(project):
+    def overflowing(inst, direction, S, Q):
+        S, Q, ok = project(inst, direction, S, Q)
+        S = S.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            S[np.argmax(ok)] *= 1e308 * 1e308
+        return S, Q, ok
+
+    return overflowing
+
+
+def _alter_base(k, alter):
+    """A wrapper of _densify that alters the k-th matrix (0: S, 1: Q) of
+    the densified base pair."""
+
+    def densify(real):
+        def altered(inst, direction, base):
+            pair = list(real(inst, direction, base))
+            pair[k] = alter(pair[k])
+            return tuple(pair)
+
+        return altered
+
+    return densify
+
+
+def _skew(A):
+    return A + 0.1 * np.triu(np.ones_like(A), 1)
+
+
+_PSD = "Hermitian positive semidefinite"
+# fault -> (patched oracle name, wrapper of the real function, error raised,
+# and a pattern of its message)
+_FAULTS = {
+    "nan-direction": (
+        "_random_rotations",
+        lambda f: lambda G, eps: _poison_first_lane(f(G, eps)),
+        InconsistencyError,
+        "not unitary",
+    ),
+    "non-unitary-rotation": (
+        "_random_rotations",
+        lambda f: lambda G, eps: 1.001 * f(G, eps),
+        InconsistencyError,
+        "not unitary",
+    ),
+    "non-psd-random-pair": ("_random_psd", lambda f: lambda X: -f(X), InvalidInputError, _PSD),
+    "negative-scale": (
+        "_fronthaul_level",
+        lambda f: lambda ev, C: -f(ev, C),
+        InconsistencyError,
+        "scale factor",
+    ),
+    "nan-scale": (
+        "_fronthaul_level",
+        lambda f: lambda ev, C: np.full(len(ev), np.nan),
+        InconsistencyError,
+        "scale factor",
+    ),
+    "inf-projected-stack": ("_project", _overflow_first_lane, InconsistencyError, "non-finite"),
+    "non-psd-base-S": ("_densify", _alter_base(0, np.negative), InvalidInputError, _PSD),
+    "non-psd-base-Q": ("_densify", _alter_base(1, np.negative), InvalidInputError, _PSD),
+    "non-hermitian-base": ("_densify", _alter_base(0, _skew), InvalidInputError, _PSD),
+}
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_planted_candidate_faults_stop_the_search(monkeypatch, fault, direction):
+    name, wrap, error, message = _FAULTS[fault]
+    inst = _projection_instance("3x3-off")
+    design, _, _ = solve_instance(inst, direction)
+    assert perturbation_search(inst, direction, design, trials=200, seed=4).verdict
+    # the plan of this key is drawn again under the fault, not read from the memo
+    oracle._plan.cache_clear()
+    monkeypatch.setattr(oracle, name, wrap(getattr(oracle, name)))
+    with pytest.raises(error, match=message):
+        perturbation_search(inst, direction, design, trials=200, seed=4)
+    if name in ("_random_rotations", "_random_psd"):
+        assert oracle._plan.cache_info().currsize == 0  # a rejected plan is not kept
