@@ -33,7 +33,6 @@ from .kernels import (
     logdet_ratio,
     logdet_ratio_stacked,
     one_lane,
-    svd,
 )
 from .problem import ChannelInstance, DownlinkDesign, RateReport, restrict
 
@@ -53,7 +52,7 @@ def downlink_rate_stacked(inst: ChannelInstance, S: np.ndarray, Q: np.ndarray):
     |H^H X H + sigma2 I| = |G^H X G + sigma2 I_D| sigma2^(n_u - D), and the
     sigma2 factor cancels in the ratio.  The n_u - D dimensions the channel
     cannot reach never enter the factorizations."""
-    spec = svd(inst.H)
+    spec = inst.spectrum
     G = spec.left_basis * spec.singular_values
     Gh = G.conj().T
     signal = Gh @ S @ G

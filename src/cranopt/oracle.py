@@ -12,20 +12,23 @@ Two independent routes check the solver's optimality claims:
   * :func:`perturbation_search` attacks an assembled matrix design with
     random covariance candidates, each rescaled onto the constraint
     boundary, and reports the worst-case margin.  It draws, projects and
-    evaluates its candidates in fixed blocks of stacked (T, n, n) arrays;
-    a candidate that cannot be projected or evaluated fails alone, not
-    its block.  The random directions (unitaries and random pairs) depend
-    only on the seed, the trial count and the two matrix sizes, so they are
-    computed once per such key, kept read-only in a small memo and reused
-    by every search with that key, both directions included; only the
-    conjugation of the base pair is per search.  The candidates are PSD by
-    construction, so the search projects them as they are, with no
-    eigendecomposition per trial, and checks where they come from rather
-    than each one: a plan's unitaries (unitary within TOL.unitary) and
-    random pairs (the covariance check) when it is drawn, the densified base
-    pair once per search, the projection's scale factors (nonnegative) and
-    each projected stack (finite).  They are measured by the same stacked
-    rate functional of their direction as the base design.
+    evaluates its candidates in blocks of stacked (T, n, n) arrays, as
+    many trials as a fixed byte budget holds (a 1000-trial search on 3 x 3
+    channels is one block); a candidate that cannot be projected or
+    evaluated fails alone, not its block, and each candidate's outcome is
+    the same whatever block it is in.  The random directions (unitaries
+    and random pairs) depend only on the seed, the trial count and the two
+    matrix sizes, so they are computed once per such key, kept read-only
+    in a small memo and reused by every search with that key, both
+    directions included; only the conjugation of the base pair is per
+    search.  The candidates are PSD by construction, so the search
+    projects them as they are, with no eigendecomposition per trial, and
+    checks where they come from rather than each one: a plan's unitaries
+    (unitary within TOL.unitary) and random pairs (the covariance check)
+    when it is drawn, the densified base pair once per search, the
+    projection's scale factors (nonnegative) and each projected stack
+    (finite).  They are measured by the same stacked rate functional of
+    their direction as the base design.
 """
 
 from __future__ import annotations
@@ -64,9 +67,17 @@ from .uplink import UplinkDesign, check_uplink_feasible, uplink_rate_stacked
 CERTIFICATION_TOL = TOL.certification
 GEODESIC_STEPS = (0.3, 0.1, 0.03)
 # perturbation_search draws, projects and evaluates its candidates in blocks
-# of this many trials: stacked arrays remove the per-candidate Python
-# overhead, and a small block keeps the search's peak memory flat
-_BLOCK = 128
+# whose candidate pairs take at most this many bytes: stacked arrays remove
+# the per-candidate Python and LAPACK dispatch overhead, a 1000-trial search
+# on 3 x 3 channels is one block, and larger matrices get fewer trials per
+# block, so the search's peak memory stays flat
+_BLOCK_MAX_BYTES = 1 << 19
+
+
+def _block_trials(nS: int, nQ: int) -> int:
+    """Trials per block: as many complex nS x nS and nQ x nQ candidate
+    pairs as fit the byte budget, and at least one."""
+    return max(1, _BLOCK_MAX_BYTES // (16 * (nS * nS + nQ * nQ)))
 
 
 @dataclass
@@ -438,8 +449,9 @@ def _draw(seed: int, trials: int, nS: int, nQ: int):
     """The directions of trials 0 .. trials-1, drawn block by block from
     one generator seeded with seed, each block checked as it is drawn."""
     rng = np.random.default_rng(seed)
-    for start in range(0, trials, _BLOCK):
-        block = _directions(np.arange(start, min(start + _BLOCK, trials)), nS, nQ, rng)
+    size = _block_trials(nS, nQ)
+    for start in range(0, trials, size):
+        block = _directions(np.arange(start, min(start + size, trials)), nS, nQ, rng)
         _check_directions(block)
         yield block
 
@@ -526,14 +538,16 @@ def perturbation_search(
     optimality of the base.
 
     The candidates are drawn, projected and evaluated in blocks of stacked
-    arrays (at most 128 trials each), reading the random stream in trial
-    order.  The random directions are computed once per (seed, trials,
-    shapes) and reused by later searches with the same key (a handful of
-    keys is kept, and a plan over 2 MiB is drawn afresh each time); the
-    candidates and the report are the same either way.  A plan's directions
-    are checked once, when drawn, and the densified base pair once per
-    search; a negative or NaN projection scale factor, or a non-finite
-    projected candidate, raises InconsistencyError.  A candidate whose
+    arrays, as many trials as 512 KiB of candidate pairs hold (1820 on a
+    3 x 3 channel), reading the random stream in trial order; the report
+    does not depend on the block size.  The random directions are computed
+    once per (seed, trials, shapes) and reused by later searches with the
+    same key (a handful of keys is kept, and a plan over 2 MiB is drawn
+    afresh each time); the candidates and the report are the same either
+    way.  A plan's directions are checked once, when drawn, and the
+    densified base pair once per search; a negative or NaN projection scale
+    factor, or a non-finite projected candidate, raises
+    InconsistencyError.  A candidate whose
     projection or rate fails (a singular or ill-conditioned quantizer) is
     counted in ``projection_failures`` and skipped.  A search that
     evaluated fewer than half of its trials has too little evidence and

@@ -17,6 +17,7 @@ slacks and the feasibility verdict itself.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -24,11 +25,13 @@ import numpy as np
 from .errors import InvalidInputError
 from .kernels import (
     TOL,
+    ChannelSpectrum,
     as_complex_matrix,
     check_nonneg_number,
     check_positive,
     hermitian_part,
     is_psd_stacked,
+    svd,
 )
 
 UPLINK = "uplink"
@@ -44,6 +47,13 @@ def check_direction(direction) -> None:
 
 @dataclass(frozen=True)
 class ChannelInstance:
+    """One link: channel H (n_r x n_u), power budget P, fronthaul budget C
+    in bits and noise power sigma2.
+
+    H is kept read-only, copied when the given array would otherwise be
+    shared (the caller's array stays writable), so that the thin SVD
+    :attr:`spectrum`, taken on first use, stays the channel's."""
+
     H: np.ndarray
     P: float
     C: float
@@ -51,6 +61,9 @@ class ChannelInstance:
 
     def __post_init__(self):
         H = as_complex_matrix(self.H, "H")
+        if np.may_share_memory(H, self.H):
+            H = H.copy()
+        H.flags.writeable = False
         object.__setattr__(self, "H", H)
         for name in ("P", "C"):
             object.__setattr__(self, name, check_nonneg_number(getattr(self, name), name))
@@ -63,6 +76,11 @@ class ChannelInstance:
     @property
     def n_u(self) -> int:
         return self.H.shape[1]
+
+    @cached_property
+    def spectrum(self) -> ChannelSpectrum:
+        """The thin SVD of H, taken once, on first use."""
+        return svd(self.H)
 
 
 def validate_covariance(A: np.ndarray, name: str) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from .allocation import SolverOptions, solve_scalar_allocation
 from .downlink import assemble_downlink, check_downlink_feasible
-from .kernels import svd
 from .problem import UPLINK, ChannelInstance, check_direction
 from .uplink import assemble_uplink, check_uplink_feasible
 
@@ -27,7 +26,7 @@ def solve_instance(
     diagnostics (achieved rate, iteration count) merged into its own.
     """
     check_direction(direction)
-    spec = svd(inst.H)
+    spec = inst.spectrum
     alloc = solve_scalar_allocation(
         spec.singular_values, inst.P, inst.C, inst.sigma2, opts=opts
     )
@@ -57,7 +56,7 @@ def duality_gap(inst: ChannelInstance, opts: SolverOptions | None = None) -> dic
     rows from one call per budget point.
     """
     _, rep_ul, alloc = solve_instance(inst, UPLINK, opts)
-    rep_dl = check_downlink_feasible(inst, assemble_downlink(svd(inst.H), alloc))
+    rep_dl = check_downlink_feasible(inst, assemble_downlink(inst.spectrum, alloc))
     rep_dl.diagnostics.update(alloc.diagnostics)
     gap = abs(rep_ul.rate - rep_dl.rate)
     return {

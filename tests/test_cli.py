@@ -261,6 +261,25 @@ def test_one_scalar_solve_per_budget_point(monkeypatch, mode, per_point):
     assert set(calls.values()) == {per_point}
 
 
+@pytest.mark.parametrize("mode", ["solve", "sweep", "oracle", "duality", "certify"])
+def test_one_svd_per_budget_point(monkeypatch, mode):
+    # each instance's spectrum is taken once and serves its solve, both
+    # assemblies, the downlink rates and, in certify, both searches; sweep
+    # and solve build one instance per budget point
+    calls = []
+    lapack_svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lapack_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    grids = {"p_grid": (0.5, 2.0), "c_grid": (0.0, 2.0)} if mode == "sweep" else {}
+    run(ExperimentConfig(mode=mode, random_spec=(2, 2, 2), seed=3, trials=5, **grids))
+    points = 4 if mode == "sweep" else 1
+    assert len(calls) == 2 * points  # two instances
+
+
 def test_json_rendering():
     cfg = ExperimentConfig(mode="solve", random_spec=(1, 1, 1), seed=2)
     rows, _ = run(cfg)

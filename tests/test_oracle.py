@@ -38,6 +38,7 @@ from cranopt import (
 )
 from cranopt.allocation import _rates
 from cranopt.downlink import downlink_rate_stacked
+from cranopt.kernels import whitened_eigvalsh
 from cranopt.oracle import _objective
 from cranopt.problem import validate_covariance
 from cranopt.uplink import uplink_rate_stacked
@@ -605,10 +606,10 @@ _DIFFERENTIAL_SHAPES = [(n_r, n_u) for n_r in (1, 2, 3) for n_u in (1, 2, 3)] + 
 @pytest.mark.parametrize("direction", ["uplink", "downlink"])
 @pytest.mark.parametrize("shape", _DIFFERENTIAL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_block_search_matches_per_candidate_loop(shape, direction):
-    # 7 trials fill part of one block, 128 exactly one, and 1000 end on a
-    # ragged block.  All of them read prefixes of one random stream, so one
-    # reference run serves every count; the loop takes ~0.5 ms a candidate,
-    # so 1000 trials are run on the widest shapes only
+    # 7, 128 and 1000 trials read prefixes of one random stream, so one
+    # reference run serves every count (each count is one block of the
+    # search; block boundaries are tested below); the loop takes ~0.5 ms a
+    # candidate, so 1000 trials are run on the widest shapes only
     k = _DIFFERENTIAL_SHAPES.index(shape)
     inst = ChannelInstance(
         H=random_channel(*shape, seed=30_000 + k),
@@ -666,8 +667,9 @@ def _reference_search(inst, direction, base, trials, seed):
     rate_stacked = uplink_rate_stacked if uplink else downlink_rate_stacked
     rng = np.random.default_rng(seed)
     best_rate, best_trial, evaluated = -np.inf, -1, 0
-    for start in range(0, trials, oracle._BLOCK):
-        trial = np.arange(start, min(start + oracle._BLOCK, trials))
+    size = oracle._block_trials(S0.shape[0], Q0.shape[0])
+    for start in range(0, trials, size):
+        trial = np.arange(start, min(start + size, trials))
         S_c, Q_c = _reference_candidates(S0, Q0, trial, rng)
         try:
             S, Q, ok = oracle._project(inst, direction, S_c, Q_c)
@@ -706,8 +708,10 @@ _OVER_CAP = oracle._PLAN_MAX_BYTES // oracle._plan_nbytes(1, 4, 4) + 1
 @pytest.mark.parametrize("direction", ["uplink", "downlink"])
 @pytest.mark.parametrize("shape", _MEMO_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_memoized_directions_match_the_per_block_draw(shape, direction):
-    # 1 and 127 trials fill part of one block, 128 exactly one, 129 and 1000
-    # end on a ragged block; each count runs on a cold memo and a warm one
+    # with b trials per block at the byte budget (1024 to 16384 here, by
+    # shape and direction), 1 and b - 1 trials fill part of one block, b
+    # exactly one, and b + 1 end on a one-trial second block; 1000 is the
+    # benchmark's count.  Each count runs on a cold memo and a warm one
     k = _MEMO_SHAPES.index(shape)
     inst = ChannelInstance(
         H=random_channel(*shape, seed=33_000 + k),
@@ -716,15 +720,112 @@ def test_memoized_directions_match_the_per_block_draw(shape, direction):
         sigma2=1.0,
     )
     design, _, _ = solve_instance(inst, direction)
-    counts = (1, 127, 128, 129, 1000) + ((_OVER_CAP,) if shape == (4, 4) else ())
+    nS = inst.n_u if direction == "uplink" else inst.n_r
+    b = oracle._block_trials(nS, inst.n_r)
+    counts = (1, b - 1, b, b + 1, 1000) + ((_OVER_CAP,) if shape == (4, 4) else ())
     expected = {t: _reference_search(inst, direction, design, t, seed=k) for t in counts}
-    stored = sum(t < _OVER_CAP for t in counts)
+    stored = sum(oracle._plan_nbytes(t, nS, inst.n_r) <= oracle._PLAN_MAX_BYTES for t in counts)
     oracle._plan.cache_clear()
     for memo, calls in (("cold", (0, stored)), ("warm", (stored, stored))):
         for trials in counts:
             report = perturbation_search(inst, direction, design, trials=trials, seed=k)
             assert report == expected[trials], (memo, trials)
         assert oracle._plan.cache_info()[:2] == calls, memo
+
+
+# Lane independence: the search's report does not depend on its block size
+# only because no kernel's result for one lane depends on the other lanes or
+# on the stack's size.  Each kernel is run on the first T lanes of one
+# 1000-lane stack and compared, lane by lane, with its run on that lane
+# alone.  Lane 7 is planted so that its Cholesky factorization fails: the
+# stacks of up to 7 lanes are factored at once, the longer ones by halving
+# until the failed lane is alone.
+_LANE_COUNTS = (1, 2, 3, 7, 128, 1000)
+_LANE_SHAPES = [(1, 1), (2, 2), (3, 3), (4, 4), (1, 4), (4, 1)]
+_BAD_LANE = 7
+
+
+def _random_psd_stack(n, rng, lanes=1000):
+    """PSD stacks with eigenvalue spreads and scales over several decades."""
+    X = rng.standard_normal((lanes, n, n)) + 1j * rng.standard_normal((lanes, n, n))
+    X *= 10.0 ** rng.uniform(-3, 3, (lanes, 1, n))
+    return oracle._random_psd(X)
+
+
+def _assert_lanes_match_their_own_results(kernel, *stacks):
+    alone = [kernel(*(a[t : t + 1] for a in stacks)) for t in range(len(stacks[0]))]
+    for T in _LANE_COUNTS:
+        out = kernel(*(a[:T] for a in stacks))
+        for t in range(T):
+            for x, y in zip(out, alone[t]):
+                assert np.array_equal(x[t], y[0], equal_nan=True), (T, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_whitened_eigvalsh_lanes_do_not_depend_on_the_stack(n):
+    rng = np.random.default_rng(35_000 + n)
+    M, B = _random_psd_stack(n, rng), _random_psd_stack(n, rng) + 1e-9 * np.eye(n)
+    B[_BAD_LANE] = -np.eye(n)
+    assert not whitened_eigvalsh(M[:8], B[:8])[1][_BAD_LANE]
+    _assert_lanes_match_their_own_results(whitened_eigvalsh, M, B)
+
+
+@pytest.mark.parametrize("kernel", ["projection", "rate"])
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+@pytest.mark.parametrize("shape", _LANE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_stacked_kernel_lanes_do_not_depend_on_the_stack(shape, direction, kernel):
+    k = _LANE_SHAPES.index(shape)
+    rng = np.random.default_rng(36_000 + k)
+    inst = ChannelInstance(H=random_channel(*shape, seed=36_000 + k), P=2.0, C=4.0, sigma2=1.0)
+    nS = inst.n_u if direction == "uplink" else inst.n_r
+    S, Q = _random_psd_stack(nS, rng), _random_psd_stack(inst.n_r, rng)
+    if kernel == "projection":
+        Q[_BAD_LANE] = 0.0  # a singular quantizer has no design
+
+        def run(S, Q):
+            return oracle._project(inst, direction, S, Q)
+    else:
+        Q[_BAD_LANE] = -1e6 * np.eye(inst.n_r)  # the base of the ratio is not positive definite
+        stacked = uplink_rate_stacked if direction == "uplink" else downlink_rate_stacked
+
+        def run(S, Q):
+            return stacked(inst, S, Q)
+    ok = run(S[:8], Q[:8])[-1]
+    assert not ok[_BAD_LANE] and ok[:_BAD_LANE].all()
+    _assert_lanes_match_their_own_results(run, S, Q)
+
+
+def _blocks_of_128_trials(monkeypatch, nS, nQ):
+    """Shrink the block byte budget to 128 trials of nS x nS and nQ x nQ
+    candidate pairs, and empty the plan memo, whose keys do not hold the
+    block size."""
+    monkeypatch.setattr(oracle, "_BLOCK_MAX_BYTES", 128 * 16 * (nS * nS + nQ * nQ))
+    assert oracle._block_trials(nS, nQ) == 128
+    oracle._plan.cache_clear()
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+@pytest.mark.parametrize("shape", [(3, 3), (1, 4), (4, 4)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_search_report_does_not_depend_on_the_block_size(monkeypatch, shape, direction):
+    # 1000 trials are one block at the byte budget and eight blocks of 128
+    # (the last one ragged); the 4x4 count is a plan over the size cap, drawn
+    # block by block as the search goes, in 4 blocks and in 32.  Every lane's
+    # projection and rate are independent of its block, so every report
+    # field is bit-identical
+    k = [(3, 3), (1, 4), (4, 4)].index(shape)
+    inst = ChannelInstance(
+        H=random_channel(*shape, seed=34_000 + k), P=1.0, C=(2.0, 8.0, 0.5)[k], sigma2=1.0
+    )
+    design, _, _ = solve_instance(inst, direction)
+    nS = inst.n_u if direction == "uplink" else inst.n_r
+    trials = _OVER_CAP if shape == (4, 4) else 1000
+    assert (oracle._plan_nbytes(trials, nS, inst.n_r) > oracle._PLAN_MAX_BYTES) == (shape == (4, 4))
+    oracle._plan.cache_clear()
+    budget = perturbation_search(inst, direction, design, trials=trials, seed=k)
+    _blocks_of_128_trials(monkeypatch, nS, inst.n_r)
+    small = perturbation_search(inst, direction, design, trials=trials, seed=k)
+    assert small == budget
+    assert budget.diagnostics["evaluated"] > trials // 2
 
 
 def test_direction_plans_are_read_only_and_bounded():
@@ -778,20 +879,25 @@ def _plant_singular_quantizers(monkeypatch, planted):
 
 @pytest.mark.parametrize("direction", ["uplink", "downlink"])
 def test_singular_quantizer_fails_only_its_lane(monkeypatch, direction):
+    # the planted lane fails alone in the search's one block, and in 128-trial
+    # blocks, where it sits past the first block
     inst = ChannelInstance(H=random_channel(3, 3, 31_000), P=1.0, C=2.0, sigma2=1.0)
     design, _, _ = solve_instance(inst, direction)
     rates = _reference_rates(inst, direction, design, 300, seed=3)
     winner = _reference_outcome(rates)[2]
-    assert winner >= 128  # the planted lane sits past the first block
+    assert winner >= 128
     rates[winner] = None
-    _plant_singular_quantizers(monkeypatch, [winner])
-    report = perturbation_search(inst, direction, design, trials=300, seed=3)
-    d = report.diagnostics
-    assert (d["evaluated"], d["projection_failures"]) == (299, 1)
     _, _, best_trial, best_rate = _reference_outcome(rates)
-    assert d["best_trial"] == best_trial != winner
     tol = 1e-7 if direction == "uplink" else 1e-12
-    assert abs(report.best_perturbed_rate - best_rate) <= tol
+    for blocks in ("budget", "128-trial"):
+        if blocks == "128-trial":
+            _blocks_of_128_trials(monkeypatch, 3, 3)
+        _plant_singular_quantizers(monkeypatch, [winner])
+        report = perturbation_search(inst, direction, design, trials=300, seed=3)
+        d = report.diagnostics
+        assert (d["evaluated"], d["projection_failures"]) == (299, 1), blocks
+        assert d["best_trial"] == best_trial != winner, blocks
+        assert abs(report.best_perturbed_rate - best_rate) <= tol, blocks
 
 
 def test_certification_needs_half_its_trials_evaluated(monkeypatch):

@@ -105,3 +105,25 @@ def test_restrict():
     W = np.array([[0.0], [1.0]], dtype=complex)
     assert np.allclose(restrict(M, W), [[5.0]])
     assert restrict(M, None) is M
+
+
+def test_instance_channel_is_read_only_and_the_callers_array_stays_writable():
+    H = np.array([[1.0 + 0.5j, 0.3], [0.2, 0.8]])
+    inst = _inst(H=H)
+    spectrum = inst.spectrum
+    assert inst.spectrum is spectrum  # taken once
+    with pytest.raises(ValueError, match="read-only"):
+        inst.H[0, 0] = 0.0
+    # the instance holds a copy: the caller's array stays writable, and
+    # writing it changes neither the channel nor its spectrum
+    assert H.flags.writeable
+    H[0, 0] = 5.0
+    assert inst.H[0, 0] == 1.0 + 0.5j
+    assert np.allclose((spectrum.left_basis * spectrum.singular_values)
+                       @ spectrum.right_basis.conj().T, inst.H)
+    # a view and an instance's own read-only channel are copied too
+    view = _inst(H=H[:, :1])
+    assert not np.may_share_memory(view.H, H)
+    again = _inst(H=inst.H)
+    assert not np.may_share_memory(again.H, inst.H)
+    assert not again.H.flags.writeable

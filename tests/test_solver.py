@@ -204,3 +204,22 @@ def test_duality_gap_solves_the_scalar_problem_once(monkeypatch):
         calls.clear()
         duality_gap(inst, opts)
         assert len(calls) == 1, k
+
+
+def test_duality_gap_takes_one_svd(monkeypatch):
+    # the solve, the downlink assembly and the downlink rate all read the
+    # instance's spectrum, which is taken once, on first use
+    calls = []
+    lapack_svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lapack_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for k, (inst, opts) in enumerate(_duality_corpus()[::10]):
+        calls.clear()
+        duality_gap(inst, opts)
+        assert len(calls) == 1, k
+        duality_gap(inst, opts)
+        assert len(calls) == 1, k
