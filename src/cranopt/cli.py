@@ -102,7 +102,7 @@ class ExperimentConfig:
                 check_count(n, f"--random {name}", 1)
         if self.mode == "sweep" and not (self.p_grid and self.c_grid):
             raise InvalidInputError("sweep mode needs nonempty --P-grid and --C-grid")
-        check_count(self.trials, "--trials")
+        check_count(self.trials, "--trials", 1)
         check_count(self.seed, "--seed")
         check_positive(self.tol, "--tol")
         if self.out_format not in ("csv", "json"):

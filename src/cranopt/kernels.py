@@ -28,15 +28,14 @@ LN2 = float(np.log(2.0))
 class Tolerances:
     """Numerical tolerances used across the package.
 
-    hermitian      relative Frobenius defect allowed in M - M^H
-    psd            eigenvalue floor: min eig >= -psd * max(1, max eig)
+    psd            relative Frobenius defect allowed in M - M^H, and the
+                   eigenvalue floor: min eig >= -psd * max(1, max eig)
     reconstruction relative SVD reconstruction error ||U diag(s) V^H - H|| / ||H||
     unitary        allowed defect in ||W^H W - I||
     feasibility    slack below which a constraint counts as violated
     certification  rate margin below which a certification verdict fails
     """
 
-    hermitian: float = 1e-10
     psd: float = 1e-9
     reconstruction: float = 1e-8
     unitary: float = 1e-9
@@ -202,11 +201,14 @@ def whitened_eigvalsh(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndar
     mask of the lanes whose B is positive definite.  Other lanes hold no
     spectrum.
 
-    L^-1 M L^-H is two forward substitutions by the triangular factor
-    (:func:`_forward_substitution`), with no LU solve, so each lane's
-    result is the same whatever stack it is in."""
-    L, ok = _cholesky_lanes(hermitian_part(B))
-    X = _forward_substitution(L, hermitian_part(M))
+    M and B must be exactly Hermitian (equal to their conjugate transposes
+    bit for bit, as :func:`hermitian_part` returns them); they are not
+    symmetrized again.  L^-1 M L^-H is two forward substitutions by the
+    triangular factor (:func:`_forward_substitution`), with no LU solve, so
+    each lane's result is the same whatever stack it is in; that product
+    is symmetrized before its eigenvalues are taken."""
+    L, ok = _cholesky_lanes(B)
+    X = _forward_substitution(L, M)
     A = _forward_substitution(L, X.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
     return np.linalg.eigvalsh(hermitian_part(A)), ok
 

@@ -502,6 +502,8 @@ def _densify(inst: ChannelInstance, direction: str, base) -> tuple:
     fronthaul skips some dimensions: the skipped subspace gets a quantizer
     large enough (uplink) or a zero-signal noise floor (downlink) that its
     fronthaul cost is negligible, keeping candidate quantizers invertible.
+    The base design's own S is returned, and its own Q when it has no
+    active basis, not copies: the search only reads them.
 
     The dead-dimension quantizer is capped at 2^22 times the signal scale:
     its rate and fronthaul leakage stays below 4e-7 bits (well inside the
@@ -510,14 +512,14 @@ def _densify(inst: ChannelInstance, direction: str, base) -> tuple:
     W = base.active_basis
     n = inst.n_r
     if W is None:
-        return base.S.copy(), base.Q.copy()
+        return base.S, base.Q
     P_dead = np.eye(n, dtype=complex) - W @ W.conj().T
     if direction == UPLINK:
         Phi = inst.H @ base.S @ inst.H.conj().T
         scale = float(np.trace(hermitian_part(Phi)).real) + inst.sigma2
         q_big = scale * 2.0**22
-        return base.S.copy(), psd_part(base.Q + q_big * P_dead)
-    return base.S.copy(), psd_part(base.Q + inst.sigma2 * P_dead)
+        return base.S, psd_part(base.Q + q_big * P_dead)
+    return base.S, psd_part(base.Q + inst.sigma2 * P_dead)
 
 
 def perturbation_search(
@@ -547,16 +549,20 @@ def perturbation_search(
     way.  A plan's directions are checked once, when drawn, and the
     densified base pair once per search; a negative or NaN projection scale
     factor, or a non-finite projected candidate, raises
-    InconsistencyError.  A candidate whose
-    projection or rate fails (a singular or ill-conditioned quantizer) is
-    counted in ``projection_failures`` and skipped.  A search that
-    evaluated fewer than half of its trials has too little evidence and
-    fails its verdict, whatever its margin; with no candidate evaluated
-    the margin is +inf.  ``best_trial`` is the trial number of the best
-    candidate.  Deterministic given the seed.
+    InconsistencyError.  A candidate whose projection or rate fails (a
+    singular or ill-conditioned quantizer) is counted in
+    ``projection_failures`` and skipped.  A search that evaluated fewer
+    than half of its trials has too little evidence and fails its verdict,
+    whatever its margin; with no candidate evaluated the margin is +inf.
+    ``best_trial`` is the trial number of the best candidate.
+    Deterministic given the seed.
+
+    ``trials`` must be at least 1 (InvalidInputError otherwise): every
+    report comes out of the block loop, and a search that tried nothing
+    has no evidence to report.
     """
     check_direction(direction)
-    check_count(trials, "trials")
+    check_count(trials, "trials", 1)
     check_count(seed, "seed")
     if direction == UPLINK:
         if not isinstance(base, UplinkDesign):
@@ -574,18 +580,6 @@ def perturbation_search(
             f"fronthaul slack {report.slack_fronthaul:.3e}"
         )
     base_rate = report.rate
-    if trials == 0:
-        return CertificationReport(
-            instance_id=instance_id,
-            direction=direction,
-            diagonal_rate=base_rate,
-            best_perturbed_rate=base_rate,
-            margin=0.0,
-            trials=0,
-            seed=seed,
-            verdict=True,
-        )
-
     S0, Q0 = _densify(inst, direction, base)
     validate_covariance(S0, "S")
     validate_covariance(Q0, "Q")

@@ -380,6 +380,15 @@ def test_main_rejects_non_finite_tol_and_negative_seed(capsys, option):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("mode", ["solve", "duality", "sweep", "certify", "oracle"])
+def test_main_rejects_zero_trials_in_every_mode(capsys, mode):
+    # a zero-trial certify run used to print margin 0 on every row and pass
+    grids = ["--P-grid", "1,2", "--C-grid", "0,2"] if mode == "sweep" else []
+    code = main(["--mode", mode, "--random", "2,2,2", "--trials", "0", *grids])
+    assert code == EXIT_USAGE
+    _assert_one_error_line(capsys)
+
+
 def _cli_process(*args):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)

@@ -390,7 +390,7 @@ _REJECTIONS = [
         _COUNT + [1, np.float64(11.0)],
     ),
     ("perturbation_search.direction", lambda v: _search(direction=v), _DIRECTION),
-    ("perturbation_search.trials", lambda v: _search(trials=v), _COUNT),
+    ("perturbation_search.trials", lambda v: _search(trials=v), _COUNT + [0]),
     ("perturbation_search.seed", lambda v: _search(seed=v), _COUNT),
     (
         "feasibility_projection.direction",
@@ -432,7 +432,7 @@ _REJECTIONS = [
         _POSITIVE,
     ),
     ("ExperimentConfig.seed", lambda v: _config(seed=v), _COUNT),
-    ("ExperimentConfig.trials", lambda v: _config(trials=v), _COUNT),
+    ("ExperimentConfig.trials", lambda v: _config(trials=v), _COUNT + [0]),
     ("ExperimentConfig.tol", lambda v: _config(tol=v), _POSITIVE),
     ("ExperimentConfig.random_spec.n_r", lambda v: _config(random_spec=(v, 1, 1)), _COUNT + [0]),
     ("ExperimentConfig.random_spec.n_u", lambda v: _config(random_spec=(1, v, 1)), _COUNT + [0]),

@@ -163,6 +163,11 @@ def test_log_majorizes_basics():
 def test_log_majorizes_handles_zeros():
     assert log_majorizes([2.0, 0.0], [2.0, 0.0])
     assert not log_majorizes([2.0, 0.0], [1.0, 1.0])
+    # both total products zero: equal, whatever the prefixes
+    assert log_majorizes([3.0, 1.0, 0.0], [2.0, 0.0, 0.0])
+    # only one total product zero: unequal either way round
+    assert not log_majorizes([3.0, 1.0, 1.0], [2.0, 1.0, 0.0])
+    assert not log_majorizes([3.0, 1.0, 0.0], [2.0, 1.0, 1.0])
 
 
 def test_product_spectrum_diagonal_case():

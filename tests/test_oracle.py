@@ -369,6 +369,25 @@ def test_search_does_no_eigendecomposition_per_trial(monkeypatch, direction):
 
 
 @pytest.mark.parametrize("direction", ["uplink", "downlink"])
+def test_search_whitens_exactly_hermitian_stacks(direction, monkeypatch):
+    # whitened_eigvalsh does not symmetrize its arguments: every stack the
+    # search hands it must equal its conjugate transpose bit for bit
+    inst = _projection_instance("3x3-off")
+    design, _, _ = solve_instance(inst, direction)
+    seen = []
+
+    def recording(M, B):
+        seen.append((M, B))
+        return whitened_eigvalsh(M, B)
+
+    monkeypatch.setattr(oracle, "whitened_eigvalsh", recording)
+    perturbation_search(inst, direction, design, trials=1000, seed=0)
+    assert seen
+    for A in (A for pair in seen for A in pair):
+        assert np.array_equal(A, A.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
 def test_projection_clips_an_indefinite_pair(direction):
     inst = _identity_instance(P=3.0, C=4.0)
     U = random_unitary(2, 9)
@@ -479,12 +498,12 @@ def test_certification_rejects_infeasible_base():
 
 
 def test_certification_zero_trials():
+    # a zero-trial search used to return a hand-built passing report
+    # (margin 0) that had evaluated nothing
     inst = _identity_instance()
     design, _, _ = solve_instance(inst, "uplink")
-    report = perturbation_search(inst, "uplink", design, trials=0, seed=0)
-    assert report.verdict
-    assert report.margin == 0.0
-    assert report.trials == 0
+    with pytest.raises(InvalidInputError, match="trials"):
+        perturbation_search(inst, "uplink", design, trials=0, seed=0)
 
 
 def test_certification_with_no_evaluated_candidate_fails(monkeypatch):
@@ -543,7 +562,7 @@ def test_certification_accepts_numpy_integer_trials():
 def test_certification_rejects_bad_seed(seed):
     inst = _identity_instance()
     design, _, _ = solve_instance(inst, "uplink")
-    for trials in (0, 10):
+    for trials in (1, 10):
         with pytest.raises(InvalidInputError, match="seed"):
             perturbation_search(inst, "uplink", design, trials=trials, seed=seed)
 

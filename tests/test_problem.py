@@ -13,6 +13,7 @@ from cranopt import (
     psd_part,
     restrict,
 )
+from cranopt.kernels import hermitian_defect
 from cranopt.problem import validate_covariance
 
 
@@ -70,6 +71,20 @@ def test_validate_covariance_checks_each_matrix_of_a_stack():
     bad_finite[0, 0, 1] = np.nan
     for A in (bad_psd, bad_finite, np.zeros((2, 2, 3), complex)):
         with pytest.raises(InvalidInputError):
+            validate_covariance(A, "S")
+
+
+@pytest.mark.parametrize("defect, ok", [(5e-10, True), (2e-9, False)])
+def test_validate_covariance_bounds_the_relative_hermitian_defect(defect, ok):
+    # TOL.psd (1e-9) bounds ||A - A^H||_F / max(1, ||A||_F): for
+    # A = 10 I + x [[0, 1], [-1, 0]] that ratio is x / 5 to first order
+    x = 5.0 * defect
+    A = np.array([[10.0, x], [-x, 10.0]], dtype=complex)
+    assert hermitian_defect(A) == pytest.approx(defect, rel=1e-6)
+    if ok:
+        validate_covariance(A, "S")
+    else:
+        with pytest.raises(InvalidInputError, match="Hermitian"):
             validate_covariance(A, "S")
 
 
