@@ -25,14 +25,14 @@ def main():
     inst = ChannelInstance(H=random_channel(2, 2, args.seed), P=2.0, C=4.0, sigma2=1.0)
     for direction in ("uplink", "downlink"):
         design, report, _ = solve_instance(inst, direction)
-        cert = perturbation_search(inst, direction, design, trials=args.trials, seed=args.seed)
+        cert = perturbation_search(inst, design, trials=args.trials, seed=args.seed)
         print(f"{direction}: solved rate {report.rate:.6f} bits")
         print(f"  certification: best perturbed {cert.best_perturbed_rate:.6f}, "
               f"margin {cert.margin:+.2e}, verdict {cert.verdict} "
               f"({cert.diagnostics['evaluated']} candidates evaluated)")
 
         weak = type(design)(S=0.5 * design.S, Q=design.Q, active_basis=design.active_basis)
-        cert = perturbation_search(inst, direction, weak, trials=args.trials, seed=args.seed)
+        cert = perturbation_search(inst, weak, trials=args.trials, seed=args.seed)
         print(f"  planted half-power base: margin {cert.margin:+.3f}, verdict {cert.verdict}")
 
     print("\nthe search never proves optimality; it fails to disprove it, loudly")

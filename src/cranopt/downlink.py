@@ -37,7 +37,15 @@ from .kernels import (
 from .problem import ChannelInstance, DownlinkDesign, RateReport, restrict
 
 
+def _check_design(d: DownlinkDesign) -> None:
+    if not isinstance(d, DownlinkDesign):
+        raise InvalidInputError(
+            f"downlink functionals take a DownlinkDesign, got {type(d).__name__}"
+        )
+
+
 def _check_dims(inst: ChannelInstance, d: DownlinkDesign) -> None:
+    _check_design(d)
     if d.S.shape != (inst.n_r, inst.n_r):
         raise InvalidInputError(f"S must be {inst.n_r}x{inst.n_r}, got {d.S.shape}")
 
@@ -73,6 +81,7 @@ def downlink_fronthaul(d: DownlinkDesign) -> float:
     Requires Q positive definite on the described subspace (DomainError
     otherwise: a noiseless description would take infinitely many bits).
     """
+    _check_design(d)
     W = d.active_basis
     return logdet_ratio(restrict(d.S, W), restrict(d.Q, W)) / LN2
 

@@ -86,7 +86,7 @@ def log_majorizes(a, b, tol: float = 1e-9) -> bool:
 
 
 def _spectra_match(x: np.ndarray, y: np.ndarray, scale: float) -> bool:
-    return bool(np.all(np.abs(x - y) <= EQUALITY_TOL * max(1.0, scale)))
+    return bool(np.all(np.abs(x - y) <= EQUALITY_TOL * scale))
 
 
 def check_uplink_rate_bound(Phi, Q, sigma2: float):
@@ -145,17 +145,17 @@ def check_power_lower_bound(H, S):
     trace = float(np.trace(Sm).real)
 
     # alignment: no power outside the row space, and the product spectrum
-    # of Phi with H H^H matches the descending pairing; zero singular
-    # directions belong to the null space even though svd reports them
-    pos = spec.singular_values > 1e-12 * max(1.0, float(spec.singular_values.max(initial=0.0)))
-    V = spec.right_basis[:, pos]
+    # of Phi with H H^H matches the descending pairing; the row space is
+    # spanned by the directions whose gains the bound counts, so the
+    # zero-gain ones svd reports belong to the null space
+    V = spec.right_basis[:, ~zero[: spec.rank]]
     proj = V @ V.conj().T
     null_power = float(np.trace(Sm - proj @ Sm @ proj).real)
     G = Hm @ Hm.conj().T
     prod = product_spectrum(Phi, G)
     paired = np.sort(l_phi * g2)[::-1]
     equal_at = (
-        null_power <= EQUALITY_TOL * max(1.0, trace)
+        null_power <= EQUALITY_TOL * trace
         and _spectra_match(prod, paired, float(paired.max(initial=0.0)))
     )
     return trace, bound, equal_at

@@ -61,7 +61,8 @@ from .kernels import (
     hermitian_part,
     whitened_eigvalsh,
 )
-from .problem import UPLINK, ChannelInstance, check_direction, psd_part, validate_covariance
+from .problem import DOWNLINK, UPLINK, check_direction
+from .problem import ChannelInstance, psd_part, validate_covariance
 from .uplink import UplinkDesign, check_uplink_feasible, uplink_rate_stacked
 
 CERTIFICATION_TOL = TOL.certification
@@ -285,9 +286,9 @@ def _project(inst: ChannelInstance, direction: str, S: np.ndarray, Q: np.ndarray
     """Batched core of :func:`feasibility_projection` for stacks of
     candidate pairs S (T, nS, nS) and Q (T, nQ, nQ) of the instance's
     shapes.  Returns the rescaled stacks and a mask of the lanes that have
-    a design; the other lanes' quantizer is singular or zero, and they hold
-    no design.  An uplink instance with C = 0 has no design in any lane and
-    raises ProjectionError.
+    a design.  The other lanes hold none: their quantizer is singular or
+    zero, or the instance is an uplink with C = 0, where no lane has a
+    design (compressing even pure noise costs bits).
 
     The stacks must be PSD up to rounding; only their Hermitian part is
     taken, nothing is clipped.  The scale factors are nonnegative, so the
@@ -298,16 +299,15 @@ def _project(inst: ChannelInstance, direction: str, S: np.ndarray, Q: np.ndarray
     T = len(S)
     tS = np.trace(S, axis1=-2, axis2=-1).real
     if direction == UPLINK:
-        if inst.C <= 0:
-            raise ProjectionError("no finite uplink design has zero fronthaul cost")
         alpha = np.divide(inst.P, tS, out=np.ones(T), where=tS > 0)
         Phi = inst.H @ (alpha[:, None, None] * S) @ inst.H.conj().T
         gev, ok = whitened_eigvalsh(
             hermitian_part(Phi) + inst.sigma2 * np.eye(inst.n_r), Q
         )
+        ok &= inst.C > 0
         gev = np.clip(gev[ok], 0.0, None)  # >= sigma2/||Q|| in exact arithmetic
         beta = np.ones(T)
-        beta[ok] = 1.0 / _fronthaul_level(gev, inst.C)
+        beta[ok] = 1.0 / _fronthaul_level(gev, inst.C) if ok.any() else 1.0
     else:
         tQ = np.trace(Q, axis1=-2, axis2=-1).real
         ev, ok = whitened_eigvalsh(S, Q)
@@ -343,7 +343,8 @@ def feasibility_projection(
 
     Raises ProjectionError when no scaling works: a singular quantizer
     covariance, or an uplink instance with C = 0 (compressing even pure
-    noise costs bits, so only the C -> 0 limit exists).
+    noise costs bits, so only the C -> 0 limit exists).  Only this function
+    raises it: the stacked projection masks such lanes instead.
     """
     check_direction(direction)
     S = as_complex_matrix(S_like, "S")
@@ -351,6 +352,8 @@ def feasibility_projection(
     nS = inst.n_u if direction == UPLINK else inst.n_r
     if S.shape != (nS, nS) or Q.shape != (inst.n_r, inst.n_r):
         raise InvalidInputError("covariance shapes do not match the instance")
+    if direction == UPLINK and inst.C <= 0:
+        raise ProjectionError("no finite uplink design has zero fronthaul cost")
     S, Q, ok = _project(inst, direction, psd_part(S)[None], psd_part(Q)[None])
     if not ok[0]:
         raise ProjectionError("quantization covariance is singular or zero")
@@ -524,13 +527,16 @@ def _densify(inst: ChannelInstance, direction: str, base) -> tuple:
 
 def perturbation_search(
     inst: ChannelInstance,
-    direction: str,
     base,
     trials: int,
     seed: int,
     instance_id: str = "",
 ) -> CertificationReport:
     """Try to beat a feasible base design with random feasible candidates.
+
+    The base design's class sets the direction: an UplinkDesign is
+    certified by the uplink functionals, a DownlinkDesign by the downlink
+    ones, and any other base raises InvalidInputError.
 
     Candidates alternate between conjugating the base covariances by
     random unitaries near the identity (geodesic steps 0.3, 0.1, 0.03) and
@@ -549,8 +555,9 @@ def perturbation_search(
     way.  A plan's directions are checked once, when drawn, and the
     densified base pair once per search; a negative or NaN projection scale
     factor, or a non-finite projected candidate, raises
-    InconsistencyError.  A candidate whose projection or rate fails (a
-    singular or ill-conditioned quantizer) is counted in
+    InconsistencyError.  A candidate that has no projected design (a
+    singular quantizer, or any uplink candidate at C = 0) or whose rate
+    fails (an ill-conditioned quantizer) is counted in
     ``projection_failures`` and skipped.  A search that evaluated fewer
     than half of its trials has too little evidence and fails its verdict,
     whatever its margin; with no candidate evaluated the margin is +inf.
@@ -561,19 +568,16 @@ def perturbation_search(
     report comes out of the block loop, and a search that tried nothing
     has no evidence to report.
     """
-    check_direction(direction)
     check_count(trials, "trials", 1)
     check_count(seed, "seed")
-    if direction == UPLINK:
-        if not isinstance(base, UplinkDesign):
-            raise InvalidInputError("uplink certification needs an UplinkDesign")
+    if isinstance(base, UplinkDesign):
+        direction, rate_stacked = UPLINK, uplink_rate_stacked
         report = check_uplink_feasible(inst, base)
-        rate_stacked = uplink_rate_stacked
-    else:
-        if not isinstance(base, DownlinkDesign):
-            raise InvalidInputError("downlink certification needs a DownlinkDesign")
+    elif isinstance(base, DownlinkDesign):
+        direction, rate_stacked = DOWNLINK, downlink_rate_stacked
         report = check_downlink_feasible(inst, base)
-        rate_stacked = downlink_rate_stacked
+    else:
+        raise InvalidInputError("base must be an UplinkDesign or a DownlinkDesign")
     if not report.feasible:
         raise InvalidInputError(
             f"base design is infeasible: power slack {report.slack_power:.3e}, "
@@ -587,11 +591,7 @@ def perturbation_search(
     best_trial = -1
     evaluated = 0
     for block in _blocks(seed, trials, S0.shape[0], Q0.shape[0]):
-        S_c, Q_c = _candidates(S0, Q0, block)
-        try:
-            S, Q, projected = _project(inst, direction, S_c, Q_c)
-        except ProjectionError:
-            continue  # no lane of the block has a design
+        S, Q, projected = _project(inst, direction, *_candidates(S0, Q0, block))
         S, Q, trial = S[projected], Q[projected], block.trial[projected]
         if not (np.all(np.isfinite(S)) and np.all(np.isfinite(Q))):
             raise InconsistencyError("a projected candidate has a non-finite entry")

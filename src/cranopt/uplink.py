@@ -39,6 +39,10 @@ from .problem import ChannelInstance, RateReport, UplinkDesign, restrict
 
 
 def _check_dims(inst: ChannelInstance, d: UplinkDesign) -> None:
+    if not isinstance(d, UplinkDesign):
+        raise InvalidInputError(
+            f"uplink functionals take an UplinkDesign, got {type(d).__name__}"
+        )
     if d.S.shape != (inst.n_u, inst.n_u):
         raise InvalidInputError(f"S must be {inst.n_u}x{inst.n_u}, got {d.S.shape}")
     if d.Q.shape != (inst.n_r, inst.n_r):

@@ -80,7 +80,7 @@ def test_criterion_2_diagonalization_optimality():
         )
         for direction in ("uplink", "downlink"):
             design, _, _ = solve_instance(inst, direction)
-            report = perturbation_search(inst, direction, design, trials=1000, seed=k)
+            report = perturbation_search(inst, design, trials=1000, seed=k)
             assert report.verdict, (k, direction, report.margin)
             worst = min(worst, report.margin)
     dt = time.perf_counter() - t0
@@ -249,7 +249,7 @@ def test_criterion_8_harness_self_test(monkeypatch, tmp_path):
     for direction in ("uplink", "downlink"):
         design, _, _ = solve_instance(inst, direction)
         weak = type(design)(S=0.5 * design.S, Q=design.Q, active_basis=design.active_basis)
-        report = perturbation_search(inst, direction, weak, trials=200, seed=8)
+        report = perturbation_search(inst, weak, trials=200, seed=8)
         assert not report.verdict, direction
         worst_margin = max(worst_margin, report.margin)
 

@@ -341,8 +341,8 @@ def _config(**kw):
     return ExperimentConfig(mode="solve", **kw)
 
 
-def _search(direction="uplink", trials=2, seed=0):
-    return perturbation_search(_INST, direction, _BASE, trials, seed)
+def _search(base=_BASE, trials=2, seed=0):
+    return perturbation_search(_INST, base, trials, seed)
 
 
 def _record(**kw):
@@ -389,7 +389,7 @@ _REJECTIONS = [
         lambda v: grid_oracle_scalar([1], 1, 1, 1, resolution=v),
         _COUNT + [1, np.float64(11.0)],
     ),
-    ("perturbation_search.direction", lambda v: _search(direction=v), _DIRECTION),
+    ("perturbation_search.base", lambda v: _search(base=v), [None, "uplink", np.eye(2)]),
     ("perturbation_search.trials", lambda v: _search(trials=v), _COUNT + [0]),
     ("perturbation_search.seed", lambda v: _search(seed=v), _COUNT),
     (

@@ -111,6 +111,63 @@ def test_power_lower_bound_null_space_power_breaks_equality():
     assert not equal
 
 
+@pytest.mark.parametrize(
+    "H, S, equal",
+    [
+        # power on a gain of 1e-9, 1e-6 or 1e-5, far above its bound g^2
+        (np.diag([1.0, 1e-9]), np.diag([0.0, 1.0]), False),
+        (np.diag([1.0, 1e-6]), np.diag([0.0, 1.0]), False),
+        (np.diag([1.0, 1e-5]), np.diag([0.0, 1.0]), False),
+        # a gain the bound counts as zero is outside the row space too
+        (np.diag([1.0, 1e-9]), np.eye(2), False),
+        (np.diag([1.0, 1e-9]), np.diag([1.0, 0.0]), True),
+        # null-space power is weighed against the trace at any scale
+        (np.array([[1.0, 0.0]]), 1e-12 * np.diag([0.0, 1.0]), False),
+        (np.array([[1.0, 0.0]]), 1e-12 * np.diag([1.0, 0.0]), True),
+    ],
+    ids=["gain-1e-9", "gain-1e-6", "gain-1e-5", "zero-gain", "strong-gain", "null", "row"],
+)
+def test_power_lower_bound_equality_is_relative(H, S, equal):
+    # every False case used to report equality: the spectra and the null
+    # power were compared within an absolute 1e-9 below scale 1, and the
+    # row space kept gains the bound treats as zero
+    power, bound, equal_at = check_power_lower_bound(H, S)
+    assert equal_at is equal
+    assert (abs(power - bound) <= EQ_TOL * power) is equal
+
+
+def _on(B, x):
+    return (B * x) @ B.conj().T
+
+
+@pytest.mark.parametrize("which", ["uplink", "power", "downlink"])
+def test_equality_reports_do_not_depend_on_scale(which):
+    # scaling every covariance of a bound (and sigma2 with them) leaves
+    # its equality report as it is; even cases put the second matrix on
+    # the bound's equality basis, odd cases on an unrelated one
+    rng = np.random.default_rng(61)
+    seen = set()
+    for k in range(200):
+        n = 1 + k % 4
+        U, V = random_unitary(n, 2 * k), random_unitary(n, 2 * k + 1)
+        g = np.sort(10.0 ** rng.uniform(-2, 2, n))[::-1]
+        x = np.sort(10.0 ** rng.uniform(-2, 2, n))[::-1]
+        aligned = V if which == "power" else U
+        B = aligned if k % 2 == 0 else random_unitary(n, 1_000_000 + k)
+
+        def equal_at(a):
+            if which == "uplink":
+                return check_uplink_rate_bound(a * _on(U, g), a * _on(B, x[::-1]), a)[2]
+            if which == "power":
+                return check_power_lower_bound((U * g) @ V.conj().T, a * _on(B, x))[2]
+            return check_downlink_bounds(U * g, a * _on(B, x), "signal", a)[2]
+
+        equal = equal_at(1.0)
+        assert equal_at(1e-12) is equal is equal_at(1e12), k
+        seen.add(equal)
+    assert seen == {True, False}
+
+
 def test_downlink_bounds_hold_randomized():
     rng = np.random.default_rng(23)
     for seed in range(300):

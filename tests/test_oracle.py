@@ -3,6 +3,7 @@
 import itertools
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,18 @@ def test_projection_uplink_zero_fronthaul_impossible():
         feasibility_projection(inst, "uplink", np.eye(2), np.eye(2))
 
 
+def test_block_projection_masks_every_uplink_lane_at_zero_fronthaul():
+    # the stacked projection has no uplink design at C = 0 either: it masks
+    # every lane, without a level solve and so without a warning
+    inst = _identity_instance(C=0.0)
+    rng = np.random.default_rng(5)
+    S, Q = _random_psd_stack(2, rng, lanes=16), _random_psd_stack(2, rng, lanes=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, ok = oracle._project(inst, "uplink", S, Q)
+    assert ok.shape == (16,) and not ok.any()
+
+
 def test_projection_downlink_zero_fronthaul_gives_silence():
     inst = _identity_instance(C=0.0)
     d = feasibility_projection(inst, "downlink", np.eye(2), np.eye(2))
@@ -363,7 +376,7 @@ def test_search_does_no_eigendecomposition_per_trial(monkeypatch, direction):
     counts = []
     for trials in (7, 1000):
         calls[0] = 0
-        perturbation_search(inst, direction, design, trials=trials, seed=0)
+        perturbation_search(inst, design, trials=trials, seed=0)
         counts.append(calls[0])
     assert counts[0] == counts[1] == 1
 
@@ -381,7 +394,7 @@ def test_search_whitens_exactly_hermitian_stacks(direction, monkeypatch):
         return whitened_eigvalsh(M, B)
 
     monkeypatch.setattr(oracle, "whitened_eigvalsh", recording)
-    perturbation_search(inst, direction, design, trials=1000, seed=0)
+    perturbation_search(inst, design, trials=1000, seed=0)
     assert seen
     for A in (A for pair in seen for A in pair):
         assert np.array_equal(A, A.conj().swapaxes(-1, -2))
@@ -475,7 +488,7 @@ def test_certification_accepts_solver_output():
         inst = ChannelInstance(H=H, P=2.0, C=3.0, sigma2=1.0)
         for direction in ("uplink", "downlink"):
             design, rep, _ = solve_instance(inst, direction)
-            report = perturbation_search(inst, direction, design, trials=60, seed=seed)
+            report = perturbation_search(inst, design, trials=60, seed=seed)
             assert report.verdict, report
             assert report.margin >= -CERTIFICATION_TOL
             assert np.isclose(report.diagonal_rate, rep.rate, rtol=1e-12)
@@ -485,7 +498,7 @@ def test_certification_flags_planted_half_power():
     inst = _identity_instance(P=2.0, C=4.0)
     design, _, _ = solve_instance(inst, "uplink")
     weak = UplinkDesign(S=0.5 * design.S, Q=design.Q, active_basis=design.active_basis)
-    report = perturbation_search(inst, "uplink", weak, trials=100, seed=3)
+    report = perturbation_search(inst, weak, trials=100, seed=3)
     assert not report.verdict
     assert report.margin < -0.01
 
@@ -494,7 +507,7 @@ def test_certification_rejects_infeasible_base():
     inst = _identity_instance(P=1.0)
     fat = UplinkDesign(S=np.eye(2), Q=np.eye(2))  # trace 2 > P
     with pytest.raises(InvalidInputError):
-        perturbation_search(inst, "uplink", fat, trials=10, seed=0)
+        perturbation_search(inst, fat, trials=10, seed=0)
 
 
 def test_certification_zero_trials():
@@ -503,19 +516,16 @@ def test_certification_zero_trials():
     inst = _identity_instance()
     design, _, _ = solve_instance(inst, "uplink")
     with pytest.raises(InvalidInputError, match="trials"):
-        perturbation_search(inst, "uplink", design, trials=0, seed=0)
+        perturbation_search(inst, design, trials=0, seed=0)
 
 
-def test_certification_with_no_evaluated_candidate_fails(monkeypatch):
+def test_certification_with_no_evaluated_candidate_fails():
     # a search whose every candidate failed projection has no evidence; it
-    # used to report margin = base rate and pass
-    def refuse(*args, **kwargs):
-        raise ProjectionError("refused")
-
-    inst = _identity_instance()
+    # used to report margin = base rate and pass.  No uplink candidate has
+    # a design at C = 0
+    inst = _identity_instance(C=0.0)
     design, _, _ = solve_instance(inst, "uplink")
-    monkeypatch.setattr(oracle, "_project", refuse)
-    report = perturbation_search(inst, "uplink", design, trials=12, seed=0)
+    report = perturbation_search(inst, design, trials=12, seed=0)
     assert report.verdict is False
     assert report.diagnostics["evaluated"] == 0
     assert report.diagnostics["projection_failures"] == 12
@@ -524,8 +534,8 @@ def test_certification_with_no_evaluated_candidate_fails(monkeypatch):
 def test_certification_deterministic():
     inst = _identity_instance()
     design, _, _ = solve_instance(inst, "downlink")
-    r1 = perturbation_search(inst, "downlink", design, trials=40, seed=9)
-    r2 = perturbation_search(inst, "downlink", design, trials=40, seed=9)
+    r1 = perturbation_search(inst, design, trials=40, seed=9)
+    r2 = perturbation_search(inst, design, trials=40, seed=9)
     assert r1.best_perturbed_rate == r2.best_perturbed_rate
     assert r1.margin == r2.margin
 
@@ -534,12 +544,10 @@ def test_certification_validates_arguments():
     inst = _identity_instance()
     design, _, _ = solve_instance(inst, "uplink")
     with pytest.raises(InvalidInputError):
-        perturbation_search(inst, "sideways", design, trials=10, seed=0)
-    with pytest.raises(InvalidInputError):
-        perturbation_search(inst, "uplink", design, trials=-1, seed=0)
-    dl = DownlinkDesign(S=np.eye(2), Q=np.eye(2))
-    with pytest.raises(InvalidInputError):
-        perturbation_search(inst, "uplink", dl, trials=10, seed=0)
+        perturbation_search(inst, design, trials=-1, seed=0)
+    # the direction is the design's; a base that is not a design has none
+    with pytest.raises(InvalidInputError, match="UplinkDesign or a DownlinkDesign"):
+        perturbation_search(inst, (design.S, design.Q), trials=10, seed=0)
 
 
 @pytest.mark.parametrize("trials", [-1, 2.5, True, "3", None], ids=repr)
@@ -548,13 +556,13 @@ def test_certification_rejects_bad_trial_count(trials):
     inst = _identity_instance()
     design, _, _ = solve_instance(inst, "uplink")
     with pytest.raises(InvalidInputError, match="trials"):
-        perturbation_search(inst, "uplink", design, trials=trials, seed=0)
+        perturbation_search(inst, design, trials=trials, seed=0)
 
 
 def test_certification_accepts_numpy_integer_trials():
     inst = _identity_instance()
     design, _, _ = solve_instance(inst, "uplink")
-    report = perturbation_search(inst, "uplink", design, trials=np.int64(8), seed=0)
+    report = perturbation_search(inst, design, trials=np.int64(8), seed=0)
     assert report.trials == 8
 
 
@@ -564,7 +572,7 @@ def test_certification_rejects_bad_seed(seed):
     design, _, _ = solve_instance(inst, "uplink")
     for trials in (1, 10):
         with pytest.raises(InvalidInputError, match="seed"):
-            perturbation_search(inst, "uplink", design, trials=trials, seed=seed)
+            perturbation_search(inst, design, trials=trials, seed=seed)
 
 
 def _reference_rotation(n, eps, rng):
@@ -643,7 +651,7 @@ def test_block_search_matches_per_candidate_loop(shape, direction):
     # quantizer of _densify), so their rates get a wider tolerance
     tol = 1e-7 if direction == "uplink" else 1e-12
     for trials in counts:
-        report = perturbation_search(inst, direction, design, trials=trials, seed=k)
+        report = perturbation_search(inst, design, trials=trials, seed=k)
         evaluated, failures, best_trial, best_rate = _reference_outcome(rates[:trials])
         d = report.diagnostics
         assert (d["evaluated"], d["projection_failures"], d["best_trial"]) == (
@@ -747,7 +755,7 @@ def test_memoized_directions_match_the_per_block_draw(shape, direction):
     oracle._plan.cache_clear()
     for memo, calls in (("cold", (0, stored)), ("warm", (stored, stored))):
         for trials in counts:
-            report = perturbation_search(inst, direction, design, trials=trials, seed=k)
+            report = perturbation_search(inst, design, trials=trials, seed=k)
             assert report == expected[trials], (memo, trials)
         assert oracle._plan.cache_info()[:2] == calls, memo
 
@@ -840,9 +848,9 @@ def test_search_report_does_not_depend_on_the_block_size(monkeypatch, shape, dir
     trials = _OVER_CAP if shape == (4, 4) else 1000
     assert (oracle._plan_nbytes(trials, nS, inst.n_r) > oracle._PLAN_MAX_BYTES) == (shape == (4, 4))
     oracle._plan.cache_clear()
-    budget = perturbation_search(inst, direction, design, trials=trials, seed=k)
+    budget = perturbation_search(inst, design, trials=trials, seed=k)
     _blocks_of_128_trials(monkeypatch, nS, inst.n_r)
-    small = perturbation_search(inst, direction, design, trials=trials, seed=k)
+    small = perturbation_search(inst, design, trials=trials, seed=k)
     assert small == budget
     assert budget.diagnostics["evaluated"] > trials // 2
 
@@ -852,13 +860,13 @@ def test_direction_plans_are_read_only_and_bounded():
     design, _, _ = solve_instance(inst, "uplink")
     oracle._plan.cache_clear()
     for seed in range(oracle._PLANS + 3):
-        perturbation_search(inst, "uplink", design, trials=300, seed=seed)
+        perturbation_search(inst, design, trials=300, seed=seed)
     info = oracle._plan.cache_info()
     assert (info.maxsize, info.currsize) == (oracle._PLANS, oracle._PLANS)
     # the least recently used plans were evicted, the others are kept
-    perturbation_search(inst, "uplink", design, trials=300, seed=oracle._PLANS + 2)
+    perturbation_search(inst, design, trials=300, seed=oracle._PLANS + 2)
     assert oracle._plan.cache_info().hits == info.hits + 1
-    perturbation_search(inst, "uplink", design, trials=300, seed=0)
+    perturbation_search(inst, design, trials=300, seed=0)
     assert oracle._plan.cache_info().misses == info.misses + 1
     plan = oracle._plan(0, 300, 2, 2)
     arrays = [a for block in plan for a in block]
@@ -871,7 +879,7 @@ def test_direction_plans_are_read_only_and_bounded():
     # a search over the size cap draws its directions and stores nothing
     trials = oracle._PLAN_MAX_BYTES // oracle._plan_nbytes(1, 2, 2) + 1
     before = oracle._plan.cache_info()
-    perturbation_search(inst, "uplink", design, trials=trials, seed=1)
+    perturbation_search(inst, design, trials=trials, seed=1)
     assert oracle._plan.cache_info() == before
 
 
@@ -912,7 +920,7 @@ def test_singular_quantizer_fails_only_its_lane(monkeypatch, direction):
         if blocks == "128-trial":
             _blocks_of_128_trials(monkeypatch, 3, 3)
         _plant_singular_quantizers(monkeypatch, [winner])
-        report = perturbation_search(inst, direction, design, trials=300, seed=3)
+        report = perturbation_search(inst, design, trials=300, seed=3)
         d = report.diagnostics
         assert (d["evaluated"], d["projection_failures"]) == (299, 1), blocks
         assert d["best_trial"] == best_trial != winner, blocks
@@ -923,11 +931,11 @@ def test_certification_needs_half_its_trials_evaluated(monkeypatch):
     inst = _identity_instance()
     design, _, _ = solve_instance(inst, "downlink")
     _plant_singular_quantizers(monkeypatch, range(6))
-    half = perturbation_search(inst, "downlink", design, trials=12, seed=0)
+    half = perturbation_search(inst, design, trials=12, seed=0)
     assert half.diagnostics["evaluated"] == 6
     assert half.verdict
     _plant_singular_quantizers(monkeypatch, range(7))
-    short = perturbation_search(inst, "downlink", design, trials=12, seed=0)
+    short = perturbation_search(inst, design, trials=12, seed=0)
     assert short.diagnostics["evaluated"] == 5
     assert short.margin >= -CERTIFICATION_TOL  # the margin alone would pass
     assert not short.verdict
@@ -1018,11 +1026,11 @@ def test_planted_candidate_faults_stop_the_search(monkeypatch, fault, direction)
     name, wrap, error, message = _FAULTS[fault]
     inst = _projection_instance("3x3-off")
     design, _, _ = solve_instance(inst, direction)
-    assert perturbation_search(inst, direction, design, trials=200, seed=4).verdict
+    assert perturbation_search(inst, design, trials=200, seed=4).verdict
     # the plan of this key is drawn again under the fault, not read from the memo
     oracle._plan.cache_clear()
     monkeypatch.setattr(oracle, name, wrap(getattr(oracle, name)))
     with pytest.raises(error, match=message):
-        perturbation_search(inst, direction, design, trials=200, seed=4)
+        perturbation_search(inst, design, trials=200, seed=4)
     if name in ("_random_rotations", "_random_psd"):
         assert oracle._plan.cache_info().currsize == 0  # a rejected plan is not kept

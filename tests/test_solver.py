@@ -14,10 +14,14 @@ from cranopt import (
     assemble_uplink,
     check_downlink_feasible,
     check_uplink_feasible,
+    downlink_fronthaul,
+    downlink_rate,
     duality_gap,
     random_channel,
     solve_instance,
     subchannel_rate,
+    uplink_fronthaul,
+    uplink_rate,
     waterfilling_capacity,
     svd,
 )
@@ -35,6 +39,22 @@ def test_solve_instance_returns_feasible_certified_triple():
         assert report.rate > 0
         assert np.isclose(report.rate, alloc.diagnostics["rate"], rtol=1e-10)
         assert design.S.shape[0] in (inst.n_r, inst.n_u)
+
+
+def test_one_design_functionals_reject_the_other_direction():
+    # each used to evaluate the other direction's design: uplink_rate of
+    # the solved downlink design read 1.5066 bits, its downlink rate 1.6414
+    inst = _random_instance(1)
+    uplink = solve_instance(inst, "uplink")[0]
+    downlink = solve_instance(inst, "downlink")[0]
+    for functional in (uplink_rate, uplink_fronthaul, check_uplink_feasible):
+        with pytest.raises(InvalidInputError, match="UplinkDesign"):
+            functional(inst, downlink)
+    for functional in (downlink_rate, check_downlink_feasible):
+        with pytest.raises(InvalidInputError, match="DownlinkDesign"):
+            functional(inst, uplink)
+    with pytest.raises(InvalidInputError, match="DownlinkDesign"):
+        downlink_fronthaul(uplink)
 
 
 @pytest.mark.parametrize("n_r", [1, 2, 3, 4])
