@@ -32,7 +32,6 @@ from .errors import (
     InconsistencyError,
     InstanceFormatError,
     InvalidInputError,
-    ProjectionError,
     UnsupportedSizeError,
 )
 from .kernels import (
@@ -97,7 +96,6 @@ __all__ = [
     "InstanceFormatError",
     "InvalidInputError",
     "LN2",
-    "ProjectionError",
     "RateReport",
     "SolverOptions",
     "SubchannelAllocation",

@@ -11,7 +11,7 @@ Modes
 
 Exit status: 0 all checks passed, 1 a duality/certification/feasibility
 check failed, 2 usage, I/O, or parse errors.  A numerical error on an
-instance (DomainError, InconsistencyError, ProjectionError) also exits 1,
+instance (DomainError or InconsistencyError) also exits 1,
 with no rows and one stderr line "error: instance ID: message".  Output is
 CSV (default) or JSON; rows are ordered by instance, direction, then budget
 indices, so reruns with one seed are byte-identical except for the wall_ms
@@ -47,7 +47,6 @@ from .errors import (
     InconsistencyError,
     InstanceFormatError,
     InvalidInputError,
-    ProjectionError,
     UnsupportedSizeError,
 )
 from .kernels import check_count, check_positive, random_channel
@@ -346,7 +345,7 @@ _MODE_RUNNERS = {
 }
 
 # numerical faults of the library on one instance; they fail the run's check
-_NUMERICAL_ERRORS = (DomainError, InconsistencyError, ProjectionError)
+_NUMERICAL_ERRORS = (DomainError, InconsistencyError)
 
 
 def run(config: ExperimentConfig) -> tuple[list[ResultRow], int]:

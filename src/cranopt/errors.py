@@ -19,10 +19,6 @@ class InconsistencyError(ValueError):
     inputs rather than a tolerance issue."""
 
 
-class ProjectionError(RuntimeError):
-    """Feasibility projection could not reach the constraint set."""
-
-
 class UnsupportedSizeError(ValueError):
     """Problem size outside what the exhaustive oracle can enumerate."""
 

@@ -15,16 +15,21 @@ Schur-geometric convexity of x -> sum log2(sigma2 + x_d):
                           for G = H H^H; equality iff the eigenbasis matches
                           with the stated pairing.
 
-Products of two PSD matrices have real nonnegative spectra; they are
-computed by square-root conjugation, never by multiplying out the
-non-Hermitian product.
+Products of two PSD matrices have real nonnegative spectra, and no bound
+multiplies out the non-Hermitian product, forms H H^H, inverts a matrix or
+takes a matrix square root.  Each spectrum is that of one small Hermitian
+matrix: the power and transmit-side bounds read the channel in its singular
+coordinates, from one SVD (the spectrum of H S H^H is that of diag(h) V^H S
+V diag(h)); the uplink rate bound whitens Phi by the Cholesky factor of
+Q + sigma2 I.  :func:`product_spectrum` is a standalone probe of the general
+product A B, by square-root conjugation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InconsistencyError, InvalidInputError
+from .errors import DomainError, InvalidInputError
 from .kernels import (
     as_complex_matrix,
     check_nonneg,
@@ -33,16 +38,18 @@ from .kernels import (
     hermitian_part,
     is_psd,
     svd,
+    whitened_eigvalsh,
 )
 
 EQUALITY_TOL = 1e-9
 
 
 def _psd_matrix(M, name: str) -> np.ndarray:
+    """M checked as a Hermitian PSD matrix, returned as its exact Hermitian part."""
     A = as_complex_matrix(M, name)
     if not is_psd(A):
         raise InvalidInputError(f"{name} must be Hermitian PSD")
-    return A
+    return hermitian_part(A)
 
 
 def _sqrt_psd(A: np.ndarray) -> np.ndarray:
@@ -56,6 +63,13 @@ def product_spectrum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     similar Hermitian matrix sqrt(A) B sqrt(A)."""
     R = _sqrt_psd(A)
     w = np.linalg.eigvalsh(hermitian_part(R @ B @ R))
+    return np.clip(w, 0.0, None)[::-1]
+
+
+def _conjugate_spectrum(K: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of diag(d) K diag(d) for Hermitian PSD K,
+    rounding below zero clipped."""
+    w = np.linalg.eigvalsh(hermitian_part(d[:, None] * K * d))
     return np.clip(w, 0.0, None)[::-1]
 
 
@@ -96,6 +110,9 @@ def check_uplink_rate_bound(Phi, Q, sigma2: float):
     Returns (lhs, rhs, equal_at) in bits with
         lhs = log2|I + Phi (Q + sigma2 I)^-1|,
         rhs = sum log2(1 + l_Phi,d(desc) / (l_Q,d(asc) + sigma2)).
+    The spectrum of Phi (Q + sigma2 I)^-1 is that of Phi whitened by the
+    Cholesky factor of Q + sigma2 I; a Q that passes the PSD check but
+    leaves Q + sigma2 I without that factor raises DomainError.
     equal_at reports whether the product spectrum equals the anti-aligned
     paired products, the basis-agnostic form of "Q's eigenbasis matches
     Phi's with ascending eigenvalues on descending directions".
@@ -105,13 +122,12 @@ def check_uplink_rate_bound(Phi, Q, sigma2: float):
     Q = _psd_matrix(Q, "noise")
     if Phi.shape != Q.shape:
         raise InvalidInputError(f"shape mismatch: {Phi.shape} vs {Q.shape}")
-    n = Phi.shape[0]
-    base_inv = np.linalg.inv(hermitian_part(Q) + sigma2 * np.eye(n))
-    prod = product_spectrum(Phi, hermitian_part(base_inv))
+    prod, ok = whitened_eigvalsh(Phi[None], (Q + sigma2 * np.eye(len(Q)))[None])
+    if not ok[0]:
+        raise DomainError("Q + sigma2 I is not positive definite")
+    prod = np.clip(prod[0], 0.0, None)[::-1]
     lhs = float(np.sum(np.log2(1.0 + prod)))
-    l_phi = np.sort(np.linalg.eigvalsh(hermitian_part(Phi)))[::-1]
-    l_q = np.sort(np.linalg.eigvalsh(hermitian_part(Q)))
-    paired = l_phi / (l_q + sigma2)
+    paired = np.linalg.eigvalsh(Phi)[::-1] / (np.linalg.eigvalsh(Q) + sigma2)
     rhs = float(np.sum(np.log2(1.0 + paired)))
     equal_at = _spectra_match(prod, np.sort(paired)[::-1], float(paired.max(initial=0.0)))
     return lhs, rhs, equal_at
@@ -121,42 +137,31 @@ def check_power_lower_bound(H, S):
     """Evaluate trace(S) against its spectral floor sum_d l_Phi,d / h_d^2,
     Phi = H S H^H with descending eigenvalues over descending gains.
 
-    Zero-gain directions must carry no Phi energy (they cannot, up to
-    rounding; a violation raises InconsistencyError) and contribute zero.
+    Everything is read in the channel's singular coordinates, from one SVD
+    H = U diag(h) V^H.  A gain counts when h_d > 1e-7 h_1; the others and
+    the null space add no term.  With V the counted gains' right singular
+    vectors and K = V^H S V, Phi's nonzero spectrum is that of h K h, and
+    the product spectrum of Phi with H H^H that of h^2 K h^2.
     Returns (trace, bound, equal_at); equal_at holds when S has no
-    component outside the channel's row space and Phi's eigenvalues sort
-    the same way as the gains (the diagonal aligned form).
+    component outside the counted row space (trace S - trace K) and Phi's
+    eigenvalues sort the same way as the gains (the diagonal aligned form).
     """
     Hm = as_complex_matrix(H, "H")
     Sm = _psd_matrix(S, "S")
     if Sm.shape != (Hm.shape[1], Hm.shape[1]):
         raise InvalidInputError(f"S must be {Hm.shape[1]}x{Hm.shape[1]}")
     spec = svd(Hm)
-    n_r = Hm.shape[0]
-    g2 = np.zeros(n_r)
-    g2[: spec.rank] = spec.gains_squared
-    Phi = Hm @ Sm @ Hm.conj().T
-    l_phi = np.clip(np.sort(np.linalg.eigvalsh(hermitian_part(Phi)))[::-1], 0.0, None)
-    scale = max(1.0, float(l_phi[0]))
-    zero = g2 <= 1e-14 * max(1.0, g2.max(initial=0.0))
-    if np.any(l_phi[zero] > 1e-9 * scale):
-        raise InconsistencyError("received energy on a zero-gain direction")
-    bound = float(np.sum(l_phi[~zero] / g2[~zero]))
+    counted = spec.singular_values > 1e-7 * spec.singular_values[0]
+    h = spec.singular_values[counted]
+    V = spec.right_basis[:, counted]
+    K = V.conj().T @ Sm @ V
+    l_phi = _conjugate_spectrum(K, h)
+    bound = float(np.sum(l_phi / h**2))
     trace = float(np.trace(Sm).real)
-
-    # alignment: no power outside the row space, and the product spectrum
-    # of Phi with H H^H matches the descending pairing; the row space is
-    # spanned by the directions whose gains the bound counts, so the
-    # zero-gain ones svd reports belong to the null space
-    V = spec.right_basis[:, ~zero[: spec.rank]]
-    proj = V @ V.conj().T
-    null_power = float(np.trace(Sm - proj @ Sm @ proj).real)
-    G = Hm @ Hm.conj().T
-    prod = product_spectrum(Phi, G)
-    paired = np.sort(l_phi * g2)[::-1]
-    equal_at = (
-        null_power <= EQUALITY_TOL * trace
-        and _spectra_match(prod, paired, float(paired.max(initial=0.0)))
+    null_power = trace - float(np.trace(K).real)
+    paired = l_phi * h**2  # descending over descending
+    equal_at = null_power <= EQUALITY_TOL * trace and _spectra_match(
+        _conjugate_spectrum(K, h**2), paired, float(paired.max(initial=0.0))
     )
     return trace, bound, equal_at
 
@@ -168,30 +173,30 @@ def check_downlink_bounds(H, M, which: str, sigma2: float):
     which='quantizer': lhs = log2|M G + sigma2 I| >= rhs = sum log2(sigma2 + l_M(asc)  g(desc))
 
     M is the signal covariance in the first case and the quantization
-    covariance in the second.  Returns (lhs, rhs, equal_at); equal_at
-    reports the basis match under the stated pairing via the product
-    spectrum.
+    covariance in the second.  From one SVD H = U diag(h) V^H, g = h^2
+    and the spectrum of M G is that of h U^H M U h, each padded with exact
+    zeros to n_r.  Returns (lhs, rhs, equal_at); equal_at reports the
+    basis match under the stated pairing via the product spectrum.
     """
     if which not in ("signal", "quantizer"):
         raise InvalidInputError("which must be 'signal' or 'quantizer'")
     check_positive(sigma2, "sigma2")
     Hm = as_complex_matrix(H, "H")
     Mm = _psd_matrix(M, "M")
-    G = hermitian_part(Hm @ Hm.conj().T)
-    if Mm.shape != G.shape:
-        raise InvalidInputError(f"shape mismatch: {Mm.shape} vs {G.shape}")
-    g = np.clip(np.sort(np.linalg.eigvalsh(G))[::-1], 0.0, None)
-    l_m = np.clip(np.linalg.eigvalsh(hermitian_part(Mm)), 0.0, None)  # ascending
-    prod = product_spectrum(Mm, G)
+    n_r = Hm.shape[0]
+    if Mm.shape != (n_r, n_r):
+        raise InvalidInputError(f"shape mismatch: {Mm.shape} vs {(n_r, n_r)}")
+    spec = svd(Hm)
+    U = spec.left_basis
+    g, prod = np.zeros(n_r), np.zeros(n_r)
+    g[: spec.rank] = spec.gains_squared
+    prod[: spec.rank] = _conjugate_spectrum(U.conj().T @ Mm @ U, spec.singular_values)
     lhs = float(np.sum(np.log2(sigma2 + prod)))
-    if which == "signal":
-        paired = l_m[::-1] * g  # descending over descending
-    else:
-        paired = l_m * g  # ascending over descending
+    l_m = np.clip(np.linalg.eigvalsh(Mm), 0.0, None)  # ascending
+    # descending over descending gains for the signal, ascending for the quantizer
+    paired = (l_m[::-1] if which == "signal" else l_m) * g
     rhs = float(np.sum(np.log2(sigma2 + paired)))
-    equal_at = _spectra_match(
-        prod, np.sort(paired)[::-1], float(paired.max(initial=0.0))
-    )
+    equal_at = _spectra_match(prod, np.sort(paired)[::-1], float(paired.max(initial=0.0)))
     return lhs, rhs, equal_at
 
 

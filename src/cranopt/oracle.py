@@ -48,9 +48,9 @@ from .allocation import (
 )
 from .downlink import DownlinkDesign, check_downlink_feasible, downlink_rate_stacked
 from .errors import (
+    DomainError,
     InconsistencyError,
     InvalidInputError,
-    ProjectionError,
     UnsupportedSizeError,
 )
 from .kernels import (
@@ -341,10 +341,10 @@ def feasibility_projection(
     zeroed) and then goes through the stacked projection
     :func:`perturbation_search` runs on its blocks of PSD candidates.
 
-    Raises ProjectionError when no scaling works: a singular quantizer
+    Raises DomainError when no scaling works: a singular quantizer
     covariance, or an uplink instance with C = 0 (compressing even pure
-    noise costs bits, so only the C -> 0 limit exists).  Only this function
-    raises it: the stacked projection masks such lanes instead.
+    noise costs bits, so only the C -> 0 limit exists).  The stacked
+    projection raises nothing there: it masks such lanes instead.
     """
     check_direction(direction)
     S = as_complex_matrix(S_like, "S")
@@ -353,10 +353,10 @@ def feasibility_projection(
     if S.shape != (nS, nS) or Q.shape != (inst.n_r, inst.n_r):
         raise InvalidInputError("covariance shapes do not match the instance")
     if direction == UPLINK and inst.C <= 0:
-        raise ProjectionError("no finite uplink design has zero fronthaul cost")
+        raise DomainError("no finite uplink design has zero fronthaul cost")
     S, Q, ok = _project(inst, direction, psd_part(S)[None], psd_part(Q)[None])
     if not ok[0]:
-        raise ProjectionError("quantization covariance is singular or zero")
+        raise DomainError("quantization covariance is singular or zero")
     design = UplinkDesign if direction == UPLINK else DownlinkDesign
     return design(S=S[0], Q=Q[0])
 

@@ -39,6 +39,16 @@ DOWNLINK = "downlink"
 DIRECTIONS = (UPLINK, DOWNLINK)
 
 
+def _read_only(A: np.ndarray, given) -> np.ndarray:
+    """A, the validated form of the caller's array ``given``, marked
+    read-only; copied first when it shares memory with ``given``, so that
+    the caller's array stays writable and no later write to it reaches A."""
+    if np.may_share_memory(A, given):
+        A = A.copy()
+    A.flags.writeable = False
+    return A
+
+
 def check_direction(direction) -> None:
     """Raise InvalidInputError unless direction is one of DIRECTIONS."""
     if direction not in DIRECTIONS:
@@ -50,8 +60,7 @@ class ChannelInstance:
     """One link: channel H (n_r x n_u), power budget P, fronthaul budget C
     in bits and noise power sigma2.
 
-    H is kept read-only, copied when the given array would otherwise be
-    shared (the caller's array stays writable), so that the thin SVD
+    H is kept read-only (:func:`_read_only`), so that the thin SVD
     :attr:`spectrum`, taken on first use, stays the channel's."""
 
     H: np.ndarray
@@ -60,11 +69,7 @@ class ChannelInstance:
     sigma2: float
 
     def __post_init__(self):
-        H = as_complex_matrix(self.H, "H")
-        if np.may_share_memory(H, self.H):
-            H = H.copy()
-        H.flags.writeable = False
-        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "H", _read_only(as_complex_matrix(self.H, "H"), self.H))
         for name in ("P", "C"):
             object.__setattr__(self, name, check_nonneg_number(getattr(self, name), name))
         object.__setattr__(self, "sigma2", check_positive(self.sigma2, "sigma2"))
@@ -109,7 +114,9 @@ def _validate_active_basis(W, n: int):
 @dataclass(frozen=True)
 class _Design:
     """A covariance pair (S, Q) with an optional orthonormal active_basis
-    (n x k) of the subspace the fronthaul carries."""
+    (n x k) of the subspace the fronthaul carries.  All three are kept as
+    read-only copies (:func:`_read_only`), as :class:`ChannelInstance`
+    keeps H, so that a validated design cannot change."""
 
     S: np.ndarray
     Q: np.ndarray
@@ -124,11 +131,11 @@ class _Design:
             raise InvalidInputError(f"S and Q must match, got {S.shape} vs {Q.shape}")
         validate_covariance(S, "S")
         validate_covariance(Q, "Q")
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(
-            self, "active_basis", _validate_active_basis(self.active_basis, Q.shape[0])
-        )
+        object.__setattr__(self, "S", _read_only(S, self.S))
+        object.__setattr__(self, "Q", _read_only(Q, self.Q))
+        W = _validate_active_basis(self.active_basis, Q.shape[0])
+        if W is not None:
+            object.__setattr__(self, "active_basis", _read_only(W, self.active_basis))
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,15 @@ def test_waterfilling_shuts_weak_channel():
     assert np.isclose(cap, np.log2(1.0 + 4.0 * 0.5), rtol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "gains, P", [([0.0, 0.0], 1.0), ([2.0, 1.0], 0.0)], ids=["zero-gains", "zero-power"]
+)
+def test_waterfilling_without_gain_or_power_has_capacity_zero(gains, P):
+    p, cap = waterfilling_capacity(gains, P, 1.0)
+    assert np.array_equal(p, [0.0, 0.0])
+    assert cap == 0.0
+
+
 def test_waterfilling_exhausts_power():
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -16,7 +16,7 @@ from cranopt import (
     DomainError,
     InconsistencyError,
     InstanceFormatError,
-    ProjectionError,
+    InvalidInputError,
     random_channel,
 )
 from cranopt.cli import (
@@ -25,6 +25,8 @@ from cranopt.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ExperimentConfig,
+    _parse_grid,
+    _parse_random,
     build_parser,
     instance_from_record,
     load_instances,
@@ -101,6 +103,120 @@ def test_bad_element_names_the_index():
     }
     with pytest.raises(InstanceFormatError, match=r"H\[0\]\[1\]"):
         instance_from_record(rec)
+
+
+_REC = {"n_r": 1, "n_u": 1, "H": [[[1.0, 0.0]]], "P": 1.0, "C": 1.0, "sigma2": 1.0}
+
+
+def _instance_file(directory, text):
+    path = directory / "instances.json"
+    path.write_text(text)
+    return str(path)
+
+
+# (case, call given a temporary directory, error, key phrase of the message)
+_FORMAT_ERRORS = [
+    (
+        "config-mode",
+        lambda d: ExperimentConfig(mode="fly", random_spec=(1, 1, 1)),
+        InvalidInputError,
+        "mode must be one of",
+    ),
+    (
+        "config-both-sources",
+        lambda d: ExperimentConfig(mode="solve", instances_path="x.json", random_spec=(1, 1, 1)),
+        InvalidInputError,
+        "exactly one instance source",
+    ),
+    (
+        "config-no-source",
+        lambda d: ExperimentConfig(mode="solve"),
+        InvalidInputError,
+        "exactly one instance source",
+    ),
+    (
+        "config-sweep-without-grids",
+        lambda d: ExperimentConfig(mode="sweep", random_spec=(1, 1, 1), p_grid=(1.0,)),
+        InvalidInputError,
+        "sweep mode needs nonempty --P-grid and --C-grid",
+    ),
+    (
+        "config-format",
+        lambda d: ExperimentConfig(mode="solve", random_spec=(1, 1, 1), out_format="xml"),
+        InvalidInputError,
+        "format must be csv or json",
+    ),
+    (
+        "record-not-an-object",
+        lambda d: instance_from_record([_REC]),
+        InstanceFormatError,
+        "instance must be a JSON object, got list",
+    ),
+    (
+        "record-unknown-fields",
+        lambda d: instance_from_record({**_REC, "gain": 2.0}),
+        InstanceFormatError,
+        "unknown fields ['gain']",
+    ),
+    (
+        "record-H-rows",
+        lambda d: instance_from_record({**_REC, "n_r": 2}),
+        InstanceFormatError,
+        "H must be a list of 2 rows",
+    ),
+    (
+        "record-empty-id",
+        lambda d: instance_from_record({**_REC, "id": ""}),
+        InstanceFormatError,
+        "id must be a nonempty string",
+    ),
+    (
+        "load-invalid-json",
+        lambda d: load_instances(_instance_file(d, "{")),
+        InstanceFormatError,
+        "is not valid JSON",
+    ),
+    (
+        "load-empty-list",
+        lambda d: load_instances(_instance_file(d, "[]")),
+        InstanceFormatError,
+        "holds no instances",
+    ),
+    (
+        "load-duplicate-ids",
+        lambda d: load_instances(_instance_file(d, json.dumps([{**_REC, "id": "a"}] * 2))),
+        InstanceFormatError,
+        "duplicate instance ids",
+    ),
+    (
+        "grid-not-numeric",
+        lambda d: _parse_grid("a:b:3"),
+        InvalidInputError,
+        "bad grid 'a:b:3'",
+    ),
+    (
+        "random-fields",
+        lambda d: _parse_random("1,1"),
+        InvalidInputError,
+        "--random must be n_r,n_u,count",
+    ),
+    (
+        "random-not-integers",
+        lambda d: _parse_random("1,x,2"),
+        InvalidInputError,
+        "bad --random '1,x,2'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, phrase",
+    [pytest.param(*case[1:], id=case[0]) for case in _FORMAT_ERRORS],
+)
+def test_format_errors_name_the_fault(tmp_path, call, error, phrase):
+    with pytest.raises(error, match=re.escape(phrase)) as info:
+        call(tmp_path)
+    assert type(info.value) is error
 
 
 def test_solve_mode_emits_both_directions(identity_file):
@@ -315,7 +431,7 @@ def test_main_missing_file_is_usage_error(capsys):
     [
         ("duality", "duality_gap", DomainError("B or B + M is not positive definite")),
         ("solve", "duality_gap", InconsistencyError("water level unresolved")),
-        ("certify", "solve_instance", ProjectionError("quantization covariance is singular")),
+        ("certify", "solve_instance", DomainError("quantization covariance is singular")),
         ("sweep", "duality_gap", InconsistencyError("water level unresolved")),
         ("oracle", "duality_gap", DomainError("B or B + M is not positive definite")),
     ],

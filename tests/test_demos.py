@@ -1,4 +1,5 @@
-"""Smoke test: every narrative script under demos/ runs to completion."""
+"""Smoke test: every narrative script under demos/ runs to completion,
+with every warning turned into an error."""
 
 import os
 import subprocess
@@ -21,9 +22,10 @@ def test_demo_runs_cleanly(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    # every warning is an error, as in the suite's own filterwarnings policy
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
-        timeout=120,
+        [sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

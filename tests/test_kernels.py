@@ -1,5 +1,7 @@
 """Hermitian/determinant kernels: identities, domains, reproducibility."""
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -18,9 +20,12 @@ from cranopt import (
     SubchannelAllocation,
     TOL,
     UplinkDesign,
+    assemble_downlink,
     assemble_uplink,
     check_downlink_bounds,
+    check_power_lower_bound,
     check_uplink_rate_bound,
+    downlink_rate,
     feasibility_projection,
     grid_oracle_scalar,
     hermitian_part,
@@ -37,6 +42,7 @@ from cranopt import (
     svd,
     tight_quantizer_downlink,
     tight_quantizer_uplink,
+    uplink_rate,
     waterfilling_capacity,
 )
 from cranopt.cli import ExperimentConfig, instance_from_record
@@ -312,7 +318,9 @@ def test_logdet_ratio_positive_for_psd_load(n, seed):
 
 # Rejection matrix: each public entry point, crossed with the bad values that
 # apply to each of its arguments, must raise InvalidInputError (or
-# InstanceFormatError where the JSON schema rejects the value first).
+# InstanceFormatError where the JSON schema rejects the value first).  The
+# faults below it are single calls, each with its error and a key phrase of
+# the message.
 _H = np.diag([2.0, 1.0])
 _INST = ChannelInstance(H=_H, P=2.0, C=3.0, sigma2=1.0)
 _BASE = solve_instance(_INST, "uplink")[0]
@@ -448,19 +456,104 @@ _JSON_REJECTIONS = [
 ]
 
 
+# (entry point.fault, call, error, key phrase of the message)
+_FAULTS = [
+    (
+        "tight_quantizer_uplink.zero-share",
+        lambda: tight_quantizer_uplink(1.0, 1.0, 0.0, 1.0),
+        DomainError,
+        "zero share",
+    ),
+    (
+        "waterfilling_capacity.2-D-gains",
+        lambda: waterfilling_capacity([[1.0]], 1.0, 1.0),
+        InvalidInputError,
+        "nonempty 1-D vector",
+    ),
+    (
+        "logdet_ratio.shapes",
+        lambda: logdet_ratio(np.eye(2), np.eye(3)),
+        InvalidInputError,
+        "shape mismatch",
+    ),
+    (
+        "log_majorizes.lengths",
+        lambda: log_majorizes([1.0, 1.0], [1.0]),
+        InvalidInputError,
+        "lengths differ",
+    ),
+    (
+        "check_power_lower_bound.S-shape",
+        lambda: check_power_lower_bound(_H, np.eye(3)),
+        InvalidInputError,
+        "S must be 2x2",
+    ),
+    (
+        "check_downlink_bounds.M-shape",
+        lambda: check_downlink_bounds(_H, np.eye(3), "signal", 1.0),
+        InvalidInputError,
+        "shape mismatch",
+    ),
+    (
+        "DownlinkDesign.shapes",
+        lambda: DownlinkDesign(S=np.eye(2), Q=np.eye(3)),
+        InvalidInputError,
+        "S and Q must match",
+    ),
+    (
+        "uplink_rate.S-shape",
+        lambda: uplink_rate(_INST, UplinkDesign(S=np.eye(3), Q=np.eye(2))),
+        InvalidInputError,
+        "S must be 2x2",
+    ),
+    (
+        "uplink_rate.Q-shape",
+        lambda: uplink_rate(_INST, UplinkDesign(S=np.eye(2), Q=np.eye(3))),
+        InvalidInputError,
+        "Q must be 2x2",
+    ),
+    (
+        "downlink_rate.S-shape",
+        lambda: downlink_rate(_INST, DownlinkDesign(S=np.eye(3), Q=np.eye(3))),
+        InvalidInputError,
+        "S must be 2x2",
+    ),
+    (
+        "assemble_uplink.allocation-length",
+        lambda: assemble_uplink(svd(_H), SubchannelAllocation([1.0], [1.0]), 1.0),
+        InvalidInputError,
+        "allocation length 1 != rank 2",
+    ),
+    (
+        "assemble_downlink.allocation-length",
+        lambda: assemble_downlink(svd(_H), SubchannelAllocation([1.0], [1.0])),
+        InvalidInputError,
+        "allocation length 1 != rank 2",
+    ),
+    (
+        "feasibility_projection.shapes",
+        lambda: feasibility_projection(_INST, "uplink", np.eye(3), np.eye(2)),
+        InvalidInputError,
+        "shapes do not match",
+    ),
+]
+
+
 def _rejection_cases():
     for arg, call, values in _REJECTIONS:
         for v in values:
-            yield pytest.param(call, v, InvalidInputError, id=f"{arg}={v!r}")
+            yield pytest.param(call, v, InvalidInputError, None, id=f"{arg}={v!r}")
     for arg, call, domain, schema in _JSON_REJECTIONS:
         for v in domain:
-            yield pytest.param(call, v, InvalidInputError, id=f"{arg}={v!r}")
+            yield pytest.param(call, v, InvalidInputError, None, id=f"{arg}={v!r}")
         for v in schema:
-            yield pytest.param(call, v, InstanceFormatError, id=f"{arg}={v!r}")
+            yield pytest.param(call, v, InstanceFormatError, None, id=f"{arg}={v!r}")
+    for fault, call, error, phrase in _FAULTS:
+        yield pytest.param(lambda _, call=call: call(), None, error, phrase, id=fault)
 
 
-@pytest.mark.parametrize("call, value, error", _rejection_cases())
-def test_entry_points_reject_bad_arguments(call, value, error):
-    with pytest.raises(error) as info:
+@pytest.mark.parametrize("call, value, error, phrase", _rejection_cases())
+def test_entry_points_reject_bad_arguments(call, value, error, phrase):
+    with pytest.raises(error, match=None if phrase is None else re.escape(phrase)) as info:
         call(value)
     assert type(info.value) is error

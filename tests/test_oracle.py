@@ -19,7 +19,6 @@ from cranopt import (
     DownlinkDesign,
     InconsistencyError,
     InvalidInputError,
-    ProjectionError,
     TOL,
     UnsupportedSizeError,
     UplinkDesign,
@@ -291,8 +290,17 @@ def test_projection_downlink_activates_both_budgets():
 
 def test_projection_uplink_zero_fronthaul_impossible():
     inst = _identity_instance(C=0.0)
-    with pytest.raises(ProjectionError):
+    with pytest.raises(DomainError, match="zero fronthaul cost"):
         feasibility_projection(inst, "uplink", np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+def test_projection_rejects_a_zero_quantizer(direction):
+    # a zero quantization covariance costs infinite fronthaul: no scale
+    # factor reaches the constraint set
+    inst = _identity_instance()
+    with pytest.raises(DomainError, match="singular or zero"):
+        feasibility_projection(inst, direction, np.eye(2), np.zeros((2, 2)))
 
 
 def test_block_projection_masks_every_uplink_lane_at_zero_fronthaul():
@@ -612,7 +620,7 @@ def _reference_rates(inst, direction, base, trials, seed):
             Q_c = _reference_psd(nQ, rng) + 1e-6 * np.eye(nQ)
         try:
             rates.append(rate_fn(inst, feasibility_projection(inst, direction, S_c, Q_c)))
-        except (ProjectionError, DomainError):
+        except DomainError:
             rates.append(None)
     return rates
 
@@ -698,10 +706,7 @@ def _reference_search(inst, direction, base, trials, seed):
     for start in range(0, trials, size):
         trial = np.arange(start, min(start + size, trials))
         S_c, Q_c = _reference_candidates(S0, Q0, trial, rng)
-        try:
-            S, Q, ok = oracle._project(inst, direction, S_c, Q_c)
-        except ProjectionError:
-            continue
+        S, Q, ok = oracle._project(inst, direction, S_c, Q_c)
         nats, defined = rate_stacked(inst, S[ok], Q[ok])
         rate, trial = nats[defined] / LN2, trial[ok][defined]
         evaluated += rate.size

@@ -10,6 +10,7 @@ from cranopt import (
     InvalidInputError,
     RateReport,
     UplinkDesign,
+    check_uplink_feasible,
     psd_part,
     restrict,
 )
@@ -142,3 +143,33 @@ def test_instance_channel_is_read_only_and_the_callers_array_stays_writable():
     again = _inst(H=inst.H)
     assert not np.may_share_memory(again.H, inst.H)
     assert not again.H.flags.writeable
+
+
+def test_designs_keep_read_only_copies_and_the_callers_arrays_stay_writable():
+    # a design used to keep the caller's complex S itself: writing an
+    # indefinite S into it after validation changed the design's report
+    S = np.eye(2, dtype=complex)
+    Q = 0.5 * np.eye(2, dtype=complex)
+    W = np.eye(2, dtype=complex)
+    inst = _inst(P=2.0, C=8.0)
+    d = UplinkDesign(S=S, Q=Q, active_basis=W)
+    before = check_uplink_feasible(inst, d)
+    S[1, 1] = -0.4
+    Q[0, 0] = 7.0
+    W[:, 0] = 0.0
+    after = check_uplink_feasible(inst, d)
+    assert (after.rate, after.power_used, after.feasible) == (
+        before.rate, before.power_used, before.feasible
+    )
+    assert before.power_used == 2.0
+    for mine, theirs in ((d.S, S), (d.Q, Q), (d.active_basis, W)):
+        assert not np.may_share_memory(mine, theirs)
+        assert not mine.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mine[0, 0] = 0.0
+        assert theirs.flags.writeable
+    assert np.array_equal(d.S, np.eye(2)) and d.Q[0, 0] == 0.5
+    # arrays from another design are copied too, and lists are read-only
+    again = DownlinkDesign(S=d.S, Q=[[1.0, 0.0], [0.0, 1.0]])
+    assert not np.may_share_memory(again.S, d.S)
+    assert not again.Q.flags.writeable
