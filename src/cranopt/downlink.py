@@ -9,9 +9,10 @@ n_r x n_r; the transmitted covariance is S + Q),
     fronthaul = log2 |S + Q| - log2 |Q|
     power     = trace(S + Q)
 
-in bits.  The fronthaul ratio is restricted to the described subspace when
-the design carries an ``active_basis``: dimensions carrying nothing
-(S and Q both zero there) cost zero bits.  The rate is defined once, by
+in bits.  Both ratios are restricted to the described subspace when the
+design carries an ``active_basis``, as the uplink's are to the forwarded
+one: dimensions carrying nothing (S and Q both zero there) cost zero bits
+and add nothing to the rate.  The rate is defined once, by
 :func:`downlink_rate_stacked` on stacks of designs; :func:`downlink_rate` is
 its one-design case, and the perturbation search measures its candidates
 with the stacked form.
@@ -34,34 +35,29 @@ from .kernels import (
     logdet_ratio_stacked,
     one_lane,
 )
-from .problem import ChannelInstance, DownlinkDesign, RateReport, restrict
+from .problem import ChannelInstance, DownlinkDesign, RateReport, check_design, restrict
 
 
-def _check_design(d: DownlinkDesign) -> None:
-    if not isinstance(d, DownlinkDesign):
-        raise InvalidInputError(
-            f"downlink functionals take a DownlinkDesign, got {type(d).__name__}"
-        )
-
-
-def _check_dims(inst: ChannelInstance, d: DownlinkDesign) -> None:
-    _check_design(d)
-    if d.S.shape != (inst.n_r, inst.n_r):
-        raise InvalidInputError(f"S must be {inst.n_r}x{inst.n_r}, got {d.S.shape}")
-
-
-def downlink_rate_stacked(inst: ChannelInstance, S: np.ndarray, Q: np.ndarray):
+def downlink_rate_stacked(
+    inst: ChannelInstance, S: np.ndarray, Q: np.ndarray, W: np.ndarray | None = None
+):
     """The downlink rate in nats of each design of the (T, n_r, n_r) stacks
-    S and Q, and a mask of the lanes where the rate is defined.  Other
-    lanes hold no rate.  No input validation.
+    S and Q, restricted to the described subspace W (None: all of it); and
+    a mask of the lanes where the rate is defined.  Other lanes hold no
+    rate.  No input validation.
 
     The ratio is taken on the channel's D = min(n_r, n_u) subchannels: with
     H = U diag(s) V^H and G = U diag(s), H^H X H = V G^H X G V^H, so
     |H^H X H + sigma2 I| = |G^H X G + sigma2 I_D| sigma2^(n_u - D), and the
     sigma2 factor cancels in the ratio.  The n_u - D dimensions the channel
-    cannot reach never enter the factorizations."""
+    cannot reach never enter the factorizations.  Restricted to W, X reads
+    W^H X W and G reads W^H G, so that the rounding a dense S and Q carry
+    outside W (about eps times their largest eigenvalue) is never weighed
+    by the gains."""
     spec = inst.spectrum
     G = spec.left_basis * spec.singular_values
+    if W is not None:
+        S, Q, G = restrict(S, W), restrict(Q, W), W.conj().T @ G
     Gh = G.conj().T
     signal = Gh @ S @ G
     base = Gh @ Q @ G + inst.sigma2 * np.eye(spec.rank)
@@ -70,8 +66,8 @@ def downlink_rate_stacked(inst: ChannelInstance, S: np.ndarray, Q: np.ndarray):
 
 def downlink_rate(inst: ChannelInstance, d: DownlinkDesign) -> float:
     """Achievable downlink rate in bits per channel use."""
-    _check_dims(inst, d)
-    return one_lane(downlink_rate_stacked(inst, d.S[None], d.Q[None])) / LN2
+    check_design(d, DownlinkDesign, inst)
+    return one_lane(downlink_rate_stacked(inst, d.S[None], d.Q[None], d.active_basis)) / LN2
 
 
 def downlink_fronthaul(d: DownlinkDesign) -> float:
@@ -81,7 +77,7 @@ def downlink_fronthaul(d: DownlinkDesign) -> float:
     Requires Q positive definite on the described subspace (DomainError
     otherwise: a noiseless description would take infinitely many bits).
     """
-    _check_design(d)
+    check_design(d, DownlinkDesign)
     W = d.active_basis
     return logdet_ratio(restrict(d.S, W), restrict(d.Q, W)) / LN2
 

@@ -1,7 +1,7 @@
 """Exception types raised across the package.
 
-Everything derives from ValueError or RuntimeError so callers that do not
-care about the distinction can catch the built-ins.
+Every class derives from ValueError, so callers that do not care about
+the distinction can catch the built-in.
 """
 
 

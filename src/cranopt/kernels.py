@@ -28,8 +28,10 @@ LN2 = float(np.log(2.0))
 class Tolerances:
     """Numerical tolerances used across the package.
 
-    psd            relative Frobenius defect allowed in M - M^H, and the
-                   eigenvalue floor: min eig >= -psd * max(1, max eig)
+    psd            relative Frobenius defect allowed in M - M^H,
+                   ||M - M^H|| <= psd ||M||, and the relative eigenvalue
+                   floor: min eig >= -psd * max(max eig, 0); both hold
+                   alike at every scale of M
     reconstruction relative SVD reconstruction error ||U diag(s) V^H - H|| / ||H||
     unitary        allowed defect in ||W^H W - I||
     feasibility    slack below which a constraint counts as violated
@@ -53,8 +55,8 @@ def as_complex_matrix(M, name: str = "matrix") -> np.ndarray:
         raise InvalidInputError(f"{name} must be 2-D, got ndim={A.ndim}")
     if A.size == 0:
         raise InvalidInputError(f"{name} must be nonempty")
-    # strings, bytes, dates and objects are not read as numbers
-    if A.dtype.kind not in "biufc":
+    # booleans, strings, bytes, dates and objects are not read as numbers
+    if A.dtype.kind not in "iufc":
         raise InvalidInputError(f"{name} must hold numbers, got dtype {A.dtype}")
     A = A.astype(complex, copy=False)
     if not np.all(np.isfinite(A)):
@@ -73,7 +75,7 @@ def check_nonneg(x, name: str) -> np.ndarray:
     """x, a real scalar or array, as a float ndarray (0-d for a scalar);
     raises InvalidInputError unless every entry is finite and >= 0."""
     a = np.asarray(x)
-    if a.dtype.kind in "biuf":
+    if a.dtype.kind in "iuf":
         a = a.astype(float, copy=False)
         if np.all((a >= 0) & (a < np.inf)):
             return a
@@ -93,7 +95,7 @@ def check_positive(v, name: str) -> float:
     """v as a float; raises InvalidInputError unless it is one finite real
     number > 0."""
     a = np.asarray(v)
-    if a.ndim == 0 and a.dtype.kind in "biuf" and 0 < a < np.inf:
+    if a.ndim == 0 and a.dtype.kind in "iuf" and 0 < a < np.inf:
         return float(a)
     raise InvalidInputError(f"{name} must be a finite number > 0{_echo(v)}")
 
@@ -109,18 +111,21 @@ def hermitian_part(M: np.ndarray) -> np.ndarray:
 
 
 def hermitian_defect(M: np.ndarray):
-    """Relative Frobenius norm of the anti-Hermitian part, per matrix for a
-    stack (..., n, n)."""
+    """||M - M^H|| / ||M|| (Frobenius), per matrix for a stack (..., n, n);
+    0 for a zero matrix."""
     axes = (-2, -1)
-    scale = np.maximum(1.0, np.linalg.norm(M, axis=axes))
-    return np.linalg.norm(M - M.conj().swapaxes(-1, -2), axis=axes) / scale
+    defect = np.linalg.norm(M - M.conj().swapaxes(-1, -2), axis=axes)
+    return defect / np.where(defect > 0, np.linalg.norm(M, axis=axes), 1.0)
 
 
 def is_psd(M, tol: float = TOL.psd) -> bool:
     """True iff M is Hermitian within tol and its spectrum clears -tol.
 
-    The eigenvalue floor is relative: min eig >= -tol * max(1, max eig).
-    Non-square input is rejected rather than reported as "not PSD".
+    Both tests are relative to M's own scale, so that is_psd(a M) is
+    is_psd(M) for every a > 0: ||M - M^H|| <= tol ||M|| (Frobenius), and
+    min eig >= -tol * max(max eig, 0), so a matrix with no positive
+    eigenvalue passes only if it has no negative one either.  Non-square
+    input is rejected rather than reported as "not PSD".
     """
     A = as_complex_matrix(M, "M")
     if A.shape[0] != A.shape[1]:
@@ -132,7 +137,7 @@ def is_psd_stacked(A: np.ndarray, tol: float = TOL.psd):
     """:func:`is_psd` for each matrix of a finite stack (..., n, n), without
     input validation."""
     w = np.linalg.eigvalsh(hermitian_part(A))
-    return (hermitian_defect(A) <= tol) & (w[..., 0] >= -tol * np.maximum(1.0, w[..., -1]))
+    return (hermitian_defect(A) <= tol) & (w[..., 0] >= -tol * np.maximum(w[..., -1], 0.0))
 
 
 def logdet_ratio(M, B) -> float:
@@ -264,7 +269,7 @@ def svd(H) -> ChannelSpectrum:
     A = as_complex_matrix(H, "H")
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     resid = np.linalg.norm((U * s) @ Vh - A)
-    if resid > TOL.reconstruction * max(1.0, float(np.linalg.norm(A))):
+    if resid > TOL.reconstruction * float(np.linalg.norm(A)):
         raise InconsistencyError(f"SVD reconstruction residual {resid:.3e}")
     return ChannelSpectrum(singular_values=s, left_basis=U, right_basis=Vh.conj().T)
 

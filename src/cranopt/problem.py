@@ -9,7 +9,9 @@ never described, cost zero bits and are excluded from the ratio).
 
 One validator, :func:`validate_covariance`, checks a covariance (finite,
 Hermitian PSD) for both design types and for the stacks of candidate
-designs the perturbation search evaluates.  A :class:`RateReport` is built
+designs the perturbation search evaluates, and one check,
+:func:`check_design`, gives every functional its own direction's design in
+the instance's dimensions.  A :class:`RateReport` is built
 from a design's rate, fronthaul cost and power, and derives both budget
 slacks and the feasibility verdict itself.
 """
@@ -121,13 +123,13 @@ class _Design:
     S: np.ndarray
     Q: np.ndarray
     active_basis: np.ndarray | None = None
-    # S and Q live on the same space (the downlink's n_r x n_r pair)
-    _same_space: ClassVar[bool] = False
+    # the ChannelInstance dimensions S and Q are square in
+    _sides: ClassVar[tuple[str, str]]
 
     def __post_init__(self):
         S = as_complex_matrix(self.S, "S")
         Q = as_complex_matrix(self.Q, "Q")
-        if self._same_space and S.shape != Q.shape:
+        if self._sides[0] == self._sides[1] and S.shape != Q.shape:
             raise InvalidInputError(f"S and Q must match, got {S.shape} vs {Q.shape}")
         validate_covariance(S, "S")
         validate_covariance(Q, "Q")
@@ -144,6 +146,8 @@ class UplinkDesign(_Design):
     covariance Q (n_r x n_r).  active_basis spans the forwarded subspace;
     None means every receive dimension is compressed and forwarded."""
 
+    _sides: ClassVar[tuple[str, str]] = ("n_u", "n_r")
+
 
 @dataclass(frozen=True)
 class DownlinkDesign(_Design):
@@ -152,7 +156,20 @@ class DownlinkDesign(_Design):
     The transmitted covariance is S + Q.  active_basis spans the described
     subspace; None means every dimension is described over the fronthaul."""
 
-    _same_space: ClassVar[bool] = True
+    _sides: ClassVar[tuple[str, str]] = ("n_r", "n_r")
+
+
+def check_design(d, kind: type[_Design], inst: ChannelInstance | None = None) -> None:
+    """Raise InvalidInputError unless d is a ``kind`` design (UplinkDesign
+    or DownlinkDesign) and, when inst is given, its S and Q are square in
+    the dimensions of inst's channel that ``kind`` reads them in."""
+    if not isinstance(d, kind):
+        raise InvalidInputError(f"expected {kind.__name__}, got {type(d).__name__}")
+    if inst is not None:
+        for name, side in zip("SQ", kind._sides):
+            n, shape = getattr(inst, side), getattr(d, name).shape
+            if shape != (n, n):
+                raise InvalidInputError(f"{name} must be {n}x{n}, got {shape}")
 
 
 @dataclass

@@ -35,18 +35,7 @@ from .kernels import (
     logdet_ratio_stacked,
     one_lane,
 )
-from .problem import ChannelInstance, RateReport, UplinkDesign, restrict
-
-
-def _check_dims(inst: ChannelInstance, d: UplinkDesign) -> None:
-    if not isinstance(d, UplinkDesign):
-        raise InvalidInputError(
-            f"uplink functionals take an UplinkDesign, got {type(d).__name__}"
-        )
-    if d.S.shape != (inst.n_u, inst.n_u):
-        raise InvalidInputError(f"S must be {inst.n_u}x{inst.n_u}, got {d.S.shape}")
-    if d.Q.shape != (inst.n_r, inst.n_r):
-        raise InvalidInputError(f"Q must be {inst.n_r}x{inst.n_r}, got {d.Q.shape}")
+from .problem import ChannelInstance, RateReport, UplinkDesign, check_design, restrict
 
 
 def uplink_rate_stacked(
@@ -64,7 +53,7 @@ def uplink_rate_stacked(
 def uplink_rate(inst: ChannelInstance, d: UplinkDesign) -> float:
     """Achievable uplink rate in bits per channel use.  Always >= 0 and
     never exceeds uplink_fronthaul for the same design."""
-    _check_dims(inst, d)
+    check_design(d, UplinkDesign, inst)
     return one_lane(uplink_rate_stacked(inst, d.S[None], d.Q[None], d.active_basis)) / LN2
 
 
@@ -74,7 +63,7 @@ def uplink_fronthaul(inst: ChannelInstance, d: UplinkDesign) -> float:
     Requires Q positive definite on the active subspace; a singular Q there
     would cost infinitely many bits and raises DomainError.
     """
-    _check_dims(inst, d)
+    check_design(d, UplinkDesign, inst)
     W = d.active_basis
     M = inst.H @ d.S @ inst.H.conj().T + inst.sigma2 * np.eye(inst.n_r)
     return logdet_ratio(restrict(M, W), restrict(d.Q, W)) / LN2

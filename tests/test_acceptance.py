@@ -6,12 +6,16 @@ Each test prints one PASS/FAIL line so the suite doubles as a checklist:
 """
 
 import time
+import traceback
+import warnings
 
 import numpy as np
 import pytest
 
 from cranopt import (
+    TOL,
     ChannelInstance,
+    DomainError,
     SolverOptions,
     check_downlink_bounds,
     check_power_lower_bound,
@@ -272,4 +276,96 @@ def test_criterion_8_harness_self_test(monkeypatch, tmp_path):
         "criterion 8 (planted-defect self-test)",
         ok,
         f"planted margin {worst_margin:.3f} < -0.01, certify exit status {status} != 0",
+    )
+
+
+def _extreme_corpus():
+    """The 400 extreme-input cases of ROADMAP item 1, drawn in its order."""
+    rng = np.random.default_rng(20261018)
+    for k in range(400):
+        n_r, n_u = (int(n) for n in rng.integers(1, 9, size=2))
+        D = min(n_r, n_u)
+        s = 10.0 ** rng.uniform(-6, 6, size=D)
+        if rng.random() < 0.3:
+            s[rng.integers(D)] = 0.0
+        U = random_unitary(n_r, int(rng.integers(2**31)))
+        V = random_unitary(n_u, int(rng.integers(2**31)))
+        H = (U[:, :D] * s) @ V[:, :D].conj().T
+        P = 10.0 ** rng.uniform(-4, 8)
+        C = 10.0 ** rng.uniform(-3, np.log10(200))
+        sigma2 = 10.0 ** rng.uniform(-2, 2)
+        yield k, ChannelInstance(H=H, P=P, C=C, sigma2=sigma2)
+
+
+# The cases outside the full gate, each with the way it fails: the budgets
+# its reports overshoot, or the error it raises.  The power flags come from
+# the dense trace, which overshoots P by a few eps P, while the absolute
+# 1e-9 tolerance is about two ulps of P or less (P >= 2.6e6); the fronthaul
+# flags and the raise come from rounding among the active subchannels of
+# the dense S and Q.
+_EXTREME_LIMITS = {
+    **{k: ("uplink power",) for k in (15, 44, 53, 207, 211, 327, 389)},
+    **{k: ("downlink power",) for k in (66, 118, 154, 204, 266, 300, 318, 368)},
+    **{k: ("uplink power", "downlink power") for k in (0, 39, 101, 162, 307, 339)},
+    47: ("downlink fronthaul",),
+    85: ("uplink fronthaul",),
+    96: ("uplink fronthaul",),
+    54: ("DomainError in uplink_fronthaul",),
+}
+
+
+def _extreme_case(inst):
+    """The failures of one corpus case (empty when it passes the full gate),
+    its duality gap and its matrix rates' worst distance from the scalar
+    rate; an error is a failure with no gap or rate."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = duality_gap(inst)
+        except DomainError as e:
+            where = traceback.extract_tb(e.__traceback__)
+            names = [f.name for f in where if f.name.endswith(("_rate", "_fronthaul"))]
+            functional = names[0] if names else "duality_gap"
+            return (f"DomainError in {functional}",), None, None
+    failures = []
+    deviation = 0.0
+    for direction in ("uplink", "downlink"):
+        report = out[f"{direction}_report"]
+        deviation = max(deviation, abs(report.rate - report.diagnostics["rate"]))
+        if report.slack_power < -TOL.feasibility:
+            assert -report.slack_power <= 8 * np.finfo(float).eps * inst.P, direction
+            failures.append(f"{direction} power")
+        if report.slack_fronthaul < -TOL.feasibility:
+            assert -report.slack_fronthaul < 1e-6, direction
+            failures.append(f"{direction} fronthaul")
+    return tuple(failures), out["gap"], deviation
+
+
+def test_extreme_input_corpus():
+    """On 400 extreme inputs both directions' matrix rates equal the scalar
+    rate within 1e-6 bits and the duality gap is at most 1e-5 bits wherever
+    the design evaluates; every case outside the full gate (an infeasible
+    report, or an error) fails as documented in _EXTREME_LIMITS."""
+    t0 = time.perf_counter()
+    limits = {}
+    worst_gap = worst_deviation = 0.0
+    evaluated = 0
+    for k, inst in _extreme_corpus():
+        failures, gap, deviation = _extreme_case(inst)
+        if failures:
+            limits[k] = failures
+        if gap is not None:
+            evaluated += 1
+            worst_gap = max(worst_gap, gap)
+            worst_deviation = max(worst_deviation, deviation)
+    dt = time.perf_counter() - t0
+    assert limits == _EXTREME_LIMITS
+    assert evaluated == 399
+    ok = worst_gap <= 1e-5 and worst_deviation <= 1e-6
+    assert _verdict(
+        "extreme-input corpus (400 cases)",
+        ok,
+        f"{400 - len(limits)} pass the full gate, {len(limits)} documented limits; on the "
+        f"{evaluated} that evaluate, worst gap {worst_gap:.3e} <= 1e-5, worst matrix - "
+        f"scalar rate {worst_deviation:.3e} <= 1e-6, {dt:.1f}s",
     )

@@ -92,29 +92,54 @@ def test_check_flags_fronthaul_violation():
     assert rep.slack_fronthaul < 0
 
 
-def test_rate_uses_full_space_even_with_active_basis():
-    # restriction applies to the fronthaul determinant only; the user hears
-    # everything the RRH radiates
+def test_rate_reads_the_described_subspace():
+    # the RRH radiates only what the fronthaul describes: an assembled
+    # design with one subchannel off has the rate of its full-space twin,
+    # and signal outside the described subspace adds nothing
     spec = svd(np.diag([2.0, 1.0]))
     a = SubchannelAllocation(np.array([2.0, 0.0]), np.array([3.0, 0.0]))
     d = assemble_downlink(spec, a)
     inst = ChannelInstance(H=np.diag([2.0, 1.0]), P=2.0, C=3.0, sigma2=1.0)
     full = DownlinkDesign(S=d.S, Q=d.Q + 1e-30 * np.eye(2))
     assert np.isclose(downlink_rate(inst, d), downlink_rate(inst, full), rtol=1e-9)
+    W = np.eye(2)[:, :1]
+    leak = DownlinkDesign(S=np.diag([1.5, 1.0]), Q=np.diag([0.5, 0.0]), active_basis=W)
+    alone = DownlinkDesign(S=np.diag([1.5, 0.0]), Q=np.diag([0.5, 0.0]), active_basis=W)
+    assert downlink_rate(inst, leak) == downlink_rate(inst, alone)
+    assert np.isclose(downlink_rate(inst, alone), np.log2(3.0), rtol=1e-14)
 
 
 def test_stacked_rate_is_the_one_design_rate():
-    # downlink_rate is the one-design case of downlink_rate_stacked, bit for bit
+    # downlink_rate is the one-design case of downlink_rate_stacked, bit for
+    # bit, with no restriction, a 1-dim and an empty described subspace
     rng = np.random.default_rng(22)
     H = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))) / np.sqrt(2)
     inst = ChannelInstance(H=H, P=2.0, C=3.0, sigma2=0.8)
     X = rng.standard_normal((8, 3, 3)) + 1j * rng.standard_normal((8, 3, 3))
     M = X @ X.conj().swapaxes(-1, -2) / 3
     S, Q = M[:4], M[4:]
-    nats, ok = downlink_rate_stacked(inst, S, Q)
-    assert ok.all()
-    for t in range(4):
-        assert nats[t] / LN2 == downlink_rate(inst, DownlinkDesign(S=S[t], Q=Q[t]))
+    for W in (None, np.eye(3, dtype=complex)[:, :1], np.eye(3, dtype=complex)[:, :0]):
+        nats, ok = downlink_rate_stacked(inst, S, Q, W)
+        assert ok.all()
+        for t in range(4):
+            d = DownlinkDesign(S=S[t], Q=Q[t], active_basis=W)
+            assert nats[t] / LN2 == downlink_rate(inst, d)
+    assert not nats.any()  # the empty subspace carries nothing
+
+
+def test_assembled_rate_skips_the_rounding_of_switched_off_subchannels():
+    # case 396 of the extreme-input corpus, rebuilt from its rounded gains
+    # and budgets: all power goes to subchannel 1, and the dense S carries
+    # about eps times that power on the others, where the gain 2.1e5
+    # weighs it against sigma2.  Read over the whole space, this channel's
+    # downlink rate was 0.057 bits off the scalar rate (the corpus's own
+    # case: -0.457 bits against +0.034)
+    s = np.array([2.2e5, 2.1e5, 2.2e-6, 1.9e-11])
+    H = (random_unitary(6, 3)[:, :4] * s) @ random_unitary(4, 4)[:, :4].conj().T
+    inst = ChannelInstance(H=H, P=4.4e7, C=0.034, sigma2=2.9)
+    _, report, alloc = solve_instance(inst, "downlink")
+    assert np.count_nonzero(alloc.share) == 1
+    assert abs(report.rate - alloc.diagnostics["rate"]) <= 1e-9
 
 
 def test_rank_one_downlink_rate_matches_the_scalar_rate():

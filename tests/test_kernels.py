@@ -216,6 +216,11 @@ def test_hermitian_part_and_defect():
     assert np.allclose(H, H.conj().T)
     assert hermitian_defect(H) <= 1e-15
     assert hermitian_defect(X) > 1e-3
+    # relative at every scale, and 0 for a zero matrix
+    Y = np.array([[10.0, 1e-9], [-1e-9, 10.0]], dtype=complex)
+    for a in (1e-12, 1.0, 1e12):
+        assert hermitian_defect(a * Y) == pytest.approx(2e-10, rel=1e-6)
+    assert hermitian_defect(np.zeros((2, 2))) == 0.0
 
 
 def test_is_psd():
@@ -224,6 +229,28 @@ def test_is_psd():
     assert not is_psd(np.diag([1.0, -1e-6]))
     with pytest.raises(InvalidInputError):
         is_psd(np.zeros((2, 3)))
+
+
+def test_is_psd_does_not_depend_on_scale():
+    # Hermitian M with min eig / max eig >= 0 (PSD) or <= -1e-6 (not PSD),
+    # and a M for scales a far below and far above 1
+    rng = np.random.default_rng(24)
+    verdicts = []
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        w = np.sort(rng.uniform(0.0, 1.0, n))
+        w[-1] = 1.0
+        psd = bool(rng.random() < 0.5)
+        w[0] = rng.choice([0.0, w[0]]) if psd else -(10.0 ** rng.uniform(-6, 0))
+        V = random_unitary(n, int(rng.integers(2**31)))
+        M = hermitian_part((V * w) @ V.conj().T)
+        assert is_psd(M) == psd
+        for a in (1e-12, 1e-6, 1e6, 1e12):
+            assert is_psd(a * M) == psd, (w, a)
+        verdicts.append(psd)
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert not is_psd(1e-12 * np.diag([1.0, -100.0]))
+    assert not is_psd(-np.eye(2))
 
 
 def test_as_complex_matrix_rejects_vectors():
@@ -260,8 +287,10 @@ def test_svd_raises_on_a_bad_reconstruction(monkeypatch):
         return U, s * (1.0 + 1e-6), Vh
 
     monkeypatch.setattr(np.linalg, "svd", off_by_1e6)
-    with pytest.raises(InconsistencyError, match="SVD reconstruction residual"):
-        svd(random_channel(3, 2, 0))
+    # the check is relative to the channel's norm at every scale
+    for scale in (1e-12, 1.0, 1e12):
+        with pytest.raises(InconsistencyError, match="SVD reconstruction residual"):
+            svd(scale * random_channel(3, 2, 0))
 
 
 def test_random_unitary_deterministic_and_unitary():
@@ -325,8 +354,9 @@ _H = np.diag([2.0, 1.0])
 _INST = ChannelInstance(H=_H, P=2.0, C=3.0, sigma2=1.0)
 _BASE = solve_instance(_INST, "uplink")[0]
 _NONNEG = [np.nan, np.inf, -np.inf, -1.0, "x", "2", None, 1j]
-_NONNEG_ARRAY = _NONNEG + [[1.0, np.nan], [-1.0, 1.0], [np.inf, 1.0]]
-_POSITIVE = _NONNEG + [0.0, [1.0, 2.0], [1.0]]
+# a boolean is not a number, alone or in an array
+_NONNEG_ARRAY = _NONNEG + [True, [1.0, np.nan], [-1.0, 1.0], [np.inf, 1.0], np.array([True, False])]
+_POSITIVE = _NONNEG + [True, 0.0, [1.0, 2.0], [1.0]]
 # a budget is one number: arrays are rejected whatever their length
 _BUDGET = _NONNEG_ARRAY + [[1.0, 2.0], [1.0], np.array([1.0, 2.0])]
 _COUNT = [np.nan, np.inf, -1, True, 1.5, 2.0, 2.5, "3", None]
@@ -341,6 +371,7 @@ _MATRIX = [
     [[np.nan]],
     np.ones(2),
     np.zeros((0, 2)),
+    [[True]],
 ]
 
 

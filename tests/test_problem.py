@@ -57,9 +57,13 @@ def test_designs_validate_psd():
     ok = UplinkDesign(S=np.eye(2), Q=np.eye(2))
     assert ok.active_basis is None
     with pytest.raises(InvalidInputError):
-        UplinkDesign(S=np.diag([1.0, -0.1]), Q=np.eye(2))
-    with pytest.raises(InvalidInputError):
         DownlinkDesign(S=np.eye(2), Q=np.diag([-0.1, 1.0]))
+    # the eigenvalue floor is relative at every scale: an absolute floor
+    # below unit scale once accepted S = 1e-12 diag(1, -0.5)
+    for scale in (1e-12, 1.0, 1e12):
+        UplinkDesign(S=scale * np.diag([1.0, 0.0]), Q=scale * np.eye(2))
+        with pytest.raises(InvalidInputError, match="positive semidefinite"):
+            UplinkDesign(S=scale * np.diag([1.0, -0.5]), Q=scale * np.eye(2))
 
 
 def test_validate_covariance_checks_each_matrix_of_a_stack():
@@ -77,7 +81,7 @@ def test_validate_covariance_checks_each_matrix_of_a_stack():
 
 @pytest.mark.parametrize("defect, ok", [(5e-10, True), (2e-9, False)])
 def test_validate_covariance_bounds_the_relative_hermitian_defect(defect, ok):
-    # TOL.psd (1e-9) bounds ||A - A^H||_F / max(1, ||A||_F): for
+    # TOL.psd (1e-9) bounds ||A - A^H||_F / ||A||_F: for
     # A = 10 I + x [[0, 1], [-1, 0]] that ratio is x / 5 to first order
     x = 5.0 * defect
     A = np.array([[10.0, x], [-x, 10.0]], dtype=complex)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cranopt.allocation as allocation
 import cranopt.solver as solver
@@ -18,6 +20,7 @@ from cranopt import (
     downlink_rate,
     duality_gap,
     random_channel,
+    random_unitary,
     solve_instance,
     subchannel_rate,
     uplink_fronthaul,
@@ -118,6 +121,48 @@ def test_duality_gap_small_batch():
         assert out["gap"] <= 1e-5, (seed, out["gap"])
         assert out["uplink_report"].feasible
         assert out["downlink_report"].feasible
+
+
+# Gaussian channels up to 4 x 4 with P in [1e-2, 1e2], C in [0.1, 10^1.5]
+# and sigma2 in [0.1, 10]
+_INSTANCES = st.builds(
+    lambda n_r, n_u, seed, log_p, log_c, log_s2: ChannelInstance(
+        H=random_channel(n_r, n_u, seed), P=10.0**log_p, C=10.0**log_c, sigma2=10.0**log_s2
+    ),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 2**31),
+    st.floats(-2.0, 2.0),
+    st.floats(-1.0, 1.5),
+    st.floats(-1.0, 1.0),
+)
+
+
+def _duality_rates(inst):
+    out = duality_gap(inst)
+    return np.array([out["uplink_rate"], out["downlink_rate"]])
+
+
+def _like(inst, H, sigma2):
+    return ChannelInstance(H=H, P=inst.P, C=inst.C, sigma2=sigma2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_INSTANCES, st.integers(0, 2**31))
+def test_duality_rates_invariant_under_unitary_rotation(inst, seed):
+    # H -> U H V^H with Haar U and V keeps the singular values
+    U, V = random_unitary(inst.n_r, seed), random_unitary(inst.n_u, seed + 1)
+    rotated = _like(inst, U @ inst.H @ V.conj().T, inst.sigma2)
+    assert np.abs(_duality_rates(rotated) - _duality_rates(inst)).max() <= 1e-9
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_INSTANCES, st.floats(-6.0, 6.0))
+def test_duality_rates_invariant_under_channel_and_noise_scaling(inst, log_a):
+    # (H, sigma2) -> (a H, a^2 sigma2) keeps every signal-to-noise ratio
+    a = 10.0**log_a
+    scaled = _like(inst, a * inst.H, a * a * inst.sigma2)
+    assert np.abs(_duality_rates(scaled) - _duality_rates(inst)).max() <= 1e-9
 
 
 def test_tall_and_wide_channels():
