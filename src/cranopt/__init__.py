@@ -50,9 +50,6 @@ from .majorization import (
     check_downlink_bounds,
     check_power_lower_bound,
     check_uplink_rate_bound,
-    log_majorizes,
-    product_spectrum,
-    schur_geo_convexity_probe,
 )
 from .oracle import (
     CERTIFICATION_TOL,
@@ -118,10 +115,8 @@ __all__ = [
     "grid_oracle_scalar",
     "hermitian_part",
     "is_psd",
-    "log_majorizes",
     "logdet_ratio",
     "perturbation_search",
-    "product_spectrum",
     "psd_part",
     "random_channel",
     "random_unitary",

@@ -329,6 +329,10 @@ def _validate_gains(gains) -> np.ndarray:
     g = np.atleast_1d(check_nonneg(gains, "gains"))
     if g.ndim != 1 or g.size == 0:
         raise InvalidInputError("gains must be a nonempty 1-D vector")
+    # compared against the root, since squaring an overflowing gain warns
+    limit = np.sqrt(np.finfo(float).max)
+    if g.max() > limit:
+        raise InvalidInputError(f"gains must be at most {limit:.6g}, or their squares overflow")
     return g
 
 

@@ -211,23 +211,6 @@ def load_instances(path: str) -> list[tuple[ChannelInstance, str]]:
     return out
 
 
-def serialize_instance(inst: ChannelInstance, label: str = "instance") -> dict:
-    """JSON-ready record; numeric values round-trip bit-identically."""
-    H = [
-        [[float(v.real), float(v.imag)] for v in row]
-        for row in np.asarray(inst.H, dtype=complex)
-    ]
-    return {
-        "id": label,
-        "n_r": inst.n_r,
-        "n_u": inst.n_u,
-        "H": H,
-        "P": inst.P,
-        "C": inst.C,
-        "sigma2": inst.sigma2,
-    }
-
-
 def _generate_instances(config: ExperimentConfig) -> list[tuple[ChannelInstance, str]]:
     n_r, n_u, count = config.random_spec
     width = max(3, len(str(count - 1)))

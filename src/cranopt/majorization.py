@@ -21,8 +21,7 @@ takes a matrix square root.  Each spectrum is that of one small Hermitian
 matrix: the power and transmit-side bounds read the channel in its singular
 coordinates, from one SVD (the spectrum of H S H^H is that of diag(h) V^H S
 V diag(h)); the uplink rate bound whitens Phi by the Cholesky factor of
-Q + sigma2 I.  :func:`product_spectrum` is a standalone probe of the general
-product A B, by square-root conjugation.
+Q + sigma2 I.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ import numpy as np
 from .errors import DomainError, InvalidInputError
 from .kernels import (
     as_complex_matrix,
-    check_nonneg,
-    check_nonneg_number,
     check_positive,
     hermitian_part,
     is_psd,
@@ -52,51 +49,11 @@ def _psd_matrix(M, name: str) -> np.ndarray:
     return hermitian_part(A)
 
 
-def _sqrt_psd(A: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(hermitian_part(A))
-    w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.conj().T
-
-
-def product_spectrum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of A @ B for Hermitian PSD A, B, via the
-    similar Hermitian matrix sqrt(A) B sqrt(A)."""
-    R = _sqrt_psd(A)
-    w = np.linalg.eigvalsh(hermitian_part(R @ B @ R))
-    return np.clip(w, 0.0, None)[::-1]
-
-
 def _conjugate_spectrum(K: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of diag(d) K diag(d) for Hermitian PSD K,
     rounding below zero clipped."""
     w = np.linalg.eigvalsh(hermitian_part(d[:, None] * K * d))
     return np.clip(w, 0.0, None)[::-1]
-
-
-def log_majorizes(a, b, tol: float = 1e-9) -> bool:
-    """True iff a log-majorizes b: every prefix product of a (descending)
-    dominates b's within relative tol, and the total products agree.
-
-    Both spectra are sorted descending first.  Zeros are handled as
-    log = -inf; two -inf prefixes compare equal.
-    """
-    av = np.sort(np.atleast_1d(check_nonneg(a, "a")))[::-1]
-    bv = np.sort(np.atleast_1d(check_nonneg(b, "b")))[::-1]
-    if av.size != bv.size:
-        raise InvalidInputError(f"spectrum lengths differ: {av.size} vs {bv.size}")
-    tol = check_nonneg_number(tol, "tol")
-    if not tol < 1:
-        raise InvalidInputError(f"tol must be in [0, 1), got {tol}")
-    with np.errstate(divide="ignore"):
-        la = np.cumsum(np.log(av))
-        lb = np.cumsum(np.log(bv))
-    slack = -np.log1p(-tol)
-    # prefix domination for k < n (a -inf prefix of b is dominated by
-    # anything), then equal totals; the `or` never computes inf - inf
-    return bool(
-        np.all(la[:-1] >= lb[:-1] - slack)
-        and (la[-1] == lb[-1] or abs(la[-1] - lb[-1]) <= slack)
-    )
 
 
 def _spectra_match(x: np.ndarray, y: np.ndarray, scale: float) -> bool:
@@ -199,16 +156,3 @@ def check_downlink_bounds(H, M, which: str, sigma2: float):
     equal_at = _spectra_match(prod, np.sort(paired)[::-1], float(paired.max(initial=0.0)))
     return lhs, rhs, equal_at
 
-
-def schur_geo_convexity_probe(x, y, sigma2: float) -> bool:
-    """For x log-majorizing y, check sum log2(sigma2 + x) >= sum log2(sigma2 + y) - 1e-12.
-
-    Raises InvalidInputError when the precondition fails: the comparison is
-    only meaningful on a log-majorized pair.
-    """
-    check_positive(sigma2, "sigma2")
-    if not log_majorizes(x, y):
-        raise InvalidInputError("x does not log-majorize y")
-    fx = float(np.sum(np.log2(sigma2 + np.asarray(x, dtype=float))))
-    fy = float(np.sum(np.log2(sigma2 + np.asarray(y, dtype=float))))
-    return bool(fx >= fy - 1e-12)

@@ -291,6 +291,13 @@ def test_power_step_raises_when_the_level_does_not_converge(monkeypatch):
         allocation._power_step(np.array([4.0, 1.0]), np.array([2.0, 1.0]), 1.0, 1.0)
 
 
+def test_power_step_raises_on_a_spend_without_a_slope():
+    # at a subnormal sigma2 the marginal rate overflows, so the spend's
+    # slope at the first level is nan
+    with pytest.raises(InconsistencyError, match="slope"):
+        solve_scalar_allocation([3.0, 2.0], 1.0, 2.0, 1e-310)
+
+
 def test_power_step_stops_on_a_two_cycle():
     # Newton alternates between levels 79.86119164346896 and ...903, five
     # ulps apart: each step just misses the 4 eps T exit, so the step used

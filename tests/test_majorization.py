@@ -10,10 +10,7 @@ from cranopt import (
     check_downlink_bounds,
     check_power_lower_bound,
     check_uplink_rate_bound,
-    log_majorizes,
-    product_spectrum,
     random_unitary,
-    schur_geo_convexity_probe,
 )
 
 EQ_TOL = 1e-9
@@ -295,50 +292,3 @@ def test_downlink_bounds_validate_inputs():
         check_downlink_bounds(np.eye(2), np.eye(2), "signal", 0.0)
     with pytest.raises(InvalidInputError):
         check_downlink_bounds(np.eye(2), np.diag([1.0, -1.0]), "signal", 1.0)
-
-
-def test_log_majorizes_basics():
-    assert log_majorizes([4.0, 1.0], [2.0, 2.0])
-    assert not log_majorizes([2.0, 2.0], [4.0, 1.0])
-    assert log_majorizes([3.0, 1.0], [3.0, 1.0])
-    # unequal products: prefix domination may hold but the total must match
-    assert not log_majorizes([4.0, 2.0], [2.0, 2.0])
-
-
-def test_log_majorizes_handles_zeros():
-    assert log_majorizes([2.0, 0.0], [2.0, 0.0])
-    assert not log_majorizes([2.0, 0.0], [1.0, 1.0])
-    # both total products zero: equal, whatever the prefixes
-    assert log_majorizes([3.0, 1.0, 0.0], [2.0, 0.0, 0.0])
-    # only one total product zero: unequal either way round
-    assert not log_majorizes([3.0, 1.0, 1.0], [2.0, 1.0, 0.0])
-    assert not log_majorizes([3.0, 1.0, 0.0], [2.0, 1.0, 1.0])
-
-
-def test_product_spectrum_diagonal_case():
-    A = np.diag([4.0, 1.0]).astype(complex)
-    B = np.diag([0.5, 2.0]).astype(complex)
-    # eigenvalues of AB = diag(2, 2)
-    assert np.allclose(product_spectrum(A, B), [2.0, 2.0], atol=1e-12)
-
-
-def test_product_spectrum_log_majorization_sandwich():
-    # gamma(A)down * gamma(B)down log-majorizes gamma(AB), which
-    # log-majorizes gamma(A)down * gamma(B)up
-    rng = np.random.default_rng(41)
-    for seed in range(100):
-        n = 3
-        A = _rand_psd(n, seed + 100, lift=1e-6)
-        B = _rand_psd(n, seed + 200, lift=1e-6)
-        a = np.sort(np.linalg.eigvalsh(A))[::-1]
-        b = np.sort(np.linalg.eigvalsh(B))[::-1]
-        prod = product_spectrum(A, B)
-        assert log_majorizes(a * b, prod)
-        assert log_majorizes(prod, a * b[::-1])
-
-
-def test_schur_geo_convexity_probe():
-    # symmetric geometric-mean point never exceeds the spread point
-    assert schur_geo_convexity_probe([4.0, 1.0], [2.0, 2.0], 1.0)
-    with pytest.raises(InvalidInputError):
-        schur_geo_convexity_probe([2.0, 2.0], [4.0, 1.0], 1.0)
