@@ -16,8 +16,8 @@ one subchannel), but each block is: for fixed powers the share allocation
 is an exact water-filling in the log2 domain, and for fixed shares the
 power allocation is concave with a closed-form KKT solution.  The solver
 therefore runs block-coordinate ascent with exact block maximizers from a
-fixed family of starts (top-k concentration and water-filling), so its
-answer is a deterministic function of the inputs.
+fixed family of starts (top-k concentration), so its answer is a
+deterministic function of the inputs.
 
 The block steps see the 1-8 entries of a typical channel, where numpy's
 per-call cost dwarfs the arithmetic, so they compute on Python floats.
@@ -286,11 +286,18 @@ def _power_step(g2: np.ndarray, c: np.ndarray, P: float, sigma2: float) -> np.nd
     return np.array(p, dtype=float)
 
 
-def _waterfilling_powers_g2(g2: np.ndarray, P: float, sigma2: float) -> np.ndarray:
+def waterfilling_capacity(gains, P: float, sigma2: float):
+    """Water-filling powers and capacity of the parallel channel without a
+    fronthaul limit; the reference the solved rate approaches as C grows.
+
+    Returns (powers, capacity_bits).  All-zero gains give capacity 0.
+    """
+    g2 = _validate_gains(gains) ** 2
+    _validate_budgets(P, 0.0, sigma2)
     p = np.zeros_like(g2, dtype=float)
     pos = np.flatnonzero(g2 > 0)
     if pos.size == 0 or P <= 0:
-        return p
+        return p, 0.0
     inv = sigma2 / g2[pos]
     order = np.argsort(inv, kind="stable")
     inv_s = inv[order]
@@ -310,18 +317,6 @@ def _waterfilling_powers_g2(g2: np.ndarray, P: float, sigma2: float) -> np.ndarr
         top = inv == inv_s[0]
         alloc = np.where(top, P / np.count_nonzero(top), 0.0)
     p[pos] = alloc
-    return p
-
-
-def waterfilling_capacity(gains, P: float, sigma2: float):
-    """Water-filling powers and capacity of the parallel channel without a
-    fronthaul limit; the reference the solved rate approaches as C grows.
-
-    Returns (powers, capacity_bits).  All-zero gains give capacity 0.
-    """
-    g2 = _validate_gains(gains) ** 2
-    _validate_budgets(P, 0.0, sigma2)
-    p = _waterfilling_powers_g2(g2, P, sigma2)
     return p, float(np.sum(np.log2(1.0 + g2 * p / sigma2)))
 
 
@@ -379,7 +374,7 @@ def _ascend(p0, g2, P, C, sigma2, c_max):
     return rate, p, c, rounds
 
 
-def _start_points(g2, P, sigma2):
+def _start_points(g2, P):
     D = len(g2)
     order = np.argsort(-g2, kind="stable")
     idx = order[g2[order] > 0]
@@ -388,7 +383,6 @@ def _start_points(g2, P, sigma2):
         v = np.zeros(D)
         v[idx[:k]] = P / k
         starts.append(v)
-    starts.append(_waterfilling_powers_g2(g2, P, sigma2))
     return starts
 
 
@@ -405,12 +399,11 @@ def solve_scalar_allocation(
     its shares with tight quantizers.
 
     Deterministic: block ascent runs from a fixed sequence of starts (top-k
-    concentration on the k strongest subchannels for every k, then
-    water-filling), and a start replaces the incumbent only if it gains
-    more than 1e-12 bits, so near-ties resolve to the earliest start.
-    Equal-gain subchannels are then ordered by (power, share).  The
-    achieved rate, block-ascent round count and number of starts are
-    stored in the allocation's diagnostics.
+    concentration on the k strongest subchannels for every k), and a start
+    replaces the incumbent only if it gains more than 1e-12 bits, so
+    near-ties resolve to the earliest start.  Equal-gain subchannels are
+    then ordered by (power, share).  The achieved rate, block-ascent round
+    count and number of starts are stored in the allocation's diagnostics.
     """
     g = _validate_gains(gains)
     _validate_budgets(P, C, sigma2)
@@ -425,7 +418,7 @@ def solve_scalar_allocation(
     # problem; lowering it keeps the share step's level u, interpolated from
     # the kinks log2 s - c_max, from cancelling when c_max >> C
     c_max = min(opts.c_max, max(C, C_MAX_DEFAULT))
-    starts = _start_points(g2, P, sigma2)
+    starts = _start_points(g2, P)
     best = (-np.inf, None, None)
     total_rounds = 0
     for p0 in starts:

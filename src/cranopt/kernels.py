@@ -118,24 +118,26 @@ def hermitian_defect(M: np.ndarray):
     return defect / np.where(defect > 0, np.linalg.norm(M, axis=axes), 1.0)
 
 
-def is_psd(M, tol: float = TOL.psd) -> bool:
-    """True iff M is Hermitian within tol and its spectrum clears -tol.
+def is_psd(M) -> bool:
+    """True iff M is Hermitian within TOL.psd and its spectrum clears
+    -TOL.psd.
 
     Both tests are relative to M's own scale, so that is_psd(a M) is
-    is_psd(M) for every a > 0: ||M - M^H|| <= tol ||M|| (Frobenius), and
-    min eig >= -tol * max(max eig, 0), so a matrix with no positive
+    is_psd(M) for every a > 0: ||M - M^H|| <= TOL.psd ||M|| (Frobenius),
+    and min eig >= -TOL.psd * max(max eig, 0), so a matrix with no positive
     eigenvalue passes only if it has no negative one either.  Non-square
     input is rejected rather than reported as "not PSD".
     """
     A = as_complex_matrix(M, "M")
     if A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"is_psd expects a square matrix, got {A.shape}")
-    return bool(is_psd_stacked(A, check_nonneg_number(tol, "tol")))
+    return bool(is_psd_stacked(A))
 
 
-def is_psd_stacked(A: np.ndarray, tol: float = TOL.psd):
+def is_psd_stacked(A: np.ndarray):
     """:func:`is_psd` for each matrix of a finite stack (..., n, n), without
     input validation."""
+    tol = TOL.psd
     w = np.linalg.eigvalsh(hermitian_part(A))
     return (hermitian_defect(A) <= tol) & (w[..., 0] >= -tol * np.maximum(w[..., -1], 0.0))
 

@@ -97,7 +97,7 @@ def validate_covariance(A: np.ndarray, name: str) -> None:
         raise InvalidInputError(f"{name} must be square, got {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError(f"{name} contains non-finite entries")
-    if not np.all(is_psd_stacked(A, TOL.psd)):
+    if not np.all(is_psd_stacked(A)):
         raise InvalidInputError(f"{name} must be Hermitian positive semidefinite")
 
 

@@ -467,7 +467,6 @@ _REJECTIONS = [
     ),
     ("random_unitary.n", lambda v: random_unitary(v, 0), _COUNT + [0]),
     ("random_unitary.seed", lambda v: random_unitary(1, v), _COUNT),
-    ("is_psd.tol", lambda v: is_psd(np.eye(2), v), _BUDGET),
     (
         "check_uplink_rate_bound.sigma2",
         lambda v: check_uplink_rate_bound(np.eye(2), np.eye(2), v),

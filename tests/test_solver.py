@@ -165,6 +165,17 @@ def test_duality_rates_invariant_under_channel_and_noise_scaling(inst, log_a):
     assert np.abs(_duality_rates(scaled) - _duality_rates(inst)).max() <= 1e-9
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_INSTANCES)
+def test_matrix_rates_equal_the_scalar_rate(inst):
+    # each direction's matrix functional reads back the rate of the scalar
+    # allocation its design realizes
+    out = duality_gap(inst)
+    scalar = out["uplink_report"].diagnostics["rate"]
+    assert abs(out["uplink_rate"] - scalar) <= 1e-9
+    assert abs(out["downlink_rate"] - scalar) <= 1e-9
+
+
 def test_tall_and_wide_channels():
     for n_r, n_u in [(1, 3), (3, 1), (4, 2), (2, 4)]:
         inst = _random_instance(50 + n_r * 10 + n_u, n_r=n_r, n_u=n_u)
