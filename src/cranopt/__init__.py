@@ -5,10 +5,10 @@ The library solves both link directions (uplink: quantize-and-forward at
 the radio head; downlink: precode-and-compress at the central processor)
 through one scalar power/share allocation on the channel's singular values,
 which each direction's assembly realizes as a singular-basis covariance
-design, and ships the certification tooling (exhaustive grid oracle,
-random perturbation search, spectral-inequality probes) used to validate
-the designs numerically.  The command-line harness is ``cranopt.cli``;
-importing the package does not load it.
+design, and ships the certification tooling (a certified bound on the
+scalar optimum, random perturbation search, spectral-inequality probes)
+used to validate the designs numerically.  The command-line harness is
+``cranopt.cli``; importing the package does not load it.
 """
 
 from .allocation import (
@@ -32,7 +32,6 @@ from .errors import (
     InconsistencyError,
     InstanceFormatError,
     InvalidInputError,
-    UnsupportedSizeError,
 )
 from .kernels import (
     LN2,
@@ -54,8 +53,8 @@ from .majorization import (
 from .oracle import (
     CERTIFICATION_TOL,
     CertificationReport,
+    certified_gap_bits,
     feasibility_projection,
-    grid_oracle_scalar,
     perturbation_search,
 )
 from .problem import (
@@ -99,10 +98,10 @@ __all__ = [
     "TOL",
     "Tolerances",
     "UPLINK",
-    "UnsupportedSizeError",
     "UplinkDesign",
     "assemble_downlink",
     "assemble_uplink",
+    "certified_gap_bits",
     "check_downlink_bounds",
     "check_downlink_feasible",
     "check_power_lower_bound",
@@ -112,7 +111,6 @@ __all__ = [
     "downlink_rate",
     "duality_gap",
     "feasibility_projection",
-    "grid_oracle_scalar",
     "hermitian_part",
     "is_psd",
     "logdet_ratio",

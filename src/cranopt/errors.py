@@ -19,9 +19,5 @@ class InconsistencyError(ValueError):
     inputs rather than a tolerance issue."""
 
 
-class UnsupportedSizeError(ValueError):
-    """Problem size outside what the exhaustive oracle can enumerate."""
-
-
 class InstanceFormatError(ValueError):
     """Instance JSON does not match the documented schema."""

@@ -1,14 +1,13 @@
-"""Certification against brute force and random perturbation.
+"""Certification by a bound on the optimum and by random perturbation.
 
 Two independent routes check the solver's optimality claims:
 
-  * :func:`grid_oracle_scalar` enumerates the scalar problem both
-    directions share on dense budget-simplex grids (D <= 3) and refines
-    the best grid point with a derivative-free pattern search, so one grid
-    checks the solver for both.  One scan of the grid's index splits,
-    adding rows of a rate table per subchannel, serves every D <= 3.  It
-    shares only the objective function and the input checks with the
-    solver, none of its KKT machinery.
+  * :func:`certified_gap_bits` bounds the optimum of the scalar problem
+    both directions share, at any D, by monotonic branch and bound over the
+    share box (Tuy, SIAM J. Optim. 11(2), 2000; the BRB algorithm of
+    Bjornson and Jorswieck, FnT Comm. Inf. Theory, 2013), so one bound
+    checks the solver for both.  It shares only the subchannel rate and the
+    input checks with the solver, none of its KKT machinery.
   * :func:`perturbation_search` attacks an assembled matrix design with
     random covariance candidates, each rescaled onto the constraint
     boundary, and reports the worst-case margin.  It draws, projects and
@@ -33,6 +32,7 @@ Two independent routes check the solver's optimality claims:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -47,12 +47,7 @@ from .allocation import (
     _validate_gains,
 )
 from .downlink import DownlinkDesign, check_downlink_feasible, downlink_rate_stacked
-from .errors import (
-    DomainError,
-    InconsistencyError,
-    InvalidInputError,
-    UnsupportedSizeError,
-)
+from .errors import DomainError, InconsistencyError, InvalidInputError
 from .kernels import (
     LN2,
     TOL,
@@ -96,144 +91,150 @@ class CertificationReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _objective(g2, p, c, sigma2) -> float:
-    return float(_rates(g2 * p, c, sigma2).sum())
+# best-first boxes bounded before an open case returns its gap
+_BOX_BUDGET = 20_000
+# segments of each share side on which bound (b) steps its share
+_SEGMENTS = 256
+# bound (a)'s multiplier search: rounds, each cutting the bracket on log
+# lambda into this many steps (64^6 = 2^36 in all)
+_MULTIPLIER_POINTS = 64
+_MULTIPLIER_ROUNDS = 6
 
 
-def _pattern_polish(g2, p, c, P, C, sigma2, c_max):
-    """Derivative-free refinement: repeatedly try transferring a shrinking
-    step between coordinate pairs of the power vector and of the share
-    vector, keeping both budget faces exact.  Deterministic."""
-    p = p.copy()
-    c = c.copy()
-    rate = _objective(g2, p, c, sigma2)
-    D = len(p)
-    if D == 1:
-        return p, c, rate
-    frac = 0.25
-    while frac > 1e-9:
-        improved = False
-        for i in range(D):
-            for j in range(D):
-                if i == j:
-                    continue
-                if P > 0 and p[i] > 0:
-                    step = min(frac * P, p[i])
-                    p2 = p.copy()
-                    p2[i] -= step
-                    p2[j] += step
-                    r2 = _objective(g2, p2, c, sigma2)
-                    if r2 > rate + 1e-14:
-                        p, rate, improved = p2, r2, True
-                if C > 0 and c[i] > 0 and c[j] < c_max:
-                    step = min(frac * min(C, D * c_max), c[i], c_max - c[j])
-                    c2 = c.copy()
-                    c2[i] -= step
-                    c2[j] += step
-                    r2 = _objective(g2, p, c2, sigma2)
-                    if r2 > rate + 1e-14:
-                        c, rate, improved = c2, r2, True
-        if not improved:
-            frac *= 0.5
-    return p, c, rate
+def _response(snr, b, t):
+    """The power p >= 0 that maximizes r(snr p, c) - p / t at unit noise,
+    with b = 2^-c.  r is concave in s = snr p, and its stationary point
+    solves (s + 1)(1 + b s) = K with K = snr (1 - b) t / ln 2; the positive
+    root is written without the textbook form's cancellation:
 
-
-def grid_oracle_scalar(
-    gains,
-    P: float,
-    C: float,
-    sigma2: float,
-    *,
-    resolution: int = 101,
-) -> SubchannelAllocation:
-    """Exhaustive scalar-problem search on budget-simplex grids, D <= 3.
-
-    Enumerates every grid split of the power and share budgets (the
-    optimum saturates both, since the subchannel rate is nondecreasing in
-    each; with C >= D c_max every share sits at its cap) and refines the
-    best grid point by pattern search.  Like the solver's, its allocation
-    serves both directions.  Deterministic.
+        s = 2 max(K - 1, 0) / (1 + b + sqrt((1 - b)^2 + 4 b K))
     """
-    check_count(resolution, "resolution", 2)
-    g = _validate_gains(gains)
-    if g.size > 3:
-        raise UnsupportedSizeError(
-            f"grid oracle enumerates at most 3 subchannels, got {g.size}"
+    K = snr * (1.0 - b) * t / LN2
+    return 2.0 * np.maximum(K - 1.0, 0.0) / (1.0 + b + np.sqrt((1.0 - b) ** 2 + 4.0 * b * K)) / snr
+
+
+def _corner_bound(snr, hi, P):
+    """Bound (a) per box (row of hi), min over lambda of lambda P +
+    sum_d phi_d(hi_d; lambda) with phi_d(c; lambda) = max_p r(snr_d p, c) -
+    lambda p, and the powers at its lambda.  The sum is convex in lambda
+    with slope P minus the powers' spend.  On log lambda the spend is
+    bracketed in closed form: at max_d m_d, with m_d the marginal rate at
+    zero power, nothing is spent; at m_d / (1 + P snr_d)^2 subchannel d
+    alone spends P, since s >= sqrt(m_d / lambda) - 1.  Each round cuts the
+    bracket into _MULTIPLIER_POINTS steps and keeps the one where the spend
+    falls to P.  Any lambda gives a valid bound."""
+    b = np.power(2.0, -hi)[:, None, :]
+    with np.errstate(divide="ignore"):
+        log_m = np.log(snr * (1.0 - b[:, 0]) / LN2)
+    top = log_m.max(axis=1)
+    low = (log_m - 2.0 * np.log1p(P * snr)).max(axis=1)
+    rows, steps = np.arange(len(hi)), np.linspace(0.0, 1.0, _MULTIPLIER_POINTS + 1)
+    for _ in range(_MULTIPLIER_ROUNDS):
+        grid = low[:, None] + (top - low)[:, None] * steps
+        spend = _response(snr, b, np.exp(-grid)[..., None]).sum(axis=2)
+        k = np.clip(np.count_nonzero(spend > P, axis=1), 1, _MULTIPLIER_POINTS)
+        low, top = grid[rows, k - 1], grid[rows, k]
+    t = np.exp(-top)[:, None]
+    p = _response(snr, b[:, 0], t)
+    return P / t[:, 0] + (_rates(snr * p, hi, 1.0) - p / t).sum(axis=1), p
+
+
+def _segment_bound(snr, lo, hi, P, C, lam, mu):
+    """Bound (b) per box: lam P + mu C + sum_d max_k [phi_d(c_{d,k+1}; lam)
+    - mu c_{d,k}] on a _SEGMENTS-segment grid c_{d,0..K} of each side
+    [lo_d, hi_d].  phi_d rises with the share, so each term bounds
+    phi_d(c; lam) - mu c on its segment, for any lam > 0 and mu >= 0."""
+    c = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, _SEGMENTS + 1)
+    c[..., -1] = hi  # the grid covers the side to its last bit
+    p = _response(snr[:, None], np.power(2.0, -c), 1.0 / lam)
+    phi = _rates(snr[:, None] * p, c, 1.0) - lam * p
+    return lam * P + mu * C + (phi[..., 1:] - mu * c[..., :-1]).max(axis=-1).sum(axis=1)
+
+
+def _incumbent(gains, P, C, sigma2, allocation):
+    """The allocation's powers, shares and rate, after checking that it
+    covers the gains and keeps both budgets."""
+    if not isinstance(allocation, SubchannelAllocation):
+        raise InvalidInputError(
+            f"allocation must be a SubchannelAllocation, got {type(allocation).__name__}"
         )
+    p, c = allocation.power, allocation.share
+    if p.size != gains.size:
+        raise InvalidInputError(f"allocation length {p.size} != {gains.size} gains")
+    for used, budget, name in ((p.sum(), P, "power"), (c.sum(), C, "share")):
+        if used > budget + TOL.feasibility:
+            raise InvalidInputError(
+                f"allocation {name} {used:.12g} exceeds its budget {budget:.12g}"
+            )
+    return p, c, float(_rates(gains**2 * p, c, sigma2).sum())
+
+
+def certified_gap_bits(gains, P: float, C: float, sigma2: float, allocation) -> float:
+    """A certified upper bound on the scalar optimum minus the rate of
+    ``allocation``, which must cover ``gains`` and keep both budgets.
+
+    Best-first monotonic branch and bound over the share box
+    [0, min(C, C_MAX_DEFAULT)]^D of the positive gains.  A box [lo, hi] is
+    reduced to hi_d <= lo_d + (C - sum lo), or dropped when sum lo > C, and
+    bounded by the smaller of bound (a), which prices the power budget at
+    its upper corner, and bound (b), which also prices the share budget, at
+    the allocation's own marginals (dr/dp on its powered subchannels, dr/dc
+    on its shares below the cap).  The best box splits at the midpoint of
+    its widest side; each child's lower corner, with the powers of its
+    bound (a) scaled onto P, is a feasible point.  The search stops when
+    the best bound is within TOL.certification of the rate (certified),
+    when a feasible point beats the rate by more than that (refuted), or
+    after _BOX_BUDGET boxes, and returns the best open bound minus the rate
+    at that moment.  Zero P, zero C or all-zero gains give 0.0.
+    Deterministic.
+    """
+    g = _validate_gains(gains)
     _validate_budgets(P, C, sigma2)
+    p, c, rate = _incumbent(g, P, C, sigma2, allocation)
+    pos = g > 0
+    if not pos.any() or P <= 0 or C <= 0:
+        return 0.0
+    # r(s, c) reads s / sigma2 only: the search runs at unit noise
+    snr, p, c = g[pos] ** 2 / sigma2, p[pos], c[pos]
 
-    D = g.size
-    g2 = g**2
-    pos = np.flatnonzero(g2 > 0)
-    power = np.zeros(D)
-    share = np.zeros(D)
-    if pos.size == 0 or P <= 0 or C <= 0:
-        diagnostics = {"rate": 0.0, "grid_rate": 0.0, "resolution": resolution}
-        return SubchannelAllocation(power, share, diagnostics)
+    # the allocation's marginals price bound (b); without a powered
+    # subchannel that carries a share there is no lambda* and no bound (b)
+    s, b = snr * p, np.power(2.0, -c)
+    dr_dp = snr * (1.0 - b) / (LN2 * (s + 1.0) * (1.0 + b * s))
+    dr_dc = b * s / (1.0 + b * s)
+    on = (p > 0) & (c > 0)
+    inner = on & (c < C_MAX_DEFAULT)
+    lam = float(dr_dp[on].mean()) if on.any() else 0.0
+    mu = float(dr_dc[inner].mean()) if inner.any() else 0.0
 
-    c_max = C_MAX_DEFAULT
-    ga = g2[pos]
-    pbest, cbest, grid_rate = _grid(ga, P, C, c_max, sigma2, resolution)
-    pbest, cbest, rate = _pattern_polish(ga, pbest, cbest, P, C, sigma2, c_max)
+    def bound(lo, hi):
+        upper, powers = _corner_bound(snr, hi, P)
+        if lam > 0:
+            upper = np.minimum(upper, _segment_bound(snr, lo, hi, P, C, lam, mu))
+        return upper, powers
 
-    power[pos] = pbest
-    share[pos] = cbest
-    diagnostics = {"rate": rate, "grid_rate": grid_rate, "resolution": resolution}
-    return SubchannelAllocation(power, share, diagnostics)
-
-
-def _splits(n: int, total: int) -> list:
-    """Every n-tuple of nonnegative grid indices summing to total, in
-    lexicographic order."""
-    if n == 1:
-        return [(total,)]
-    return [(i, *rest) for i in range(total + 1) for rest in _splits(n - 1, total - i)]
-
-
-def _complement(parts: np.ndarray, total: float) -> np.ndarray:
-    """parts with its last entry replaced by total minus the others, taken
-    left to right and clipped at 0 (the difference can round below it)."""
-    last = total
-    for x in parts[:-1]:
-        last -= x
-    return np.clip(np.append(parts[:-1], last), 0.0, None)
-
-
-def _grid(g2, P, C, c_max, sigma2, res):
-    """Best point of the power and share simplex grids, each with res
-    points per axis: the first strict maximum, power splits scanned in
-    lexicographic order and share splits within each in lexicographic
-    order.  With C >= n c_max every share is capped and the share set is
-    the one point (c_max, ..., c_max); otherwise it is the grid's splits of
-    C inside the caps, and the midpoint split when there is none.  The
-    rates are read from one table per subchannel on (power grid point x
-    share split); the last power and share returned are the complements
-    of the others."""
-    n = len(g2)
-    splits = _splits(n, res - 1)
-    capped = C >= n * c_max
-    if capped:
-        shares = np.full((1, n), c_max)
-    else:
-        shares = np.linspace(0.0, C, res)[splits]
-        shares = shares[np.all(shares <= c_max, axis=1)]
-        if len(shares) == 0:
-            p, c = np.full(n, P / n), np.full(n, C / n)
-            return p, c, _objective(g2, p, c, sigma2)
-    pgrid = np.linspace(0.0, P, res)
-    tables = [
-        _rates(g2[d] * pgrid[:, None], shares[None, :, d], sigma2) for d in range(n)
-    ]
-    best, arg = -np.inf, None
-    for split in splits:
-        row = sum(table[i] for table, i in zip(tables, split))
-        k = int(np.argmax(row))
-        if row[k] > best:
-            best, arg = float(row[k]), (split, k)
-    split, k = arg
-    p = _complement(pgrid[list(split)], P)
-    c = shares[k] if capped else _complement(shares[k], C)
-    return p, c, best
+    lo, hi = np.zeros(snr.size), np.full(snr.size, min(C, C_MAX_DEFAULT))
+    upper, _ = bound(lo[None], hi[None])
+    heap = [(-float(upper[0]), 0, lo, hi)]
+    boxes = 1
+    while -heap[0][0] - rate > TOL.certification and boxes < _BOX_BUDGET:
+        _, _, lo, hi = heapq.heappop(heap)
+        d = int(np.argmax(hi - lo))
+        los, his = np.array([lo, lo]), np.array([hi, hi])
+        his[0, d] = los[1, d] = 0.5 * (lo[d] + hi[d])
+        slack = C - los.sum(axis=1)
+        keep = slack >= 0
+        los, his = los[keep], np.minimum(his[keep], los[keep] + slack[keep, None])
+        upper, powers = bound(los, his)
+        for k in range(len(los)):
+            heapq.heappush(heap, (-float(upper[k]), boxes + k, los[k], his[k]))
+        boxes += len(los)
+        # each child's lower corner, with its powers scaled onto P
+        spent = powers.sum(axis=1, keepdims=True)
+        scaled = powers * (P / np.where(spent > 0, spent, np.inf))
+        if _rates(snr * scaled, los, 1.0).sum(axis=1).max() > rate + TOL.certification:
+            break
+    return -heap[0][0] - rate
 
 
 # Newton iterations allowed for the fronthaul level; a solve that needs more

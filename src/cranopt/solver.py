@@ -50,7 +50,7 @@ def duality_gap(inst: ChannelInstance, opts: SolverOptions | None = None) -> dic
     downlink design is assembled and checked by its own direction's
     functionals, so the gap measures how well the uplink and downlink
     assemblies and rate functionals agree.  Returns a dict with the two
-    rates, their absolute gap, and both feasibility reports.
+    rates, their absolute gap, both feasibility reports and the allocation.
 
     The CLI's solve, sweep, oracle and duality modes read both directions'
     rows from one call per budget point.
@@ -65,4 +65,5 @@ def duality_gap(inst: ChannelInstance, opts: SolverOptions | None = None) -> dic
         "gap": float(gap),
         "uplink_report": rep_ul,
         "downlink_report": rep_dl,
+        "allocation": alloc,
     }

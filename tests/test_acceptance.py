@@ -17,11 +17,11 @@ from cranopt import (
     ChannelInstance,
     DomainError,
     SolverOptions,
+    certified_gap_bits,
     check_downlink_bounds,
     check_power_lower_bound,
     check_uplink_rate_bound,
     duality_gap,
-    grid_oracle_scalar,
     perturbation_search,
     random_channel,
     random_unitary,
@@ -97,22 +97,23 @@ def test_criterion_2_diagonalization_optimality():
 
 
 def test_criterion_3_single_subchannel_closed_form():
-    """D = 1: solver matches log2((h^2 P + s2) / (s2 + 2^-C h^2 P)) to 1e-9."""
+    """D = 1: solver and certified bound match log2((h^2 P + s2) /
+    (s2 + 2^-C h^2 P)) to 1e-9."""
     h = 1.3
     worst_solver = 0.0
-    worst_oracle = 0.0
+    worst_bound = 0.0
     for P in np.linspace(0.25, 4.0, 10):
         for C in np.linspace(0.25, 6.0, 10):
             closed = np.log2((h**2 * P + 1.0) / (1.0 + 2.0**-C * h**2 * P))
             a = solve_scalar_allocation(np.array([h]), P, C, 1.0)
             worst_solver = max(worst_solver, abs(a.diagnostics["rate"] - closed))
-            g = grid_oracle_scalar(np.array([h]), P, C, 1.0, resolution=101)
-            worst_oracle = max(worst_oracle, abs(g.diagnostics["rate"] - closed))
-    ok = worst_solver <= 1e-9 and worst_oracle <= 1e-9
+            bound = a.diagnostics["rate"] + certified_gap_bits(np.array([h]), P, C, 1.0, a)
+            worst_bound = max(worst_bound, abs(bound - closed))
+    ok = worst_solver <= 1e-9 and worst_bound <= 1e-9
     assert _verdict(
         "criterion 3 (D=1 closed form, 10x10 grid)",
         ok,
-        f"solver dev {worst_solver:.3e} <= 1e-9, oracle dev {worst_oracle:.3e}",
+        f"solver dev {worst_solver:.3e} <= 1e-9, bound dev {worst_bound:.3e}",
     )
 
 
@@ -226,8 +227,8 @@ def test_criterion_6_rate_ceilings():
     )
 
 
-def test_criterion_7_solver_vs_grid_oracle():
-    """Scalar solver is never worse than the exhaustive grid by > 1e-3."""
+def test_criterion_7_solver_vs_certified_bound():
+    """Scalar solver is never worse than the certified bound by > 1e-3."""
     rng = np.random.default_rng(777)
     worst = np.inf
     for k in range(20):
@@ -236,13 +237,29 @@ def test_criterion_7_solver_vs_grid_oracle():
         P = rng.uniform(0.5, 4.0)
         C = rng.uniform(0.5, 8.0)
         a = solve_scalar_allocation(gains, P, C, 1.0)
-        g = grid_oracle_scalar(gains, P, C, 1.0, resolution=61)
-        worst = min(worst, a.diagnostics["rate"] - g.diagnostics["rate"])
+        worst = min(worst, -certified_gap_bits(gains, P, C, 1.0, a))
     ok = worst >= -1e-3
     assert _verdict(
-        "criterion 7 (solver vs grid oracle, 20 gain vectors)",
+        "criterion 7 (solver vs certified bound, 20 gain vectors)",
         ok,
-        f"worst solver - oracle {worst:.3e} >= -1e-3",
+        f"worst solver - bound {worst:.3e} >= -1e-3",
+    )
+
+
+def test_certified_optimum_at_four_to_six_subchannels():
+    """At D = 4..6 and criterion-1 budgets the bound closes within 1e-6 bits."""
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for D in (4, 5, 6):
+        z = (rng.standard_normal(D) + 1j * rng.standard_normal(D)) / np.sqrt(2)
+        gains = np.sort(1.5 * np.abs(z))[::-1]
+        for P in (0.5, 1.0, 4.0):
+            for C in (0.5, 2.0, 8.0):
+                a = solve_scalar_allocation(gains, P, C, 1.0)
+                worst = max(worst, certified_gap_bits(gains, P, C, 1.0, a))
+    ok = worst <= 1e-6
+    assert _verdict(
+        "certified optimum (D = 4..6, 27 budget points)", ok, f"worst gap {worst:.3e} <= 1e-6"
     )
 
 

@@ -17,6 +17,7 @@ from cranopt import (
     InconsistencyError,
     InstanceFormatError,
     InvalidInputError,
+    SubchannelAllocation,
     random_channel,
 )
 from cranopt.cli import (
@@ -318,6 +319,34 @@ def test_oracle_mode_agrees(identity_file):
         assert r.margin_bits >= -1e-3
 
 
+def test_oracle_mode_certifies_four_subchannels(capsys):
+    code = main(["--mode", "oracle", "--random", "4,4,2", "--seed", "11"])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5  # header, then two instances in both directions
+    margin = CSV_COLUMNS.index("margin_bits")
+    assert all(abs(float(line.split(",")[margin])) <= 1e-6 for line in lines[1:])
+
+
+def test_oracle_mode_fails_a_suboptimal_solve(monkeypatch, capsys):
+    import cranopt.cli as cli_mod
+
+    real = cli_mod.duality_gap
+
+    def half_power(inst, opts=None):
+        out = real(inst, opts)
+        a = out["allocation"]
+        out["allocation"] = SubchannelAllocation(a.power / 2, a.share)
+        return out
+
+    monkeypatch.setattr(cli_mod, "duality_gap", half_power)
+    code = main(["--mode", "oracle", "--random", "2,2,2", "--seed", "11"])
+    assert code == EXIT_CHECK_FAILED
+    margin = CSV_COLUMNS.index("margin_bits")
+    lines = capsys.readouterr().out.splitlines()
+    assert all(float(line.split(",")[margin]) < -1e-5 for line in lines[1:])
+
+
 def _strip_wall_ms(text):
     return re.sub(r"[^,\n]*$", "", text, flags=re.M)
 
@@ -336,7 +365,7 @@ def test_csv_rendering_and_determinism():
 # the --random spec (n_r, n_u, count) and the options of each mode's golden
 # file, all at seed 11; sweep's C = 0 points assemble designs with an empty
 # forwarded subspace, certify holds the perturbation search's margins, and
-# oracle the solver's lead over the grid
+# oracle the solver's rate minus the certified bound
 _GOLDEN = {
     "duality": ((2, 2, 3), {}),
     "solve": ((2, 2, 3), {}),

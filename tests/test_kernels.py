@@ -25,12 +25,12 @@ from cranopt import (
     UplinkDesign,
     assemble_downlink,
     assemble_uplink,
+    certified_gap_bits,
     check_downlink_bounds,
     check_power_lower_bound,
     check_uplink_rate_bound,
     downlink_rate,
     feasibility_projection,
-    grid_oracle_scalar,
     hermitian_part,
     is_psd,
     logdet_ratio,
@@ -400,6 +400,20 @@ def _search(base=_BASE, trials=2, seed=0):
     return perturbation_search(_INST, base, trials, seed)
 
 
+def _gap(gains=(1.0,), P=1.0, C=1.0, sigma2=1.0, allocation=SubchannelAllocation(1.0, 1.0)):
+    return certified_gap_bits(gains, P, C, sigma2, allocation)
+
+
+# not an allocation, one of the wrong length, and one over each budget
+_ALLOCATIONS = [
+    None,
+    (1.0, 1.0),
+    SubchannelAllocation([0.5, 0.5], [0.5, 0.5]),
+    SubchannelAllocation(1.5, 1.0),
+    SubchannelAllocation(1.0, 1.5),
+]
+
+
 def _record(**kw):
     rec = {"n_r": 1, "n_u": 1, "H": [[[1.0, 0.0]]], "P": 1.0, "C": 1.0, "sigma2": 1.0}
     return instance_from_record({**rec, **kw})
@@ -435,15 +449,11 @@ _REJECTIONS = [
     ("waterfilling_capacity.gains", lambda v: waterfilling_capacity(v, 1.0, 1.0), _NONNEG_ARRAY),
     ("waterfilling_capacity.P", lambda v: waterfilling_capacity([1.0], v, 1.0), _BUDGET),
     ("waterfilling_capacity.sigma2", lambda v: waterfilling_capacity([1.0], 1.0, v), _POSITIVE),
-    ("grid_oracle_scalar.gains", lambda v: grid_oracle_scalar(v, 1, 1, 1), _NONNEG_ARRAY),
-    ("grid_oracle_scalar.P", lambda v: grid_oracle_scalar([1], v, 1, 1), _BUDGET),
-    ("grid_oracle_scalar.C", lambda v: grid_oracle_scalar([1], 1, v, 1), _BUDGET),
-    ("grid_oracle_scalar.sigma2", lambda v: grid_oracle_scalar([1], 1, 1, v), _POSITIVE),
-    (
-        "grid_oracle_scalar.resolution",
-        lambda v: grid_oracle_scalar([1], 1, 1, 1, resolution=v),
-        _COUNT + [1, np.float64(11.0)],
-    ),
+    ("certified_gap_bits.gains", lambda v: _gap(gains=v), _NONNEG_ARRAY),
+    ("certified_gap_bits.P", lambda v: _gap(P=v), _BUDGET),
+    ("certified_gap_bits.C", lambda v: _gap(C=v), _BUDGET),
+    ("certified_gap_bits.sigma2", lambda v: _gap(sigma2=v), _POSITIVE),
+    ("certified_gap_bits.allocation", lambda v: _gap(allocation=v), _ALLOCATIONS),
     ("perturbation_search.base", lambda v: _search(base=v), [None, "uplink", np.eye(2)]),
     ("perturbation_search.trials", lambda v: _search(trials=v), _COUNT + [0]),
     ("perturbation_search.seed", lambda v: _search(seed=v), _COUNT),
@@ -508,8 +518,8 @@ _FAULTS = [
         InvalidInputError,
         "nonempty 1-D vector",
     ),
-    # a gain whose square overflows used to crash the solve and the grid
-    # and give the water-filling capacity inf
+    # a gain whose square overflows used to crash the solve and give the
+    # water-filling capacity inf; the certified bound rejects it as well
     (
         "solve_scalar_allocation.gain-square-overflows",
         lambda: solve_scalar_allocation([1.4e154], 1.0, 2.0, 1.0),
@@ -517,8 +527,8 @@ _FAULTS = [
         "gains must be at most",
     ),
     (
-        "grid_oracle_scalar.gain-square-overflows",
-        lambda: grid_oracle_scalar([1.4e154, 1.0], 1.0, 2.0, 1.0),
+        "certified_gap_bits.gain-square-overflows",
+        lambda: _gap(gains=[1.4e154]),
         InvalidInputError,
         "gains must be at most",
     ),

@@ -1,13 +1,15 @@
-"""Independent verification routes: grid oracle, projection, perturbation."""
+"""Independent verification routes: certified bound, projection, perturbation."""
 
-import itertools
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cranopt.oracle as oracle
 from cranopt import (
@@ -19,19 +21,20 @@ from cranopt import (
     DownlinkDesign,
     InconsistencyError,
     InvalidInputError,
+    SubchannelAllocation,
     TOL,
-    UnsupportedSizeError,
     UplinkDesign,
+    certified_gap_bits,
     check_downlink_feasible,
     check_uplink_feasible,
     downlink_fronthaul,
     downlink_rate,
     feasibility_projection,
-    grid_oracle_scalar,
     perturbation_search,
     random_channel,
     random_unitary,
     solve_instance,
+    solve_scalar_allocation,
     subchannel_rate,
     uplink_fronthaul,
     uplink_rate,
@@ -39,219 +42,103 @@ from cranopt import (
 from cranopt.allocation import _rates
 from cranopt.downlink import downlink_rate_stacked
 from cranopt.kernels import whitened_eigvalsh
-from cranopt.oracle import _objective
 from cranopt.problem import validate_covariance
 from cranopt.uplink import uplink_rate_stacked
 
 
-def test_grid_oracle_single_subchannel_closed_form():
+def _solved_gap(gains, P, C, sigma2=1.0):
+    a = solve_scalar_allocation(gains, P, C, sigma2)
+    return a, certified_gap_bits(gains, P, C, sigma2, a)
+
+
+def test_bound_single_subchannel_closed_form():
+    # at D = 1 the root box's corner bound is the closed-form optimum
     for P in (0.5, 1.0, 2.0):
         for C in (0.5, 1.0, 3.0):
-            a = grid_oracle_scalar(np.array([1.5]), P, C, 1.0, resolution=101)
+            a, gap = _solved_gap(np.array([1.5]), P, C)
             expect = subchannel_rate(1.5**2 * P, C, 1.0)
-            assert np.isclose(a.diagnostics["rate"], expect, atol=1e-9)
+            assert abs(a.diagnostics["rate"] + gap - expect) <= 1e-9
 
 
-def test_grid_oracle_finds_concentration():
-    a = grid_oracle_scalar(np.array([1.0, 1.0]), 2.0, 2.0, 1.0, resolution=201)
-    assert np.isclose(a.diagnostics["rate"], 1.0, atol=1e-9)
+def test_bound_certifies_concentration():
+    # small budgets reward putting everything on one of two equal gains
+    a, gap = _solved_gap(np.array([1.0, 1.0]), 2.0, 2.0)
+    assert abs(a.diagnostics["rate"] - 1.0) <= 1e-9
+    assert abs(gap) <= 1e-9
 
 
-def test_grid_oracle_three_subchannels_budget_feasible():
-    a = grid_oracle_scalar(np.array([2.0, 1.0, 0.5]), 3.0, 4.0, 1.0, resolution=41)
-    assert a.power.sum() <= 3.0 + 1e-9
-    assert a.share.sum() <= 4.0 + 1e-9
-    assert a.diagnostics["rate"] > 0
-
-
-def test_grid_oracle_powers_are_nonnegative():
-    # the third power, a complement P - p1 - p2, used to round below 0 on
-    # both grids (joint, and power-only at C >= 3 c_max), which the
-    # allocation rejected
-    for gains, P, C in [
-        ([2.638, 1.663, 0.446], 4.0, 8.0),
-        ([2.380407918, 2.0272577, 0.16425855], 0.13968077701261164, 200.0),
-    ]:
-        a = grid_oracle_scalar(gains, P, C, 1.0)
-        assert np.all(a.power >= 0)
-        assert abs(a.power.sum() - P) <= 1e-12
-
-
-def test_grid_oracle_rejects_large_problems():
-    with pytest.raises(UnsupportedSizeError):
-        grid_oracle_scalar(np.ones(4), 1.0, 1.0, 1.0)
-
-
-def test_grid_oracle_rejects_bad_resolution():
-    with pytest.raises(InvalidInputError):
-        grid_oracle_scalar(np.ones(2), 1.0, 1.0, 1.0, resolution=1)
-
-
-def test_grid_oracle_zero_budget():
-    a = grid_oracle_scalar(np.array([1.0, 2.0]), 0.0, 3.0, 1.0)
-    assert a.diagnostics["rate"] == 0.0
+@pytest.mark.parametrize(
+    "gains, P, C",
+    [([1.0, 2.0], 0.0, 3.0), ([1.0, 2.0], 2.0, 0.0), ([0.0, 0.0], 2.0, 3.0)],
+    ids=["zero-P", "zero-C", "zero-gains"],
+)
+def test_bound_of_an_empty_problem_is_zero(gains, P, C):
+    a, gap = _solved_gap(np.array(gains), P, C)
+    assert gap == 0.0 and a.diagnostics["rate"] == 0.0
 
 
 @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -np.inf, 0.0], ids=repr)
-def test_grid_oracle_rejects_bad_noise(sigma2):
-    # a NaN or infinite sigma2 used to pass: rate nan, or a divide warning
+def test_certified_bound_rejects_bad_noise(sigma2):
+    # a NaN, infinite or zero sigma2 is refused before the search reads it
+    a = solve_scalar_allocation(np.array([1.0, 0.5]), 1.0, 1.0, 1.0)
     with pytest.raises(InvalidInputError, match="sigma2"):
-        grid_oracle_scalar(np.array([1.0, 0.5]), 1.0, 1.0, sigma2)
+        certified_gap_bits(np.array([1.0, 0.5]), 1.0, 1.0, sigma2, a)
 
 
-# The grid enumerations the oracle had before it enumerated every size with
-# one simplex scan, kept verbatim as the reference of the differential test.
-def _grid_power_only(g2, P, c_max, sigma2, res):
-    n = len(g2)
-    c = np.full(n, c_max)
-    if n == 1:
-        return np.array([P]), c, _objective(g2, np.array([P]), c, sigma2)
-    pgrid = np.linspace(0.0, P, res)
-    best = (-np.inf, None)
-    if n == 2:
-        rates = _rates(g2[0] * pgrid, c_max, sigma2) + _rates(
-            g2[1] * (P - pgrid), c_max, sigma2
-        )
-        k = int(np.argmax(rates))
-        return np.array([pgrid[k], P - pgrid[k]]), c, float(rates[k])
-    for i in range(res):
-        rem = P - pgrid[i]
-        sub = pgrid[: res - i]
-        rates = (
-            _rates(g2[0] * pgrid[i], c_max, sigma2)
-            + _rates(g2[1] * sub, c_max, sigma2)
-            + _rates(g2[2] * (rem - sub), c_max, sigma2)
-        )
-        k = int(np.argmax(rates))
-        if rates[k] > best[0]:
-            best = (float(rates[k]), np.array([pgrid[i], sub[k], rem - sub[k]]))
-    return np.clip(best[1], 0.0, None), c, best[0]  # rem - sub can round below 0
+def test_bound_refutes_a_half_power_incumbent():
+    # a feasible lower corner beats the planted allocation within a few boxes
+    rng = np.random.default_rng(777)
+    for k in range(6):
+        gains = np.sort(rng.uniform(0.3, 2.5, 2 + k % 2))[::-1]
+        P, C = rng.uniform(0.5, 4.0), rng.uniform(0.5, 8.0)
+        a = solve_scalar_allocation(gains, P, C, 1.0)
+        half = SubchannelAllocation(a.power / 2, a.share)
+        t0 = time.perf_counter()
+        gap = certified_gap_bits(gains, P, C, 1.0, half)
+        assert gap > 1e-6 and time.perf_counter() - t0 < 0.1, k
 
 
-def _grid_joint(g2, P, Ct, c_max, sigma2, res):
-    n = len(g2)
-    if n == 1:
-        p = np.array([P])
-        c = np.array([min(Ct, c_max)])
-        return p, c, _objective(g2, p, c, sigma2)
-    pgrid = np.linspace(0.0, P, res)
-    cgrid = np.linspace(0.0, Ct, res)
-    c_ok = cgrid <= c_max
-    if n == 2:
-        # rate tables indexed [power point, share point]
-        R = [
-            _rates(g2[d] * pgrid[:, None], cgrid[None, :], sigma2) for d in range(2)
-        ]
-        best = (-np.inf, 0, 0)
-        for i in range(res):
-            # share index m pairs with its complement res-1-m
-            row = R[0][i] + R[1][res - 1 - i][::-1]
-            mask = c_ok & c_ok[::-1]
-            row = np.where(mask, row, -np.inf)
-            m = int(np.argmax(row))
-            if row[m] > best[0]:
-                best = (float(row[m]), i, m)
-        rate, i, m = best
-        if not np.isfinite(rate):
-            # Ct within one grid step of every cap: fall back to the
-            # midpoint split, always inside the cap box.
-            p = np.full(2, P / 2)
-            c = np.full(2, Ct / 2)
-            return p, c, _objective(g2, p, c, sigma2)
-        p = np.array([pgrid[i], P - pgrid[i]])
-        c = np.array([cgrid[m], Ct - cgrid[m]])
-        return p, c, rate
-    # n == 3: exact simplex via index complements
-    R = [_rates(g2[d] * pgrid[:, None], cgrid[None, :], sigma2) for d in range(3)]
-    M, N = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
-    K_c = res - 1 - M - N
-    inner_ok = (K_c >= 0) & c_ok[M] & c_ok[N] & c_ok[np.clip(K_c, 0, res - 1)]
-    K_c = np.clip(K_c, 0, res - 1)
-    best = (-np.inf, 0, 0, 0, 0)
-    for i in range(res):
-        for j in range(res - i):
-            k = res - 1 - i - j
-            T = R[0][i][:, None] + R[1][j][None, :] + R[2][k][K_c]
-            T = np.where(inner_ok, T, -np.inf)
-            flat = int(np.argmax(T))
-            m, nn = divmod(flat, res)
-            if T[m, nn] > best[0]:
-                best = (float(T[m, nn]), i, j, m, nn)
-    rate, i, j, m, nn = best
-    if not np.isfinite(rate):
-        p = np.full(3, P / 3)
-        c = np.full(3, Ct / 3)
-        return p, c, _objective(g2, p, c, sigma2)
-    # the complements can round below 0
-    p = np.array([pgrid[i], pgrid[j], P - pgrid[i] - pgrid[j]])
-    c = np.array([cgrid[m], cgrid[nn], Ct - cgrid[m] - cgrid[nn]])
-    return np.clip(p, 0.0, None), np.clip(c, 0.0, None), rate
+def test_bound_returns_its_open_gap_when_the_box_budget_runs_out(monkeypatch):
+    gains, P, C = np.array([2.5, 1.7, 1.1, 0.6]), 4.0, 8.0
+    a, certified = _solved_gap(gains, P, C)
+    monkeypatch.setattr(oracle, "_BOX_BUDGET", 3)
+    open_gap = certified_gap_bits(gains, P, C, 1.0, a)
+    assert certified <= CERTIFICATION_TOL < open_gap < 0.1
 
 
-def _reference_grid(g2, P, C, c_max, sigma2, res):
-    # the dispatch grid_oracle_scalar made between the two enumerations
-    n = len(g2)
-    if C >= n * c_max:
-        return _grid_power_only(g2, P, c_max, sigma2, res)
-    return _grid_joint(g2, P, min(C, n * c_max), c_max, sigma2, res)
+# Gaussian channels up to 4 x 4 with P in [1e-2, 1e2], C in [0.1, 10^1.5]
+# and sigma2 in [0.1, 10], as in the solver's property tests
+_INSTANCES = st.builds(
+    lambda n_r, n_u, seed, log_p, log_c, log_s2: ChannelInstance(
+        H=random_channel(n_r, n_u, seed), P=10.0**log_p, C=10.0**log_c, sigma2=10.0**log_s2
+    ),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 2**31),
+    st.floats(-2.0, 2.0),
+    st.floats(-1.0, 1.5),
+    st.floats(-1.0, 1.0),
+)
 
 
-def _grid_case(rng, k):
-    """Case k of the differential corpus: D = 1..3, resolution 11/41/61,
-    c_max 60/2/0.7, and C drawn below 8, at 200 (every share capped), within
-    one share-grid step below D c_max, anywhere below D c_max, or anywhere
-    up to 200; every fourth case has P = 0."""
-    D = 1 + k % 3
-    res = (11, 41, 61)[(k // 3) % 3]
-    c_max = (60.0, 2.0, 0.7)[(k // 9) % 3]
-    g2 = np.sqrt(rng.exponential(3.0, D)) ** 2  # squares of the oracle's gains
-    P = 0.0 if k % 4 == 3 else float(rng.uniform(0.0, 5.0))
-    cap = D * c_max
-    C = (
-        float(rng.uniform(0.0, 8.0)),
-        200.0,
-        cap - float(rng.uniform(0.0, 1.0)) * cap / (res - 1),
-        float(rng.uniform(0.0, cap)),
-        float(rng.uniform(0.0, 200.0)),
-    )[(k // 27) % 5]
-    return g2, P, C, c_max, res
-
-
-def _has_share_split_inside_caps(D, C, c_max, res):
-    cgrid = np.linspace(0.0, C, res)
-    return any(
-        sum(split) == res - 1 and all(cgrid[m] <= c_max for m in split)
-        for split in itertools.product(range(res), repeat=D)
-    )
-
-
-def test_unified_grid_matches_the_parent_enumerations():
-    rng = np.random.default_rng(13)
-    counts = {"capped": 0, "fallback": 0, "p0": 0, "near_cap": 0}
-    for k in range(405):
-        g2, P, C, c_max, res = _grid_case(rng, k)
-        D = len(g2)
-        capped = C >= D * c_max
-        counts["capped"] += capped
-        counts["p0"] += P == 0.0
-        counts["near_cap"] += 0 < D * c_max - C <= D * c_max / (res - 1)
-        if not capped and not _has_share_split_inside_caps(D, C, c_max, res):
-            counts["fallback"] += 1
-        p_ref, c_ref, rate_ref = _reference_grid(g2, P, C, c_max, 1.0, res)
-        p, c, rate = oracle._grid(g2, P, C, c_max, 1.0, res)
-        assert np.array_equal(p, p_ref), k
-        assert np.array_equal(c, c_ref), k
-        # the old capped enumeration rated the last subchannel at the
-        # complement P - p of the others, not at its grid point
-        assert rate == rate_ref or (capped and abs(rate - rate_ref) <= 1e-15), k
-        if c_max == oracle.C_MAX_DEFAULT and P > 0:
-            # the polished oracle answer starts from the same point
-            a = grid_oracle_scalar(np.sqrt(g2), P, C, 1.0, resolution=res)
-            polished = oracle._pattern_polish(g2, p_ref, c_ref, P, C, 1.0, c_max)
-            assert np.array_equal(a.power, polished[0]), k
-            assert np.array_equal(a.share, np.where(a.power > 0, polished[1], 0.0)), k
-            assert a.diagnostics["rate"] == polished[2], k
-    assert all(n > 0 for n in counts.values()), counts
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_INSTANCES, st.integers(0, 2**31))
+def test_no_feasible_allocation_beats_the_bound(inst, seed):
+    # random splits of both budgets, and moves of the solved allocation
+    # along both budget faces, stay below the solver's rate plus its gap
+    gains, P, C, sigma2 = inst.spectrum.singular_values, inst.P, inst.C, inst.sigma2
+    a = solve_scalar_allocation(gains, P, C, sigma2)
+    bound = a.diagnostics["rate"] + certified_gap_bits(gains, P, C, sigma2, a)
+    rng = np.random.default_rng(seed)
+    D, n = gains.size, 500
+    p = rng.dirichlet(np.ones(D), n) * P
+    c = rng.dirichlet(np.ones(D), n) * C
+    near_p = a.power * rng.uniform(0.9, 1.1, (n, D))
+    near_c = a.share * rng.uniform(0.9, 1.1, (n, D))
+    p = np.vstack([p, near_p * (P / near_p.sum(axis=1, keepdims=True))])
+    c = np.vstack([c, near_c * (C / near_c.sum(axis=1, keepdims=True))])
+    rates = _rates(gains**2 * p, c, sigma2).sum(axis=1)
+    assert rates.max() <= bound + 1e-12
 
 
 def _identity_instance(P=2.0, C=2.0, n=2):
