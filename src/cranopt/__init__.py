@@ -13,7 +13,6 @@ used to validate the designs numerically.  The command-line harness is
 
 from .allocation import (
     C_MAX_DEFAULT,
-    SolverOptions,
     SubchannelAllocation,
     solve_scalar_allocation,
     subchannel_rate,
@@ -93,7 +92,6 @@ __all__ = [
     "InvalidInputError",
     "LN2",
     "RateReport",
-    "SolverOptions",
     "SubchannelAllocation",
     "TOL",
     "Tolerances",

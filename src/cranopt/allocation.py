@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from math import inf, sqrt
+from math import inf, log2, sqrt
 from operator import add
 
 import numpy as np
@@ -63,17 +63,6 @@ class SubchannelAllocation:
             raise InvalidInputError("allocation arrays must share one length")
         self.power = p
         self.share = np.where(p > 0, c, 0.0)
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for solve_scalar_allocation: c_max caps each share (bits,
-    finite and > 0)."""
-
-    c_max: float = C_MAX_DEFAULT
-
-    def __post_init__(self):
-        check_positive(self.c_max, "c_max")
 
 
 def subchannel_rate(s, c, sigma2):
@@ -386,17 +375,29 @@ def _start_points(g2, P):
     return starts
 
 
-def solve_scalar_allocation(
-    gains,
-    P: float,
-    C: float,
-    sigma2: float,
-    *,
-    opts: SolverOptions | None = None,
-) -> SubchannelAllocation:
+def _share_cap(g, P, C, sigma2):
+    """The share cap the solve runs at, for P > 0 and some gain above 0.
+
+    A share above log2(P max g^2 / sigma2) + 40 bits leaves every compressed
+    residual 2^-c s below 2^-40 sigma2, and the powers sum to P, so all
+    shares above it together gain less than 2^-40 / ln 2 (1.3e-12) bits: the
+    capped optimum is the uncapped one to that.  The cap is taken in the
+    log domain, where it cannot overflow, and never below C_MAX_DEFAULT.
+    No share exceeds C either, so a cap above max(C, C_MAX_DEFAULT) poses
+    the same problem; lowering it to that keeps the share step's level u,
+    interpolated from the kinks log2 s - c_max, from cancelling when
+    c_max >> C.
+    """
+    snr_bits = log2(P) + 2.0 * log2(float(g.max())) - log2(sigma2) + 40.0
+    return min(max(C_MAX_DEFAULT, snr_bits), max(C, C_MAX_DEFAULT))
+
+
+def solve_scalar_allocation(gains, P: float, C: float, sigma2: float) -> SubchannelAllocation:
     """Maximize the summed subchannel rate under the power and fronthaul
     budgets.  The allocation serves both directions; the assemblies realize
-    its shares with tight quantizers.
+    its shares with tight quantizers.  The problem has no share cap; the
+    solve caps each share where all further bits would gain less than
+    1.3e-12 bits (see _share_cap).
 
     Deterministic: block ascent runs from a fixed sequence of starts (top-k
     concentration on the k strongest subchannels for every k), and a start
@@ -407,17 +408,13 @@ def solve_scalar_allocation(
     """
     g = _validate_gains(gains)
     _validate_budgets(P, C, sigma2)
-    opts = opts or SolverOptions()
     D = g.size
     g2 = g**2
     if P <= 0 or C <= 0 or not np.any(g2 > 0):
         diagnostics = {"rate": 0.0, "iterations": 0, "starts": 0}
         return SubchannelAllocation(np.zeros(D), np.zeros(D), diagnostics)
 
-    # no share exceeds C, so a cap above max(C, C_MAX_DEFAULT) poses the same
-    # problem; lowering it keeps the share step's level u, interpolated from
-    # the kinks log2 s - c_max, from cancelling when c_max >> C
-    c_max = min(opts.c_max, max(C, C_MAX_DEFAULT))
+    c_max = _share_cap(g, P, C, sigma2)
     starts = _start_points(g2, P)
     best = (-np.inf, None, None)
     total_rounds = 0

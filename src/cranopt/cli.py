@@ -18,10 +18,13 @@ CSV (default) or JSON; rows are ordered by instance, direction, then budget
 indices, so reruns with one seed are byte-identical except for the wall_ms
 column.
 
-solve, sweep, oracle and duality make one scalar solve per budget point
-(solver.duality_gap) and realize it in both directions; wall_ms is the time
-of that call, shared by the point's uplink and downlink rows.  certify
-solves per direction, and each of its rows times its own solve and search.
+Every mode makes one scalar solve per budget point and realizes it in both
+directions.  In solve, sweep, oracle and duality the solve is one
+solver.duality_gap call, and wall_ms is the time of that call, shared by
+the point's uplink and downlink rows.  certify solves with the uplink, so
+its uplink row times the solve, the assembly, the check and the search,
+and its downlink row only the assembly, the check and the search of the
+same allocation.
 
 Instance files are JSON: a single object or a list of objects shaped like
 
@@ -276,10 +279,12 @@ def _run_duality(config, inst, label) -> list[ResultRow]:
 
 
 def _run_certify(config, inst, label) -> list[ResultRow]:
-    rows = []
+    # the uplink solves the scalar problem, and the downlink realizes the
+    # allocation it returned
+    rows, alloc = [], None
     for direction in DIRECTIONS:
         t0 = time.perf_counter()
-        design, report, _ = solve_instance(inst, direction)
+        design, report, alloc = solve_instance(inst, direction, alloc)
         # an infeasible design fails its row and has no margin to search for
         margin, ok = None, False
         if report.feasible:

@@ -9,7 +9,7 @@ The argument checks every public entry point shares live here too:
 :func:`as_complex_matrix` for matrices, :func:`check_count` for seeds,
 dimensions and counts, :func:`check_nonneg` for powers, shares, gains and
 spectra, :func:`check_nonneg_number` for budgets, and
-:func:`check_positive` for noise powers, caps and tolerances.  Each raises
+:func:`check_positive` for noise powers and tolerances.  Each raises
 InvalidInputError naming the argument.
 """
 

@@ -39,13 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import (
-    C_MAX_DEFAULT,
-    SubchannelAllocation,
-    _rates,
-    _validate_budgets,
-    _validate_gains,
-)
+from .allocation import SubchannelAllocation, _rates, _validate_budgets, _validate_gains
 from .downlink import DownlinkDesign, check_downlink_feasible, downlink_rate_stacked
 from .errors import DomainError, InconsistencyError, InvalidInputError
 from .kernels import (
@@ -173,20 +167,20 @@ def certified_gap_bits(gains, P: float, C: float, sigma2: float, allocation) -> 
     """A certified upper bound on the scalar optimum minus the rate of
     ``allocation``, which must cover ``gains`` and keep both budgets.
 
-    Best-first monotonic branch and bound over the share box
-    [0, min(C, C_MAX_DEFAULT)]^D of the positive gains.  A box [lo, hi] is
-    reduced to hi_d <= lo_d + (C - sum lo), or dropped when sum lo > C, and
-    bounded by the smaller of bound (a), which prices the power budget at
-    its upper corner, and bound (b), which also prices the share budget, at
-    the allocation's own marginals (dr/dp on its powered subchannels, dr/dc
-    on its shares below the cap).  The best box splits at the midpoint of
-    its widest side; each child's lower corner, with the powers of its
-    bound (a) scaled onto P, is a feasible point.  The search stops when
-    the best bound is within TOL.certification of the rate (certified),
-    when a feasible point beats the rate by more than that (refuted), or
-    after _BOX_BUDGET boxes, and returns the best open bound minus the rate
-    at that moment.  Zero P, zero C or all-zero gains give 0.0.
-    Deterministic.
+    The scalar problem has no share cap: the search is a best-first
+    monotonic branch and bound over the share box [0, C]^D of the positive
+    gains.  A box [lo, hi] is reduced to hi_d <= lo_d + (C - sum lo), or
+    dropped when sum lo > C, and bounded by the smaller of bound (a), which
+    prices the power budget at its upper corner, and bound (b), which also
+    prices the share budget, at the allocation's own marginals (dr/dp and
+    dr/dc on its powered subchannels that carry a share).  The best box
+    splits at the midpoint of its widest side; each child's lower corner,
+    with the powers of its bound (a) scaled onto P, is a feasible point.
+    The search stops when the best bound is within TOL.certification of the
+    rate (certified), when a feasible point beats the rate by more than that
+    (refuted), or after _BOX_BUDGET boxes, and returns the best open bound
+    minus the rate at that moment.  Zero P, zero C or all-zero gains give
+    0.0.  Deterministic.
     """
     g = _validate_gains(gains)
     _validate_budgets(P, C, sigma2)
@@ -203,9 +197,8 @@ def certified_gap_bits(gains, P: float, C: float, sigma2: float, allocation) -> 
     dr_dp = snr * (1.0 - b) / (LN2 * (s + 1.0) * (1.0 + b * s))
     dr_dc = b * s / (1.0 + b * s)
     on = (p > 0) & (c > 0)
-    inner = on & (c < C_MAX_DEFAULT)
     lam = float(dr_dp[on].mean()) if on.any() else 0.0
-    mu = float(dr_dc[inner].mean()) if inner.any() else 0.0
+    mu = float(dr_dc[on].mean()) if on.any() else 0.0
 
     def bound(lo, hi):
         upper, powers = _corner_bound(snr, hi, P)
@@ -213,7 +206,7 @@ def certified_gap_bits(gains, P: float, C: float, sigma2: float, allocation) -> 
             upper = np.minimum(upper, _segment_bound(snr, lo, hi, P, C, lam, mu))
         return upper, powers
 
-    lo, hi = np.zeros(snr.size), np.full(snr.size, min(C, C_MAX_DEFAULT))
+    lo, hi = np.zeros(snr.size), np.full(snr.size, float(C))
     upper, _ = bound(lo[None], hi[None])
     heap = [(-float(upper[0]), 0, lo, hi)]
     boxes = 1

@@ -11,53 +11,52 @@ evaluation.
 
 from __future__ import annotations
 
-from .allocation import SolverOptions, solve_scalar_allocation
+from .allocation import solve_scalar_allocation
 from .downlink import assemble_downlink, check_downlink_feasible
-from .problem import UPLINK, ChannelInstance, check_direction
+from .problem import DOWNLINK, UPLINK, ChannelInstance, check_direction
 from .uplink import assemble_uplink, check_uplink_feasible
 
 
-def solve_instance(
-    inst: ChannelInstance, direction: str, opts: SolverOptions | None = None
-):
+def solve_instance(inst: ChannelInstance, direction: str, allocation=None):
     """Solve one instance in one direction.
 
-    Returns (design, report, allocation); the report carries the solver
+    Without ``allocation`` the scalar problem is solved on the instance's
+    singular values; a given allocation, such as the one the other
+    direction returned, is assembled as it is, with no solve.  Returns
+    (design, report, allocation); the report carries the allocation's
     diagnostics (achieved rate, iteration count) merged into its own.
     """
     check_direction(direction)
     spec = inst.spectrum
-    alloc = solve_scalar_allocation(
-        spec.singular_values, inst.P, inst.C, inst.sigma2, opts=opts
-    )
+    if allocation is None:
+        allocation = solve_scalar_allocation(spec.singular_values, inst.P, inst.C, inst.sigma2)
     if direction == UPLINK:
-        design = assemble_uplink(spec, alloc, inst.sigma2)
+        design = assemble_uplink(spec, allocation, inst.sigma2)
         report = check_uplink_feasible(inst, design)
     else:
-        design = assemble_downlink(spec, alloc)
+        design = assemble_downlink(spec, allocation)
         report = check_downlink_feasible(inst, design)
-    report.diagnostics.update(alloc.diagnostics)
-    return design, report, alloc
+    report.diagnostics.update(allocation.diagnostics)
+    return design, report, allocation
 
 
-def duality_gap(inst: ChannelInstance, opts: SolverOptions | None = None) -> dict:
-    """Solve the uplink, assemble its allocation as a downlink design too,
+def duality_gap(inst: ChannelInstance) -> dict:
+    """Solve the uplink, realize its allocation as a downlink design too,
     and report the rate difference of the two designs.
 
-    The scalar problem is solved once, by ``solve_instance`` for the uplink
-    with solver options ``opts``; its allocation is the one a downlink solve
-    returns, and its diagnostics are copied onto the downlink report.  The
-    downlink design is assembled and checked by its own direction's
-    functionals, so the gap measures how well the uplink and downlink
-    assemblies and rate functionals agree.  Returns a dict with the two
-    rates, their absolute gap, both feasibility reports and the allocation.
+    The scalar problem is solved once, by ``solve_instance`` for the
+    uplink; the downlink is ``solve_instance`` given that allocation, so it
+    assembles and checks the downlink design by its own direction's
+    functionals without a second solve.  The gap thus measures how well the
+    uplink and downlink assemblies and rate functionals agree.  Returns a
+    dict with the two rates, their absolute gap, both feasibility reports
+    and the allocation.
 
     The CLI's solve, sweep, oracle and duality modes read both directions'
     rows from one call per budget point.
     """
-    _, rep_ul, alloc = solve_instance(inst, UPLINK, opts)
-    rep_dl = check_downlink_feasible(inst, assemble_downlink(inst.spectrum, alloc))
-    rep_dl.diagnostics.update(alloc.diagnostics)
+    _, rep_ul, alloc = solve_instance(inst, UPLINK)
+    _, rep_dl, _ = solve_instance(inst, DOWNLINK, alloc)
     gap = abs(rep_ul.rate - rep_dl.rate)
     return {
         "uplink_rate": rep_ul.rate,

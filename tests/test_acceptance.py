@@ -16,7 +16,7 @@ from cranopt import (
     TOL,
     ChannelInstance,
     DomainError,
-    SolverOptions,
+    SubchannelAllocation,
     certified_gap_bits,
     check_downlink_bounds,
     check_power_lower_bound,
@@ -114,6 +114,30 @@ def test_criterion_3_single_subchannel_closed_form():
         "criterion 3 (D=1 closed form, 10x10 grid)",
         ok,
         f"solver dev {worst_solver:.3e} <= 1e-9, bound dev {worst_bound:.3e}",
+    )
+
+
+def test_closed_form_at_high_snr():
+    """D = 1 above 120 dB: solver and certified bound match log2((s + 1) /
+    (1 + 2^-C s)) to 1e-9, and an allocation held at 60 bits falls 0.90
+    bits short of it."""
+    worst_solver = 0.0
+    worst_bound = 0.0
+    for gain, C in ((1e6, 100.0), (1e9, 200.0)):
+        s = gain**2
+        closed = np.log2((s + 1.0) / (1.0 + 2.0**-C * s))
+        a = solve_scalar_allocation(np.array([gain]), 1.0, C, 1.0)
+        worst_solver = max(worst_solver, abs(a.diagnostics["rate"] - closed))
+        bound = a.diagnostics["rate"] + certified_gap_bits(np.array([gain]), 1.0, C, 1.0, a)
+        worst_bound = max(worst_bound, abs(bound - closed))
+    held = SubchannelAllocation([1.0], [60.0])
+    held_gap = certified_gap_bits(np.array([1e9]), 1.0, 200.0, 1.0, held)
+    ok = worst_solver <= 1e-9 and worst_bound <= 1e-9 and abs(held_gap - 0.90) <= 0.01
+    assert _verdict(
+        "D=1 closed form at high SNR (gains 1e6 and 1e9)",
+        ok,
+        f"solver dev {worst_solver:.3e} <= 1e-9, bound dev {worst_bound:.3e}, "
+        f"60-bit allocation gap {held_gap:.3f} ~ 0.90",
     )
 
 
@@ -279,8 +303,8 @@ def test_criterion_8_harness_self_test(monkeypatch, tmp_path):
 
     real = cli_mod.solve_instance
 
-    def planted(inst_, direction_, opts=None):
-        design_, report_, alloc_ = real(inst_, direction_, opts)
+    def planted(inst_, direction_, allocation=None):
+        design_, report_, alloc_ = real(inst_, direction_, allocation)
         half = type(design_)(S=0.5 * design_.S, Q=design_.Q, active_basis=design_.active_basis)
         return half, report_, alloc_
 
@@ -322,12 +346,13 @@ def _extreme_corpus():
 # the dense S and Q.
 _EXTREME_LIMITS = {
     **{k: ("uplink power",) for k in (15, 44, 53, 207, 211, 327, 389)},
-    **{k: ("downlink power",) for k in (66, 118, 154, 204, 266, 300, 318, 368)},
+    **{k: ("downlink power",) for k in (66, 118, 154, 204, 266, 300, 318)},
     **{k: ("uplink power", "downlink power") for k in (0, 39, 101, 162, 307, 339)},
-    47: ("downlink fronthaul",),
-    85: ("uplink fronthaul",),
+    85: ("uplink fronthaul", "downlink fronthaul"),
     96: ("uplink fronthaul",),
-    54: ("DomainError in uplink_fronthaul",),
+    315: ("downlink fronthaul",),
+    368: ("downlink power", "downlink fronthaul"),
+    54: ("DomainError in uplink_rate",),
 }
 
 

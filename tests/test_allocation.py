@@ -14,7 +14,6 @@ from cranopt import (
     ChannelInstance,
     InconsistencyError,
     InvalidInputError,
-    SolverOptions,
     SubchannelAllocation,
     assemble_downlink,
     assemble_uplink,
@@ -134,19 +133,22 @@ def test_degenerate_budgets_stay_finite_without_warnings():
     # log2 s with equal signal powers, so that every kink of the share
     # step's budget curve coincides; these gave NaN powers with a
     # divide-by-zero warning, and a ZeroDivisionError
+    g2 = np.ones(3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         p, cap = waterfilling_capacity([1.0, 1.0], 1e-20, 1.0)
-        a = solve_scalar_allocation(
-            [1.0, 1.0, 1.0], 1.0, 1e-17, 1.0, opts=SolverOptions(c_max=1e-17)
-        )
+        ascents = [
+            allocation._ascend(p0, g2, 1.0, 1e-17, 1.0, 1e-17)
+            for p0 in allocation._start_points(g2, 1.0)
+        ]
         c = allocation._share_step(np.array([5e-324] * 3), 1e-300, 1e-300)
     assert np.all(np.isfinite(p)) and np.all(p >= 0) and p.sum() <= 1e-20
     assert np.isfinite(cap) and cap >= 0
-    assert np.all(np.isfinite(a.power)) and np.all(a.power >= 0) and a.power.sum() <= 1.0
-    assert np.all(np.isfinite(a.share)) and np.all(a.share >= 0)
-    assert a.share.sum() <= 1e-17 and a.share.max() <= 1e-17
-    assert np.isfinite(a.diagnostics["rate"])
+    for rate, power, share, _ in ascents:
+        assert np.all(np.isfinite(power)) and np.all(power >= 0) and power.sum() <= 1.0
+        assert np.all(np.isfinite(share)) and np.all(share >= 0)
+        assert share.sum() <= 1e-17 and share.max() <= 1e-17
+        assert np.isfinite(rate)
     assert np.all(np.isfinite(c)) and np.all(c >= 0) and c.sum() <= 1e-300
 
 
@@ -476,6 +478,16 @@ def test_steps_match_the_numpy_reference_bit_for_bit():
         assert p_new.dtype == c_new.dtype == np.float64, k
 
 
+def _solve(g, P, C, sigma2, c_max):
+    """The solver's allocation as (power, share, diagnostics) at the
+    instance's share cap (c_max None), or the top-k ascents of the
+    reference solve loop at share cap c_max."""
+    if c_max is None:
+        a = solve_scalar_allocation(g, P, C, sigma2)
+        return a.power, a.share, a.diagnostics
+    return _solve_with_waterfilling_start(g, P, C, sigma2, c_max)[0]
+
+
 def test_solves_match_the_numpy_steps_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(4242)
     cases = []
@@ -488,26 +500,29 @@ def test_solves_match_the_numpy_steps_bit_for_bit(monkeypatch):
             g[rng.random(D) < 0.4] = 0.0
         P = 10.0 ** rng.uniform(-2.0, 3.0)
         C = 10.0 ** rng.uniform(-2.0, 2.0)
-        opts = (None, SolverOptions(c_max=2.0), SolverOptions(c_max=C / D))[k % 3]
-        cases.append((g, P, C, 10.0 ** rng.uniform(-1.0, 1.0), opts))
+        c_max = (None, 2.0, C / D)[k % 3]
+        cases.append((g, P, C, 10.0 ** rng.uniform(-1.0, 1.0), c_max))
     with monkeypatch.context() as m:
         m.setattr(allocation, "_share_step", _numpy_share_step)
         m.setattr(allocation, "_power_step", _numpy_power_step)
-        refs = [solve_scalar_allocation(*case[:4], opts=case[4]) for case in cases]
+        refs = [_solve(*case) for case in cases]
     for k, (case, ref) in enumerate(zip(cases, refs)):
-        a = solve_scalar_allocation(*case[:4], opts=case[4])
-        for name in ("power", "share"):
-            assert np.array_equal(getattr(a, name), getattr(ref, name)), (k, name)
-        assert a.diagnostics == ref.diagnostics, k  # rate, iterations, starts
+        p, c, diagnostics = _solve(*case)
+        assert np.array_equal(p, ref[0]) and np.array_equal(c, ref[1]), k
+        assert diagnostics == ref[2], k  # rate, iterations, starts
 
 
-def _solve_with_waterfilling_start(gains, P, C, sigma2, opts=None):
+def _solve_with_waterfilling_start(gains, P, C, sigma2, c_max=None):
     """Reference for solve_scalar_allocation: the former solve loop, which
     ran block ascent from the water-filling powers as well, after the top-k
-    concentrations.  Covers P, C and some gain above 0."""
+    concentrations, at share cap c_max (by default the instance's).
+    Returns the outcome of the top-k starts alone, then of all the starts,
+    each as (power, share, diagnostics).  Covers P, C and some gain above
+    0."""
     g = np.asarray(gains, dtype=float)
     g2 = g**2
-    c_max = min((opts or SolverOptions()).c_max, max(C, C_MAX_DEFAULT))
+    if c_max is None:
+        c_max = allocation._share_cap(g, P, C, sigma2)
     order = np.argsort(-g2, kind="stable")
     idx = order[g2[order] > 0]
     starts = []
@@ -518,21 +533,23 @@ def _solve_with_waterfilling_start(gains, P, C, sigma2, opts=None):
     starts.append(waterfilling_capacity(g, P, sigma2)[0])
     best = (-np.inf, None, None)
     total_rounds = 0
-    for p0 in starts:
+    outcomes = []
+    for k, p0 in enumerate(starts, 1):
         rate, p, c, rounds = allocation._ascend(p0, g2, P, C, sigma2, c_max)
         total_rounds += rounds
         if rate > best[0] + 1e-12:
             best = (rate, p, c)
-    _, p, c = best
-    p, c = allocation._canonicalize(g, p, c)
-    rate = float(allocation._rates(g2 * p, c, sigma2).sum())
-    return p, c, {"rate": rate, "iterations": total_rounds, "starts": len(starts)}
+        if k >= len(starts) - 1:  # after the top-k starts, then after all
+            p, c = allocation._canonicalize(g, best[1], best[2])
+            rate = float(allocation._rates(g2 * p, c, sigma2).sum())
+            outcomes.append((p, c, {"rate": rate, "iterations": total_rounds, "starts": k}))
+    return outcomes
 
 
 def _start_family_corpus():
     """The 144 criterion-1 duality strata, then random solves with D <= 8
-    under the default cap, c_max = 2 and c_max = C/D, every fifth with
-    equal gains."""
+    under the instance's cap (c_max None), c_max = 2 and c_max = C/D, every
+    fifth with equal gains."""
     cases = []
     for k in range(144):
         H = random_channel(1 + k % 4, 1 + (k // 4) % 4, 500 + k)
@@ -546,22 +563,28 @@ def _start_family_corpus():
             g[:] = g[0]
         P = 10.0 ** rng.uniform(-2.0, 2.0)
         C = 10.0 ** rng.uniform(-1.0, 1.7)
-        opts = (None, SolverOptions(c_max=2.0), SolverOptions(c_max=C / D))[k % 3]
-        cases.append((g, P, C, 10.0 ** rng.uniform(-1.0, 1.0), opts))
+        c_max = (None, 2.0, C / D)[k % 3]
+        cases.append((g, P, C, 10.0 ** rng.uniform(-1.0, 1.0), c_max))
     return cases
 
 
 def test_water_filling_start_decides_no_solve():
     # the water-filling start never gained 1e-12 bits over the top-k
     # concentrations, so dropping it moves no allocation; it only saves
-    # its ascent rounds
-    for k, (g, P, C, sigma2, opts) in enumerate(_start_family_corpus()):
-        a = solve_scalar_allocation(g, P, C, sigma2, opts=opts)
-        p, c, ref = _solve_with_waterfilling_start(g, P, C, sigma2, opts)
-        assert np.array_equal(a.power, p) and np.array_equal(a.share, c), k
-        assert a.diagnostics["rate"] == ref["rate"], k
-        assert a.diagnostics["starts"] == ref["starts"] - 1, k
-        assert a.diagnostics["iterations"] < ref["iterations"], k
+    # its ascent rounds.  At the instance's cap the top-k outcome is the
+    # solver's
+    for k, (g, P, C, sigma2, c_max) in enumerate(_start_family_corpus()):
+        (p, c, top_k), (p_all, c_all, ref) = _solve_with_waterfilling_start(
+            g, P, C, sigma2, c_max
+        )
+        assert np.array_equal(p, p_all) and np.array_equal(c, c_all), k
+        assert top_k["rate"] == ref["rate"], k
+        assert top_k["starts"] == ref["starts"] - 1, k
+        assert top_k["iterations"] < ref["iterations"], k
+        if c_max is None:
+            a = solve_scalar_allocation(g, P, C, sigma2)
+            assert np.array_equal(a.power, p) and np.array_equal(a.share, c), k
+            assert a.diagnostics == top_k, k
 
 
 def test_solver_rejects_bad_inputs():
@@ -571,28 +594,31 @@ def test_solver_rejects_bad_inputs():
         solve_scalar_allocation(np.array([1.0]), -1.0, 1.0, 1.0)
     with pytest.raises(InvalidInputError):
         solve_scalar_allocation(np.array([1.0]), 1.0, -1.0, 1.0)
-    with pytest.raises(TypeError):  # opts is keyword-only: a stale direction fails
+    with pytest.raises(TypeError):  # a stale direction argument fails
         solve_scalar_allocation(np.array([1.0]), 1.0, 1.0, 1.0, "uplink")
     with pytest.raises(InvalidInputError):
         solve_scalar_allocation(np.array([1.0]), 1.0, 1.0, -1.0)
 
 
 def test_share_cap_far_above_the_budget_poses_the_same_problem():
-    # a cap far above C is inactive, so the solve must equal the default's;
-    # c_max = 1e12 lost 4e-5 bits, and 1e16 gave all-zero powers at rate 0,
-    # as the share step's kinks log2 s - c_max cancelled
-    default = solve_scalar_allocation([1.0, 0.5], 1.0, 1.0, 1.0)
-    assert default.diagnostics["rate"] == DUALITY_EXAMPLE
-    for c_max in (1e12, 1e16, 1e300):
-        a = solve_scalar_allocation(
-            [1.0, 0.5], 1.0, 1.0, 1.0, opts=SolverOptions(c_max=c_max)
+    # the instance's cap log2(P max g^2 / sigma2) + 40 grows with the gains,
+    # but a cap far above C is inactive, while the share step's kinks
+    # log2 s - c_max cancel as it grows (c_max = 1e12 lost 4e-5 bits, and
+    # 1e16 gave all-zero powers at rate 0); so a cap above max(C, 60) is
+    # lowered to it, and the solve at any gain runs at that cap
+    g = np.array([1.0, 0.5])
+    assert solve_scalar_allocation(g, 1.0, 1.0, 1.0).diagnostics["rate"] == DUALITY_EXAMPLE
+    for scale in (1e9, 1e100, 1e150):
+        assert allocation._share_cap(scale * g, 1.0, 1.0, 1.0) == C_MAX_DEFAULT, scale
+        wide = allocation._share_cap(scale * g, 1.0, 300.0, 1.0)
+        assert wide == pytest.approx(min(300.0, 2.0 * np.log2(scale) + 40.0)), scale
+        a = solve_scalar_allocation(scale * g, 1.0, 1.0, 1.0)
+        (p, c, diagnostics), _ = _solve_with_waterfilling_start(
+            scale * g, 1.0, 1.0, 1.0, C_MAX_DEFAULT
         )
-        assert a.diagnostics["rate"] == DUALITY_EXAMPLE, c_max
-        assert np.array_equal(a.power, default.power), c_max
-        assert np.array_equal(a.share, default.share), c_max
-    for c_max in (np.inf, np.nan, -np.inf, 0.0):
-        with pytest.raises(InvalidInputError, match="c_max"):
-            SolverOptions(c_max=c_max)
+        assert np.array_equal(a.power, p) and np.array_equal(a.share, c), scale
+        assert a.diagnostics == diagnostics, scale
+        assert abs(a.diagnostics["rate"] - 1.0) <= 1e-12, scale
 
 
 def test_allocation_container_validation():

@@ -19,7 +19,6 @@ from cranopt import (
     InstanceFormatError,
     InvalidInputError,
     LN2,
-    SolverOptions,
     SubchannelAllocation,
     TOL,
     UplinkDesign,
@@ -427,7 +426,6 @@ _REJECTIONS = [
     ("ChannelInstance.sigma2", lambda v: ChannelInstance(_H, 1.0, 1.0, v), _POSITIVE),
     ("SubchannelAllocation.power", lambda v: SubchannelAllocation(v, 1.0), _NONNEG_ARRAY),
     ("SubchannelAllocation.share", lambda v: SubchannelAllocation(1.0, v), _NONNEG_ARRAY),
-    ("SolverOptions.c_max", lambda v: SolverOptions(c_max=v), _POSITIVE),
     ("subchannel_rate.s", lambda v: subchannel_rate(v, 1.0, 1.0), _NONNEG_ARRAY),
     ("subchannel_rate.c", lambda v: subchannel_rate(1.0, v, 1.0), _NONNEG_ARRAY),
     ("subchannel_rate.sigma2", lambda v: subchannel_rate(1.0, 1.0, v), _POSITIVE),

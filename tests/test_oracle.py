@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cranopt.oracle as oracle
@@ -139,6 +139,35 @@ def test_no_feasible_allocation_beats_the_bound(inst, seed):
     c = np.vstack([c, near_c * (C / near_c.sum(axis=1, keepdims=True))])
     rates = _rates(gains**2 * p, c, sigma2).sum(axis=1)
     assert rates.max() <= bound + 1e-12
+
+
+@st.composite
+def _allocations_above_60_bits(draw):
+    """Up to three gains in [1, 1e9], P in [0.1, 10], C in [61, 200], and a
+    feasible allocation with every power positive and one share above 60
+    bits, the others splitting part of what is left of C."""
+    D = draw(st.integers(1, 3))
+    gains = [10.0 ** draw(st.floats(0.0, 9.0)) for _ in range(D)]
+    P = 10.0 ** draw(st.floats(-1.0, 1.0))
+    C = draw(st.floats(61.0, 200.0))
+    weights = np.array([draw(st.floats(0.01, 1.0)) for _ in range(D)])
+    share = np.array([draw(st.floats(0.0, 1.0)) for _ in range(D)])
+    top = draw(st.integers(0, D - 1))
+    share[top] = 60.0 + draw(st.floats(0.5, 1.0)) * (C - 60.0)
+    rest = np.arange(D) != top
+    share[rest] *= (C - share[top]) / max(D - 1, 1)
+    return gains, P, C, SubchannelAllocation(P * weights / weights.sum(), share)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_allocations_above_60_bits())
+@example(([1e9], 1.0, 200.0, SubchannelAllocation([1.0], [100.0])))
+@example(([1e8, 1e8], 1.0, 150.0, SubchannelAllocation([0.5, 0.5], [70.0, 70.0])))
+def test_the_bound_holds_for_shares_above_60_bits(case):
+    # the scalar problem caps no share: an allocation whose shares pass 60
+    # bits at high SNR stays below the bound
+    gains, P, C, a = case
+    assert certified_gap_bits(gains, P, C, 1.0, a) >= -TOL.certification
 
 
 def _identity_instance(P=2.0, C=2.0, n=2):

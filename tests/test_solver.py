@@ -10,7 +10,6 @@ import cranopt.solver as solver
 from cranopt import (
     ChannelInstance,
     InvalidInputError,
-    SolverOptions,
     SubchannelAllocation,
     assemble_downlink,
     assemble_uplink,
@@ -185,11 +184,11 @@ def test_tall_and_wide_channels():
         assert duality_gap(inst)["gap"] <= 1e-5
 
 
-def _two_solve_duality_gap(inst, opts=None):
+def _two_solve_duality_gap(inst):
     """Reference for duality_gap: the former path, which solved the scalar
     problem once per direction and assembled each from its own solve."""
-    _, rep_ul, _ = solve_instance(inst, "uplink", opts)
-    _, rep_dl, _ = solve_instance(inst, "downlink", opts)
+    _, rep_ul, _ = solve_instance(inst, "uplink")
+    _, rep_dl, _ = solve_instance(inst, "downlink")
     return {
         "uplink_rate": rep_ul.rate,
         "downlink_rate": rep_dl.rate,
@@ -228,28 +227,20 @@ def _unique_kinks_share_step(s, C, c_max):
 
 def _duality_corpus():
     """Criterion-1 strata, degenerate budgets and gains, and channels whose
-    share steps meet equal gains and equal kinks."""
+    share steps meet equal gains."""
     cases = []
     for k in range(144):
         n_r, n_u = 1 + k % 4, 1 + (k // 4) % 4
         P, C = (0.5, 1.0, 4.0)[k % 3], (0.5, 2.0, 8.0)[(k // 3) % 3]
-        cases.append((_random_instance(500 + k, n_r, n_u, P, C), None))
+        cases.append(_random_instance(500 + k, n_r, n_u, P, C))
     for n_r, n_u in [(1, 1), (2, 3), (3, 2)]:
-        cases.append((_random_instance(700 + n_r, n_r, n_u, P=0.0, C=2.0), None))
-        cases.append((_random_instance(710 + n_r, n_r, n_u, P=2.0, C=0.0), None))
-        zero = ChannelInstance(H=np.zeros((n_r, n_u)), P=2.0, C=2.0, sigma2=1.0)
-        cases.append((zero, None))
+        cases.append(_random_instance(700 + n_r, n_r, n_u, P=0.0, C=2.0))
+        cases.append(_random_instance(710 + n_r, n_r, n_u, P=2.0, C=0.0))
+        cases.append(ChannelInstance(H=np.zeros((n_r, n_u)), P=2.0, C=2.0, sigma2=1.0))
     for P in (0.5, 1.0, 4.0):
         for C in (0.5, 2.0, 8.0):
             for H in (np.eye(3), np.diag([2.0, 2.0, 1.0]), np.diag([2.0, 1.0])):
-                cases.append((ChannelInstance(H=H, P=P, C=C, sigma2=1.0), None))
-    # gains 2 and 1 at c_max = 2: on the uniform start the two subchannels'
-    # log2 signal powers differ by exactly c_max, so two kinks coincide
-    for C in (0.5, 1.0, 2.0, 3.0):
-        cases.append(
-            (ChannelInstance(H=np.diag([2.0, 1.0]), P=4.0, C=C, sigma2=1.0),
-             SolverOptions(c_max=2.0))
-        )
+                cases.append(ChannelInstance(H=H, P=P, C=C, sigma2=1.0))
     return cases
 
 
@@ -257,14 +248,29 @@ def test_one_solve_duality_matches_two_solve_reference(monkeypatch):
     cases = _duality_corpus()
     with monkeypatch.context() as m:
         m.setattr(allocation, "_share_step", _unique_kinks_share_step)
-        refs = [_two_solve_duality_gap(inst, opts) for inst, opts in cases]
-    for k, ((inst, opts), ref) in enumerate(zip(cases, refs)):
-        out = duality_gap(inst, opts)
+        refs = [_two_solve_duality_gap(inst) for inst in cases]
+    for k, (inst, ref) in enumerate(zip(cases, refs)):
+        out = duality_gap(inst)
         assert out["uplink_rate"] == ref["uplink_rate"], k
         assert out["downlink_rate"] == ref["downlink_rate"], k
         assert out["gap"] == ref["gap"], k
         assert out["uplink_report"] == ref["uplink_report"], k
         assert out["downlink_report"] == ref["downlink_report"], k
+
+
+def test_share_step_at_coinciding_kinks_matches_the_unique_kinks_reference(monkeypatch):
+    # gains 2 and 1 at c_max = 2: on the uniform start the two subchannels'
+    # log2 signal powers differ by exactly c_max, so two kinks coincide
+    g2, P = np.array([4.0, 1.0]), 4.0
+    for C in (0.5, 1.0, 2.0, 3.0):
+        starts = allocation._start_points(g2, P)
+        with monkeypatch.context() as m:
+            m.setattr(allocation, "_share_step", _unique_kinks_share_step)
+            refs = [allocation._ascend(p0, g2, P, C, 1.0, 2.0) for p0 in starts]
+        for p0, ref in zip(starts, refs):
+            rate, p, c, rounds = allocation._ascend(p0, g2, P, C, 1.0, 2.0)
+            assert rate == ref[0] and rounds == ref[3], C
+            assert np.array_equal(p, ref[1]) and np.array_equal(c, ref[2]), C
 
 
 def test_duality_gap_solves_the_scalar_problem_once(monkeypatch):
@@ -276,9 +282,9 @@ def test_duality_gap_solves_the_scalar_problem_once(monkeypatch):
 
     # solver looks the name up in its own namespace
     monkeypatch.setattr(solver, "solve_scalar_allocation", counted)
-    for k, (inst, opts) in enumerate(_duality_corpus()[::10]):
+    for k, inst in enumerate(_duality_corpus()[::10]):
         calls.clear()
-        duality_gap(inst, opts)
+        duality_gap(inst)
         assert len(calls) == 1, k
 
 
@@ -293,9 +299,9 @@ def test_duality_gap_takes_one_svd(monkeypatch):
         return lapack_svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    for k, (inst, opts) in enumerate(_duality_corpus()[::10]):
+    for k, inst in enumerate(_duality_corpus()[::10]):
         calls.clear()
-        duality_gap(inst, opts)
+        duality_gap(inst)
         assert len(calls) == 1, k
-        duality_gap(inst, opts)
+        duality_gap(inst)
         assert len(calls) == 1, k
