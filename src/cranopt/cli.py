@@ -21,10 +21,10 @@ column.
 Every mode makes one scalar solve per budget point and realizes it in both
 directions.  In solve, sweep, oracle and duality the solve is one
 solver.duality_gap call, and wall_ms is the time of that call, shared by
-the point's uplink and downlink rows.  certify solves with the uplink, so
-its uplink row times the solve, the assembly, the check and the search,
-and its downlink row only the assembly, the check and the search of the
-same allocation.
+the point's uplink and downlink rows; in oracle it also covers the
+certified bound.  certify solves with the uplink, so its uplink row times
+the solve, the assembly, the check and the search, and its downlink row
+only the assembly, the check and the search of the same allocation.
 
 Instance files are JSON: a single object or a list of objects shaped like
 
@@ -302,13 +302,14 @@ def _run_certify(config, inst, label) -> list[ResultRow]:
 
 def _run_oracle(config, inst, label) -> list[ResultRow]:
     # one solve and one bound serve both directions, which share the scalar
-    # problem; both rows carry the solve's time, and the solver's rate minus
-    # the certified bound on the scalar optimum as their margin
+    # problem; both rows carry the time of the solve and the bound, and the
+    # solver's rate minus the certified bound on the scalar optimum as their
+    # margin; the channel's SVD is taken before the timing, as in sweep
+    gains = inst.spectrum.singular_values
     t0 = time.perf_counter()
     out = duality_gap(inst)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    gains = inst.spectrum.singular_values
     gap = certified_gap_bits(gains, inst.P, inst.C, inst.sigma2, out["allocation"])
+    wall_ms = (time.perf_counter() - t0) * 1e3
     margin = 0.0 - gap  # a zero gap prints as 0, not -0
     rows = []
     for direction in DIRECTIONS:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -345,6 +346,23 @@ def test_oracle_mode_fails_a_suboptimal_solve(monkeypatch, capsys):
     margin = CSV_COLUMNS.index("margin_bits")
     lines = capsys.readouterr().out.splitlines()
     assert all(float(line.split(",")[margin]) < -1e-5 for line in lines[1:])
+
+
+def test_oracle_rows_time_the_solve_and_the_bound(monkeypatch):
+    # both rows of an instance carry the time of its solve and its bound
+    import cranopt.cli as cli_mod
+
+    real = cli_mod.certified_gap_bits
+
+    def slowed(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(cli_mod, "certified_gap_bits", slowed)
+    rows, status = run(ExperimentConfig(mode="oracle", random_spec=(2, 2, 2), seed=11))
+    assert status == EXIT_OK and len(rows) == 4
+    assert all(row.wall_ms >= 50.0 for row in rows)
+    assert rows[0].wall_ms == rows[1].wall_ms and rows[2].wall_ms == rows[3].wall_ms
 
 
 def _strip_wall_ms(text):

@@ -86,24 +86,59 @@ def test_certified_bound_rejects_bad_noise(sigma2):
 
 
 def test_bound_refutes_a_half_power_incumbent():
-    # a feasible lower corner beats the planted allocation within a few boxes
+    # a feasible lower corner beats the planted allocation within a few
+    # boxes, also at three near-equal gains, where the bound once took 2 s
     rng = np.random.default_rng(777)
+    cases = []
     for k in range(6):
         gains = np.sort(rng.uniform(0.3, 2.5, 2 + k % 2))[::-1]
-        P, C = rng.uniform(0.5, 4.0), rng.uniform(0.5, 8.0)
-        a = solve_scalar_allocation(gains, P, C, 1.0)
+        cases.append((gains, rng.uniform(0.5, 4.0), rng.uniform(0.5, 8.0), 1.0))
+    cases.append((np.array([7.598, 7.553, 8.955]), 81.8, 5.23, 1.32))
+    for k, (gains, P, C, sigma2) in enumerate(cases):
+        a = solve_scalar_allocation(gains, P, C, sigma2)
         half = SubchannelAllocation(a.power / 2, a.share)
         t0 = time.perf_counter()
-        gap = certified_gap_bits(gains, P, C, 1.0, half)
+        gap = certified_gap_bits(gains, P, C, sigma2, half)
         assert gap > 1e-6 and time.perf_counter() - t0 < 0.1, k
 
 
 def test_bound_returns_its_open_gap_when_the_box_budget_runs_out(monkeypatch):
-    gains, P, C = np.array([2.5, 1.7, 1.1, 0.6]), 4.0, 8.0
-    a, certified = _solved_gap(gains, P, C)
+    # an 8 x 8 channel whose bound needs more than three boxes to close
+    gains = ChannelInstance(random_channel(8, 8, 11), 4.0, 8.0, 1.0).spectrum.singular_values
+    a, certified = _solved_gap(gains, 4.0, 8.0)
     monkeypatch.setattr(oracle, "_BOX_BUDGET", 3)
-    open_gap = certified_gap_bits(gains, P, C, 1.0, a)
+    open_gap = certified_gap_bits(gains, 4.0, 8.0, 1.0, a)
     assert certified <= CERTIFICATION_TOL < open_gap < 0.1
+
+
+def test_side_maximum_matches_a_fine_grid():
+    # bound (b) takes each side's maximum of phi(c; lam) - mu c at its
+    # lower end or at the closed-form peak share; no point of a 40,001-point
+    # grid on the side may exceed it by more than rounding.  Half the sides
+    # are drawn around the peak, so the interior case is well covered
+    rng = np.random.default_rng(2024)
+    worst = -np.inf
+    for k in range(500):
+        snr = 10.0 ** rng.uniform(-6.0, 18.0)
+        lam = 10.0 ** rng.uniform(-8.0, 3.0)
+        small = 10.0 ** rng.uniform(-12.0, -1.0)
+        mu = (0.0, small, rng.uniform(), 1.0 - small)[k % 4]
+        g = np.array([snr])
+        peak = oracle._peak_share(g, lam, mu)
+        if k % 8 >= 4 and peak[0] < 200.0:
+            width = 10.0 ** rng.uniform(-3.0, 2.0)
+            lo = max(0.0, peak[0] - width * rng.uniform())
+            hi = min(200.0, peak[0] + width * rng.uniform())
+        else:
+            lo = 200.0 * rng.uniform() ** 2
+            hi = lo + (200.0 - lo) * 10.0 ** rng.uniform(-4.0, 0.0)
+        side = oracle._side_bound(g, np.array([[lo]]), np.array([[hi]]), 0.0, 0.0, lam, mu, peak)
+        c = np.linspace(lo, hi, 40_001)
+        c[-1] = hi
+        p = oracle._response(snr, np.power(2.0, -c), 1.0 / lam)
+        h = _rates(snr * p, c, 1.0) - lam * p - mu * c
+        worst = max(worst, h.max() - side[0])
+    assert worst <= 1e-12, worst
 
 
 # Gaussian channels up to 4 x 4 with P in [1e-2, 1e2], C in [0.1, 10^1.5]
