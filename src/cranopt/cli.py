@@ -1,14 +1,23 @@
 """Command-line benchmark harness.
 
-Modes
-  solve    one row per instance per direction at the instance's own budgets
-  sweep    rate over a (P, C) budget grid, both directions; solve is its
-           one-point case
-  duality  per-instance |uplink rate - downlink rate|, checked against tol
+Modes, each run at every budget point of every instance
+  solve    one row per direction
+  sweep    solve, with --P-grid and --C-grid required
+  duality  one row: |uplink rate - downlink rate|, checked against tol
   certify  perturbation search around each solved design, both directions;
            an infeasible design fails its row, with an empty margin
   oracle   solver rate minus a certified bound on the scalar optimum of the
            instance's subchannel gains, at any number of subchannels
+
+The budget points are every (P, C) of --P-grid x --C-grid in every mode; a
+grid that is not given is the instance's own budget (P = 1, C = 2 for
+--random instances).  Every mode makes one scalar solve per point and
+realizes it in both directions.  The channel's SVD is taken once per
+instance, before any row is timed.  In solve, sweep, oracle and duality
+wall_ms is the time of the point's solver.duality_gap call, shared by its
+rows (in oracle with the certified bound); certify times each direction's
+row: the uplink's the solve, assembly, check and search, the downlink's
+the assembly, check and search of the same allocation.
 
 Exit status: 0 all checks passed, 1 a duality/certification/feasibility
 check failed, 2 usage, I/O, or parse errors.  A numerical error on an
@@ -17,14 +26,6 @@ with no rows and one stderr line "error: instance ID: message".  Output is
 CSV (default) or JSON; rows are ordered by instance, direction, then budget
 indices, so reruns with one seed are byte-identical except for the wall_ms
 column.
-
-Every mode makes one scalar solve per budget point and realizes it in both
-directions.  In solve, sweep, oracle and duality the solve is one
-solver.duality_gap call, and wall_ms is the time of that call, shared by
-the point's uplink and downlink rows; in oracle it also covers the
-certified bound.  certify solves with the uplink, so its uplink row times
-the solve, the assembly, the check and the search, and its downlink row
-only the assembly, the check and the search of the same allocation.
 
 Instance files are JSON: a single object or a list of objects shaped like
 
@@ -49,7 +50,7 @@ import numpy as np
 from .errors import DomainError, InconsistencyError, InstanceFormatError, InvalidInputError
 from .kernels import check_count, check_positive, random_channel
 from .oracle import certified_gap_bits, perturbation_search
-from .problem import DIRECTIONS, ChannelInstance
+from .problem import DIRECTIONS, DOWNLINK, ChannelInstance
 from .solver import duality_gap, solve_instance
 
 CSV_COLUMNS = (
@@ -209,121 +210,102 @@ def load_instances(path: str) -> list[tuple[ChannelInstance, str]]:
     return out
 
 
-def _generate_instances(config: ExperimentConfig) -> list[tuple[ChannelInstance, str]]:
-    n_r, n_u, count = config.random_spec
-    width = max(3, len(str(count - 1)))
-    out = []
-    for k in range(count):
-        H = random_channel(n_r, n_u, seed=config.seed + k)
-        # budgets chosen mid-range; sweep/solve rows override P and C per row
-        P = config.p_grid[0] if config.p_grid else 1.0
-        C = config.c_grid[0] if config.c_grid else 2.0
-        out.append((ChannelInstance(H=H, P=P, C=C, sigma2=1.0), f"rand-{k:0{width}d}"))
-    return out
-
-
 def _instances(config: ExperimentConfig) -> list[tuple[ChannelInstance, str]]:
     if config.instances_path is not None:
         return load_instances(config.instances_path)
-    return _generate_instances(config)
+    n_r, n_u, count = config.random_spec
+    width = max(3, len(str(count - 1)))
+    return [
+        (ChannelInstance(random_channel(n_r, n_u, seed=config.seed + k), 1.0, 2.0, 1.0),
+         f"rand-{k:0{width}d}")
+        for k in range(count)
+    ]
 
 
-def _row(label, direction, P, C, report, margin, t0, passed=True) -> ResultRow:
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1e3
+
+
+def _row(label, direction, point, report, margin, wall_ms, passed=True) -> ResultRow:
     return ResultRow(
         instance_id=label,
         direction=direction,
-        P=P,
-        C=C,
+        P=point.P,
+        C=point.C,
         rate_bits=report.rate,
         fronthaul_bits=report.fronthaul_used,
         power_used=report.power_used,
         iterations=int(report.diagnostics.get("iterations", 0)),
         margin_bits=margin,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
+        wall_ms=wall_ms,
         passed=passed,
     )
 
 
-def _run_sweep(config, inst, label) -> list[ResultRow]:
-    # solve mode is the one-point sweep at the instance's own budgets
-    if config.mode == "sweep":
-        points = [(P, C) for P in config.p_grid for C in config.c_grid]
-    else:
-        points = [(inst.P, inst.C)]
-    # one solve per point serves both directions' rows, which share its time;
-    # every point's instance gets the channel's one SVD, taken here before
-    # any timing, in the slot where its cached spectrum property keeps it
-    spectrum = inst.spectrum
-    rows = []
-    for P, C in points:
-        point = ChannelInstance(H=inst.H, P=P, C=C, sigma2=inst.sigma2)
-        vars(point)["spectrum"] = spectrum
-        t0 = time.perf_counter()
-        out = duality_gap(point)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        for direction in DIRECTIONS:
-            report = out[f"{direction}_report"]
-            rows.append(_row(label, direction, P, C, report, None, t0, report.feasible))
-            rows[-1].wall_ms = wall_ms
-    # rows came per point as (uplink, downlink): direction first, then budgets
-    return rows[0::2] + rows[1::2]
+def _both_directions(label, point, out, margin, wall_ms, ok=True) -> list[ResultRow]:
+    # one solve serves both directions' rows, which share its time
+    reports = [out[f"{direction}_report"] for direction in DIRECTIONS]
+    return [
+        _row(label, direction, point, report, margin, wall_ms, ok and report.feasible)
+        for direction, report in zip(DIRECTIONS, reports)
+    ]
 
 
-def _run_duality(config, inst, label) -> list[ResultRow]:
-    # one row per instance: the row certifies the pair, not one direction
+def _run_solve(config, point, label) -> list[ResultRow]:
     t0 = time.perf_counter()
-    out = duality_gap(inst)
+    out = duality_gap(point)
+    return _both_directions(label, point, out, None, _ms_since(t0))
+
+
+def _run_duality(config, point, label) -> list[ResultRow]:
+    # one row per point: the row certifies the pair, not one direction
+    t0 = time.perf_counter()
+    out = duality_gap(point)
     rep_ul, gap = out["uplink_report"], out["gap"]
     ok = gap <= config.tol and rep_ul.feasible and out["downlink_report"].feasible
-    return [_row(label, "duality", inst.P, inst.C, rep_ul, gap, t0, ok)]
+    return [_row(label, "duality", point, rep_ul, gap, _ms_since(t0), ok)]
 
 
-def _run_certify(config, inst, label) -> list[ResultRow]:
+def _run_certify(config, point, label) -> list[ResultRow]:
     # the uplink solves the scalar problem, and the downlink realizes the
-    # allocation it returned
+    # allocation it returned; each row times its own direction
     rows, alloc = [], None
     for direction in DIRECTIONS:
         t0 = time.perf_counter()
-        design, report, alloc = solve_instance(inst, direction, alloc)
+        design, report, alloc = solve_instance(point, direction, alloc)
         # an infeasible design fails its row and has no margin to search for
         margin, ok = None, False
         if report.feasible:
             cert = perturbation_search(
-                inst,
+                point,
                 design,
                 trials=config.trials,
                 seed=config.seed * 4 + 3,
                 instance_id=label,
             )
             margin, ok = cert.margin, cert.verdict
-        rows.append(_row(label, direction, inst.P, inst.C, report, margin, t0, ok))
+        rows.append(_row(label, direction, point, report, margin, _ms_since(t0), ok))
     return rows
 
 
-def _run_oracle(config, inst, label) -> list[ResultRow]:
+def _run_oracle(config, point, label) -> list[ResultRow]:
     # one solve and one bound serve both directions, which share the scalar
     # problem; both rows carry the time of the solve and the bound, and the
     # solver's rate minus the certified bound on the scalar optimum as their
-    # margin; the channel's SVD is taken before the timing, as in sweep
-    gains = inst.spectrum.singular_values
+    # margin
     t0 = time.perf_counter()
-    out = duality_gap(inst)
-    gap = certified_gap_bits(gains, inst.P, inst.C, inst.sigma2, out["allocation"])
-    wall_ms = (time.perf_counter() - t0) * 1e3
+    out = duality_gap(point)
+    gains = point.spectrum.singular_values
+    gap = certified_gap_bits(gains, point.P, point.C, point.sigma2, out["allocation"])
+    wall_ms = _ms_since(t0)
     margin = 0.0 - gap  # a zero gap prints as 0, not -0
-    rows = []
-    for direction in DIRECTIONS:
-        report = out[f"{direction}_report"]
-        ok = margin >= -config.tol and report.feasible
-        rows.append(_row(label, direction, inst.P, inst.C, report, margin, t0, ok))
-        rows[-1].wall_ms = wall_ms
-    return rows
+    return _both_directions(label, point, out, margin, wall_ms, margin >= -config.tol)
 
 
 # the modes, in the order the parser lists them
 _MODE_RUNNERS = {
-    "solve": _run_sweep,
-    "sweep": _run_sweep,
+    "solve": _run_solve,
+    "sweep": _run_solve,
     "duality": _run_duality,
     "certify": _run_certify,
     "oracle": _run_oracle,
@@ -339,10 +321,15 @@ def run(config: ExperimentConfig) -> tuple[list[ResultRow], int]:
     runner = _MODE_RUNNERS[config.mode]
     rows = []
     for inst, label in _instances(config):
+        inst.spectrum  # the channel's one SVD, taken before any row is timed
+        Ps, Cs = config.p_grid or (inst.P,), config.c_grid or (inst.C,)
+        points = [inst.with_budgets(P, C) for P in Ps for C in Cs]
         try:
-            rows += runner(config, inst, label)
+            inst_rows = [row for point in points for row in runner(config, point, label)]
         except _NUMERICAL_ERRORS as exc:
             raise type(exc)(f"instance {label}: {exc}") from exc
+        # direction first, then budget indices: the sort is stable
+        rows += sorted(inst_rows, key=lambda row: row.direction == DOWNLINK)
     status = EXIT_OK if all(r.passed for r in rows) else EXIT_CHECK_FAILED
     return rows, status
 
@@ -413,10 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     parser.add_argument(
-        "--P-grid", dest="p_grid", metavar="A:B:STEPS", help="power budgets for sweep"
+        "--P-grid", dest="p_grid", metavar="A:B:STEPS", help="power budgets of every mode"
     )
     parser.add_argument(
-        "--C-grid", dest="c_grid", metavar="A:B:STEPS", help="fronthaul budgets for sweep"
+        "--C-grid", dest="c_grid", metavar="A:B:STEPS", help="fronthaul budgets of every mode"
     )
     parser.add_argument(
         "--trials", type=int, default=1000, help="perturbation trials in certify mode"

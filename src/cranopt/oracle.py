@@ -208,12 +208,14 @@ def certified_gap_bits(gains, P: float, C: float, sigma2: float, allocation) -> 
     phi_d(c; lam) - mu c: the larger of its values at lo_d and at the
     closed-form peak share clipped to the side (:func:`_peak_share`, computed
     once per call), two evaluations per side and box.  The best box splits
-    at the midpoint of its widest side; each child's lower corner, with the
-    powers of its bound (a) scaled onto P, is a feasible point.  The search
-    stops when the best bound is within TOL.certification of the rate
-    (certified), when a feasible point beats the rate by more than that
-    (refuted), or after _BOX_BUDGET boxes, and returns the best open bound
-    minus the rate at that moment.  Zero P, zero C or all-zero gains give
+    at the midpoint of its widest side.  A box's lower corner, with the
+    powers of its bound (a) scaled onto P, is a feasible point: the
+    allocation's own shares c, as the box [c, c], are tried before any
+    branching, then each child.  The search stops when the best bound is
+    within TOL.certification of the rate (certified), when a feasible point
+    beats the rate by more than that (refuted, at the root box if c does),
+    or after _BOX_BUDGET boxes, and returns the best open bound minus the
+    rate at that moment.  Zero P, zero C or all-zero gains give
     0.0.  Deterministic.
 
     The bound is meant to close at up to 8 subchannels: the acceptance
@@ -251,7 +253,16 @@ def certified_gap_bits(gains, P: float, C: float, sigma2: float, allocation) -> 
     upper, _ = bound(lo[None], hi[None])
     heap = [(-float(upper[0]), 0, lo, hi)]
     boxes = 1
-    while -heap[0][0] - rate > TOL.certification and boxes < _BOX_BUDGET:
+    # the feasible points: a box's lower corner, with the powers of its bound
+    # (a) scaled onto P; first the box [c, c], then each child
+    los, powers = c[None], _corner_bound(snr, c[None], P)[1]
+    while True:
+        spent = powers.sum(axis=1, keepdims=True)
+        scaled = powers * (P / np.where(spent > 0, spent, np.inf))
+        if _rates(snr * scaled, los, 1.0).sum(axis=1).max() > rate + TOL.certification:
+            break
+        if -heap[0][0] - rate <= TOL.certification or boxes >= _BOX_BUDGET:
+            break
         _, _, lo, hi = heapq.heappop(heap)
         d = int(np.argmax(hi - lo))
         los, his = np.array([lo, lo]), np.array([hi, hi])
@@ -263,11 +274,6 @@ def certified_gap_bits(gains, P: float, C: float, sigma2: float, allocation) -> 
         for k in range(len(los)):
             heapq.heappush(heap, (-float(upper[k]), boxes + k, los[k], his[k]))
         boxes += len(los)
-        # each child's lower corner, with its powers scaled onto P
-        spent = powers.sum(axis=1, keepdims=True)
-        scaled = powers * (P / np.where(spent > 0, spent, np.inf))
-        if _rates(snr * scaled, los, 1.0).sum(axis=1).max() > rate + TOL.certification:
-            break
     return -heap[0][0] - rate
 
 

@@ -18,6 +18,7 @@ slacks and the feasibility verdict itself.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import ClassVar
@@ -63,7 +64,8 @@ class ChannelInstance:
     in bits and noise power sigma2.
 
     H is kept read-only (:func:`_read_only`), so that the thin SVD
-    :attr:`spectrum`, taken on first use, stays the channel's."""
+    :attr:`spectrum`, taken on first use, stays the channel's, and
+    :meth:`with_budgets` can share both across budget points."""
 
     H: np.ndarray
     P: float
@@ -88,6 +90,14 @@ class ChannelInstance:
     def spectrum(self) -> ChannelSpectrum:
         """The thin SVD of H, taken once, on first use."""
         return svd(self.H)
+
+    def with_budgets(self, P, C) -> ChannelInstance:
+        """This link at budgets P and C: a copy that shares H and, once
+        taken, the spectrum, so that a budget grid takes one SVD."""
+        point = copy.copy(self)
+        for name, value in (("P", P), ("C", C)):
+            object.__setattr__(point, name, check_nonneg_number(value, name))
+        return point
 
 
 def validate_covariance(A: np.ndarray, name: str) -> None:

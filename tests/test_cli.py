@@ -1,5 +1,7 @@
 """Command line harness: instance files, modes, output formats, exits."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -422,19 +424,18 @@ def test_one_scalar_solve_per_budget_point(monkeypatch, mode, per_point):
         return real(gains, P, C, *args, **kwargs)
 
     monkeypatch.setattr(solver_mod, "solve_scalar_allocation", counted)
-    grids = {"p_grid": (0.5, 2.0), "c_grid": (0.0, 2.0)} if mode == "sweep" else {}
+    grids = {"p_grid": (0.5, 2.0), "c_grid": (0.0, 2.0)}
     run(ExperimentConfig(mode=mode, random_spec=(2, 2, 2), seed=3, trials=5, **grids))
-    points = 4 if mode == "sweep" else 1
-    assert len(calls) == 2 * points  # two instances
+    assert len(calls) == 2 * 4  # two instances, four points each
     assert set(calls.values()) == {per_point}
 
 
 @pytest.mark.parametrize("mode", ["solve", "sweep", "oracle", "duality", "certify"])
 def test_one_svd_per_budget_point(monkeypatch, mode):
     # each instance's spectrum is taken once and serves its solve, both
-    # assemblies, the downlink rates and, in certify, both searches; the
-    # instances sweep and solve build per budget point share their
-    # channel's spectrum
+    # assemblies, the downlink rates and, in certify, both searches, at
+    # every budget point: each point's instance shares its channel's
+    # spectrum
     calls = []
     lapack_svd = np.linalg.svd
 
@@ -443,9 +444,64 @@ def test_one_svd_per_budget_point(monkeypatch, mode):
         return lapack_svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    grids = {"p_grid": (0.5, 2.0), "c_grid": (0.0, 2.0)} if mode == "sweep" else {}
+    grids = {"p_grid": (0.5, 2.0), "c_grid": (0.0, 2.0)}
     run(ExperimentConfig(mode=mode, random_spec=(2, 2, 2), seed=3, trials=5, **grids))
     assert len(calls) == 2  # two instances
+
+
+@pytest.mark.parametrize("mode", ["solve", "sweep", "oracle", "duality", "certify"])
+def test_no_row_times_the_channels_svd(monkeypatch, mode):
+    # the SVD is taken once per instance, before any row is timed
+    lapack_svd = np.linalg.svd
+
+    def slowed(*args, **kwargs):
+        time.sleep(0.05)
+        return lapack_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", slowed)
+    grids = {"p_grid": (1.0, 4.0), "c_grid": (2.0,)}
+    rows, status = run(ExperimentConfig(mode=mode, random_spec=(2, 2, 1), trials=20, **grids))
+    assert status == EXIT_OK and rows
+    assert all(row.wall_ms < 50.0 for row in rows)
+
+
+def _main_rows(capsys, *argv):
+    code = main(list(argv))
+    return code, [
+        (row["direction"], row["P"], row["C"])
+        for row in csv.DictReader(io.StringIO(capsys.readouterr().out))
+    ]
+
+
+def test_certify_runs_every_budget_point_direction_first(capsys):
+    # C = 0 stays out: its uplink search evaluates no candidate and fails
+    code, rows = _main_rows(capsys, "--mode", "certify", "--random", "2,2,1", "--trials", "50",
+                            "--P-grid", "1,4", "--C-grid", "2")
+    assert code == EXIT_OK
+    assert rows == [("uplink", "1", "2"), ("uplink", "4", "2"),
+                    ("downlink", "1", "2"), ("downlink", "4", "2")]
+
+
+@pytest.mark.parametrize("mode, directions", [
+    ("oracle", ["uplink", "downlink"]),
+    ("duality", ["duality"]),
+])
+def test_grids_are_the_budget_points_of_every_mode(capsys, mode, directions):
+    code, rows = _main_rows(capsys, "--mode", mode, "--random", "2,2,1",
+                            "--P-grid", "1,4", "--C-grid", "2,8")
+    assert code == EXIT_OK
+    points = [(P, C) for P in ("1", "4") for C in ("2", "8")]
+    assert rows == [(d, P, C) for d in directions for P, C in points]
+
+
+def test_grids_replace_an_instance_files_budgets(capsys, identity_file):
+    # the file says P = 2, C = 2; a grid that is not given keeps its budget
+    code, rows = _main_rows(capsys, "--mode", "duality", "--instances", identity_file,
+                            "--P-grid", "3", "--C-grid", "1")
+    assert code == EXIT_OK and rows == [("duality", "3", "1")]
+    code, rows = _main_rows(capsys, "--mode", "duality", "--instances", identity_file,
+                            "--P-grid", "3")
+    assert code == EXIT_OK and rows == [("duality", "3", "2")]
 
 
 def test_json_rendering():

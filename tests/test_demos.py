@@ -1,7 +1,9 @@
-"""Smoke test: every narrative script under demos/ runs to completion,
-with every warning turned into an error."""
+"""Smoke test: every narrative script under demos/, and the README's
+library quickstart, runs to completion, with every warning turned into an
+error."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,12 @@ def test_demo_runs_cleanly(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_quickstart_runs(capsys):
+    # the first python block of README.md, as a reader would paste it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, flags=re.S).group(1)
+    assert all(f in block for f in ("solve_instance", "duality_gap", "perturbation_search"))
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3

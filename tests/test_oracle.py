@@ -86,14 +86,17 @@ def test_certified_bound_rejects_bad_noise(sigma2):
 
 
 def test_bound_refutes_a_half_power_incumbent():
-    # a feasible lower corner beats the planted allocation within a few
-    # boxes, also at three near-equal gains, where the bound once took 2 s
+    # a feasible point beats the planted allocation within a few boxes,
+    # also at three near-equal gains, where the bound once took 2 s, and at
+    # 32 subchannels, where it took 9 s before the root witness
     rng = np.random.default_rng(777)
     cases = []
     for k in range(6):
         gains = np.sort(rng.uniform(0.3, 2.5, 2 + k % 2))[::-1]
         cases.append((gains, rng.uniform(0.5, 4.0), rng.uniform(0.5, 8.0), 1.0))
     cases.append((np.array([7.598, 7.553, 8.955]), 81.8, 5.23, 1.32))
+    wide = ChannelInstance(random_channel(32, 32, 1), 32.0, 64.0, 1.0)
+    cases.append((wide.spectrum.singular_values, 32.0, 64.0, 1.0))
     for k, (gains, P, C, sigma2) in enumerate(cases):
         a = solve_scalar_allocation(gains, P, C, sigma2)
         half = SubchannelAllocation(a.power / 2, a.share)

@@ -53,6 +53,21 @@ def test_instance_is_frozen():
         inst.P = 5.0
 
 
+def test_with_budgets_shares_the_channel_and_its_spectrum():
+    inst = _inst(H=np.array([[1.0, 0.3], [0.2, 0.8]]), P=2.0, C=4.0, sigma2=0.5)
+    spectrum = inst.spectrum
+    point = inst.with_budgets(3, 1.5)
+    assert (point.P, point.C, point.sigma2) == (3.0, 1.5, 0.5)
+    assert type(point.P) is float
+    assert point.H is inst.H and point.spectrum is spectrum
+    assert (inst.P, inst.C) == (2.0, 4.0)  # the source is unchanged
+    with pytest.raises(AttributeError):
+        point.P = 5.0
+    for P, C in ((-1.0, 1.0), (1.0, -0.5), (np.nan, 1.0), (1.0, np.inf)):
+        with pytest.raises(InvalidInputError):
+            inst.with_budgets(P, C)
+
+
 def test_designs_validate_psd():
     ok = UplinkDesign(S=np.eye(2), Q=np.eye(2))
     assert ok.active_basis is None
