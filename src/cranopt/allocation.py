@@ -94,7 +94,7 @@ def tight_quantizer_uplink(h2, p, c, sigma2):
     p_a = check_nonneg(p, "p")
     c_a = check_nonneg(c, "c")
     sigma2 = check_positive(sigma2, "sigma2")
-    if np.any(c_a == 0):
+    if (c_a == 0).any():
         raise DomainError("zero share cannot carry a description; q would be infinite")
     out = (h2_a * p_a + sigma2) / np.expm1(c_a * LN2)
     return float(out) if out.ndim == 0 else out
@@ -102,16 +102,19 @@ def tight_quantizer_uplink(h2, p, c, sigma2):
 
 def tight_quantizer_downlink(x, c):
     """Split total subchannel power x into (q, p~) with the share met
-    exactly: q = x 2^-c, p~ = x - q, so log2((p~ + q)/q) = c.
+    exactly: q = x 2^-c, p~ = x - q, so log2((p~ + q)/q) = c, and
+    p~ + q <= x in floating point.
 
     x = 0 returns (0, 0): the subchannel is off.
     """
     x_a = check_nonneg(x, "x")
     c_a = check_nonneg(c, "c")
-    if np.any(c_a == 0):
+    if (c_a == 0).any():
         raise DomainError("zero share cannot carry a description")
     q = x_a * np.power(2.0, -c_a)
+    # where x - q rounded up, p~ + q can exceed x by an ulp; one step down
     pt = x_a - q
+    pt = np.where(pt + q > x_a, np.nextafter(pt, 0.0), pt)
     if q.ndim == 0:
         return float(q), float(pt)
     return q, pt

@@ -77,7 +77,7 @@ def check_nonneg(x, name: str) -> np.ndarray:
     a = np.asarray(x)
     if a.dtype.kind in "iuf":
         a = a.astype(float, copy=False)
-        if np.all((a >= 0) & (a < np.inf)):
+        if ((a >= 0) & (a < np.inf)).all():
             return a
     raise InvalidInputError(f"{name} must be finite and >= 0{_echo(x)}")
 
@@ -134,11 +134,12 @@ def is_psd(M) -> bool:
     return bool(is_psd_stacked(A))
 
 
-def is_psd_stacked(A: np.ndarray):
+def is_psd_stacked(A: np.ndarray, w: np.ndarray | None = None):
     """:func:`is_psd` for each matrix of a finite stack (..., n, n), without
-    input validation."""
+    input validation; w is the ascending spectrum of A's Hermitian part."""
     tol = TOL.psd
-    w = np.linalg.eigvalsh(hermitian_part(A))
+    if w is None:
+        w = np.linalg.eigvalsh(hermitian_part(A))
     return (hermitian_defect(A) <= tol) & (w[..., 0] >= -tol * np.maximum(w[..., -1], 0.0))
 
 
@@ -157,16 +158,7 @@ def logdet_ratio(M, B) -> float:
     B = np.asarray(B, dtype=complex)
     if M.shape != B.shape or M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"logdet_ratio shape mismatch: {M.shape} vs {B.shape}")
-    return one_lane(logdet_ratio_stacked(M[None], B[None]))
-
-
-def one_lane(ratios: tuple[np.ndarray, np.ndarray]) -> float:
-    """The ratio of a one-lane :func:`logdet_ratio_stacked` result, raising
-    DomainError where it is undefined."""
-    nats, ok = ratios
-    if not ok[0]:
-        raise DomainError("B or B + M is not positive definite")
-    return float(nats[0])
+    return logdet(hermitian_part(B + M)) - logdet(hermitian_part(B))
 
 
 def logdet_ratio_stacked(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,6 +169,23 @@ def logdet_ratio_stacked(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.n
     L_base, ok = _cholesky_lanes(hermitian_part(B))
     L_sum, ok_sum = _cholesky_lanes(hermitian_part(B + M))
     return 2.0 * (_log_diagonal(L_sum) - _log_diagonal(L_base)), ok & ok_sum
+
+
+def logdet(M: np.ndarray) -> float:
+    """log|M| for Hermitian M > 0 from one Cholesky factorization, which
+    reads M's lower triangle; DomainError otherwise.  Empty M gives 0."""
+    try:
+        return 2.0 * float(_log_diagonal(np.linalg.cholesky(M)))
+    except np.linalg.LinAlgError:
+        raise DomainError("B or B + M is not positive definite") from None
+
+
+def logdet_whitened(A: np.ndarray, lam: np.ndarray) -> float:
+    """log|I + A diag(lam) A^H| for lam >= 0: a log-determinant ratio whose
+    base is whitened to I, from one Cholesky factorization."""
+    M = (A * lam) @ A.conj().T
+    M.flat[:: len(M) + 1] += 1.0
+    return logdet(M)
 
 
 def _log_diagonal(L: np.ndarray) -> np.ndarray:

@@ -2,14 +2,14 @@
 
 A :class:`ChannelInstance` is one link: channel matrix H (n_r x n_u),
 transmit power budget P, fronthaul budget C in bits, and noise power
-sigma2.  Designs hold the covariance pair being evaluated; the optional
-``active_basis`` restricts the fronthaul determinant ratio to the subspace
-the fronthaul actually carries (dimensions that are never compressed, or
-never described, cost zero bits and are excluded from the ratio).
+sigma2.  Designs hold the covariance pair being evaluated as eigen-factors;
+the Q factor's basis is the ``active_basis`` of the subspace the fronthaul
+actually carries, when there is one (dimensions that are never compressed,
+or never described, cost zero bits and are excluded from every ratio).
 
-One validator, :func:`validate_covariance`, checks a covariance (finite,
-Hermitian PSD) for both design types and for the stacks of candidate
-designs the perturbation search evaluates, and one check,
+One validator, :func:`validate_covariance`, checks a dense covariance
+(finite, Hermitian PSD) and factors it, for both design types and for the
+stacks of candidate designs the perturbation search evaluates.  One check,
 :func:`check_design`, gives every functional its own direction's design in
 the instance's dimensions.  A :class:`RateReport` is built
 from a design's rate, fronthaul cost and power, and derives both budget
@@ -100,57 +100,92 @@ class ChannelInstance:
         return point
 
 
-def validate_covariance(A: np.ndarray, name: str) -> None:
+def validate_covariance(A: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Check that A, one complex matrix (n, n) or a stack (T, n, n) of
-    them, is finite and Hermitian positive semidefinite, per matrix."""
+    them, is finite and Hermitian positive semidefinite, per matrix; return
+    the eigenvectors and eigenvalues, clipped at 0, of its Hermitian part."""
     if A.shape[-1] != A.shape[-2]:
         raise InvalidInputError(f"{name} must be square, got {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError(f"{name} contains non-finite entries")
-    if not np.all(is_psd_stacked(A)):
+    w, B = np.linalg.eigh(hermitian_part(A))
+    if not np.all(is_psd_stacked(A, w)):
         raise InvalidInputError(f"{name} must be Hermitian positive semidefinite")
+    return B, np.clip(w, 0.0, None)
 
 
-def _validate_active_basis(W, n: int):
-    if W is None:
-        return None
-    W = np.asarray(W, dtype=complex)
-    if W.ndim != 2 or W.shape[0] != n or W.shape[1] > n:
-        raise InvalidInputError(f"active_basis must be {n}xk with k <= {n}")
-    k = W.shape[1]
-    if k and np.linalg.norm(W.conj().T @ W - np.eye(k)) > TOL.unitary * n:
-        raise InvalidInputError("active_basis columns must be orthonormal")
-    return W
+def _factor(B, lam, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of an eigen-factor (B, lam), after its whole check:
+    one finite lam >= 0 per column of B (n x k, k <= n), and
+    ||B^H B - I|| <= TOL.unitary n (Frobenius)."""
+    B, lam = np.array(B, dtype=complex), np.array(lam, dtype=float)
+    if B.ndim != 2 or lam.shape != B.shape[1:] or B.shape[1] > B.shape[0]:
+        raise InvalidInputError(f"{name} needs an n x k basis, k <= n, and k eigenvalues")
+    if not ((lam >= 0) & (lam < np.inf)).all():
+        raise InvalidInputError(f"{name} eigenvalues must be finite and >= 0")
+    X = B.conj().T @ B
+    X.flat[:: len(X) + 1] -= 1.0
+    if not np.vdot(X, X).real <= (TOL.unitary * len(B)) ** 2:
+        raise InvalidInputError(f"{name} basis columns must be orthonormal")
+    B.flags.writeable = lam.flags.writeable = False
+    return B, lam
 
 
-@dataclass(frozen=True)
+def _dense(B: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    A = (B * lam) @ B.conj().T
+    A.flags.writeable = False
+    return A
+
+
 class _Design:
-    """A covariance pair (S, Q) with an optional orthonormal active_basis
-    (n x k) of the subspace the fronthaul carries.  All three are kept as
-    read-only copies (:func:`_read_only`), as :class:`ChannelInstance`
-    keeps H, so that a validated design cannot change."""
+    """A covariance pair held as eigen-factors (B, lam) per side, an
+    orthonormal basis B (n x k) and eigenvalues lam >= 0 of B diag(lam) B^H.
+    When the design is restricted to the subspace its fronthaul carries,
+    that ``active_basis`` is the Q factor's basis; else it is None.  Dense S
+    and Q are formed on first use.  The design and its arrays are read-only.
 
-    S: np.ndarray
-    Q: np.ndarray
-    active_basis: np.ndarray | None = None
+    ``UplinkDesign(S=..., Q=..., active_basis=...)`` factors each dense side
+    with one ``eigh``; a given active_basis restricts the Q factor to it.
+    The assemblies hand their factors to :meth:`_from_factors`."""
+
     # the ChannelInstance dimensions S and Q are square in
     _sides: ClassVar[tuple[str, str]]
 
-    def __post_init__(self):
-        S = as_complex_matrix(self.S, "S")
-        Q = as_complex_matrix(self.Q, "Q")
+    def __init__(self, S, Q, active_basis=None):
+        S = as_complex_matrix(S, "S")
+        Q = as_complex_matrix(Q, "Q")
         if self._sides[0] == self._sides[1] and S.shape != Q.shape:
             raise InvalidInputError(f"S and Q must match, got {S.shape} vs {Q.shape}")
-        validate_covariance(S, "S")
-        validate_covariance(Q, "Q")
-        object.__setattr__(self, "S", _read_only(S, self.S))
-        object.__setattr__(self, "Q", _read_only(Q, self.Q))
-        W = _validate_active_basis(self.active_basis, Q.shape[0])
-        if W is not None:
-            object.__setattr__(self, "active_basis", _read_only(W, self.active_basis))
+        S_factor = validate_covariance(S, "S")
+        Q_factor = validate_covariance(Q, "Q")
+        if active_basis is not None:
+            W = np.asarray(active_basis, dtype=complex)
+            if W.ndim != 2 or len(W) != len(Q):
+                raise InvalidInputError(f"active_basis must be {len(Q)}xk")
+            w, E = np.linalg.eigh(restrict(hermitian_part(Q), W))
+            Q_factor = W @ E, np.clip(w, 0.0, None)
+        self._hold(S_factor, Q_factor, active_basis is not None)
+
+    @classmethod
+    def _from_factors(cls, S_factor, Q_factor):
+        """The design of two factors (B, lam), restricted to the Q factor's
+        basis unless that spans the whole space."""
+        d = object.__new__(cls)
+        d._hold(S_factor, Q_factor, len(Q_factor[1]) < len(Q_factor[0]))
+        return d
+
+    def _hold(self, S_factor, Q_factor, restricted: bool) -> None:
+        S_factor, Q_factor = _factor(*S_factor, "S"), _factor(*Q_factor, "Q")
+        basis = Q_factor[0] if restricted else None
+        self.__dict__.update(S_factor=S_factor, Q_factor=Q_factor, active_basis=basis)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    S = cached_property(lambda self: _dense(*self.S_factor))
+    Q = cached_property(lambda self: _dense(*self.Q_factor))
 
 
-@dataclass(frozen=True)
 class UplinkDesign(_Design):
     """Uplink pair: transmit covariance S (n_u x n_u) and quantization
     covariance Q (n_r x n_r).  active_basis spans the forwarded subspace;
@@ -159,7 +194,6 @@ class UplinkDesign(_Design):
     _sides: ClassVar[tuple[str, str]] = ("n_u", "n_r")
 
 
-@dataclass(frozen=True)
 class DownlinkDesign(_Design):
     """Downlink pair, both n_r x n_r: S is the covariance of the precoded
     signal before compression noise is added, Q the compression covariance.
@@ -177,9 +211,9 @@ def check_design(d, kind: type[_Design], inst: ChannelInstance | None = None) ->
         raise InvalidInputError(f"expected {kind.__name__}, got {type(d).__name__}")
     if inst is not None:
         for name, side in zip("SQ", kind._sides):
-            n, shape = getattr(inst, side), getattr(d, name).shape
-            if shape != (n, n):
-                raise InvalidInputError(f"{name} must be {n}x{n}, got {shape}")
+            n, m = getattr(inst, side), getattr(d, f"{name}_factor")[0].shape[0]
+            if m != n:
+                raise InvalidInputError(f"{name} must be {n}x{n}, got {(m, m)}")
 
 
 @dataclass

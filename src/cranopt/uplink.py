@@ -12,9 +12,9 @@ achievable rate and the fronthaul cost are
 
 in bits, both restricted to the forwarded subspace when the design carries
 an ``active_basis`` (dimensions the RRH never forwards cost zero bits).
-The rate is defined once, by :func:`uplink_rate_stacked` on stacks of
-designs; :func:`uplink_rate` is its one-design case, and the perturbation
-search measures its candidates with the stacked form.
+The one-design functionals read a design's eigen-factors and H, both from
+one Cholesky factorization; the perturbation search measures its dense
+candidates with :func:`uplink_rate_stacked`.
 
 A scalar allocation (power p_d, share c_d on the channel's singular values)
 is realized here: the uplink meets each share with the tight quantizer
@@ -26,14 +26,13 @@ from __future__ import annotations
 import numpy as np
 
 from .allocation import tight_quantizer_uplink
-from .errors import InvalidInputError
+from .errors import DomainError, InvalidInputError
 from .kernels import (
     LN2,
     ChannelSpectrum,
     check_positive,
-    logdet_ratio,
     logdet_ratio_stacked,
-    one_lane,
+    logdet_whitened,
 )
 from .problem import ChannelInstance, RateReport, UplinkDesign, check_design, restrict
 
@@ -50,11 +49,27 @@ def uplink_rate_stacked(
     return logdet_ratio_stacked(restrict(Phi, W), restrict(base, W))
 
 
+def _forwarded(inst: ChannelInstance, d: UplinkDesign) -> tuple[float, np.ndarray]:
+    """The uplink rate in nats and lam_Q.  In the Q factor's basis B_Q the
+    rate is log|I + A diag(lam_S) A^H| with
+    A = diag(lam_Q + sigma2)^-1/2 B_Q^H H B_S."""
+    check_design(d, UplinkDesign, inst)
+    (B_S, lam_S), (B_Q, lam_Q) = d.S_factor, d.Q_factor
+    A = (B_Q.conj().T @ inst.H @ B_S) / np.sqrt(lam_Q + inst.sigma2)[:, None]
+    return logdet_whitened(A, lam_S), lam_Q
+
+
+def _fronthaul_bits(nats: float, lam_Q: np.ndarray, sigma2: float) -> float:
+    # the fronthaul exceeds the rate by log|Q + sigma2 I| - log|Q|
+    if not (lam_Q > 0).all():
+        raise DomainError("Q is singular on the forwarded subspace")
+    return (nats + float(np.log1p(sigma2 / lam_Q).sum())) / LN2
+
+
 def uplink_rate(inst: ChannelInstance, d: UplinkDesign) -> float:
     """Achievable uplink rate in bits per channel use.  Always >= 0 and
     never exceeds uplink_fronthaul for the same design."""
-    check_design(d, UplinkDesign, inst)
-    return one_lane(uplink_rate_stacked(inst, d.S[None], d.Q[None], d.active_basis)) / LN2
+    return _forwarded(inst, d)[0] / LN2
 
 
 def uplink_fronthaul(inst: ChannelInstance, d: UplinkDesign) -> float:
@@ -63,16 +78,14 @@ def uplink_fronthaul(inst: ChannelInstance, d: UplinkDesign) -> float:
     Requires Q positive definite on the active subspace; a singular Q there
     would cost infinitely many bits and raises DomainError.
     """
-    check_design(d, UplinkDesign, inst)
-    W = d.active_basis
-    M = inst.H @ d.S @ inst.H.conj().T + inst.sigma2 * np.eye(inst.n_r)
-    return logdet_ratio(restrict(M, W), restrict(d.Q, W)) / LN2
+    return _fronthaul_bits(*_forwarded(inst, d), inst.sigma2)
 
 
 def assemble_uplink(spec: ChannelSpectrum, a, sigma2: float) -> UplinkDesign:
     """Build the diagonal design S = V diag(p) V^H, Q = U diag(q) U^H from a
     scalar allocation, with the tight quantizer q_d = (h_d^2 p_d + sigma2) /
-    (2^c_d - 1) on every subchannel that has a share.
+    (2^c_d - 1) on every subchannel that has a share, and hand over its
+    eigen-factors (V, p) and (U_a, q_a) on the forwarded subchannels a.
 
     Subchannels with no share (or a quantizer that overflows) and receive
     dimensions beyond the channel rank are left out of the forwarded
@@ -82,24 +95,21 @@ def assemble_uplink(spec: ChannelSpectrum, a, sigma2: float) -> UplinkDesign:
     D = spec.rank
     if len(a.power) != D:
         raise InvalidInputError(f"allocation length {len(a.power)} != rank {D}")
-    V = spec.right_basis
-    S = (V * a.power) @ V.conj().T
-
     q = np.full(D, np.inf)
     on = a.share > 0
     if on.any():
         g2 = spec.singular_values[on] ** 2
         q[on] = tight_quantizer_uplink(g2, a.power[on], a.share[on], sigma2)
     active = np.isfinite(q)
-    U = spec.left_basis
-    Q = (U * np.where(active, q, 0.0)) @ U.conj().T
-
-    basis = None if D == spec.n_r and active.all() else U[:, active]
-    return UplinkDesign(S=S, Q=Q, active_basis=basis)
+    return UplinkDesign._from_factors(
+        (spec.right_basis, a.power), (spec.left_basis[:, active], q[active])
+    )
 
 
 def check_uplink_feasible(inst: ChannelInstance, d: UplinkDesign) -> RateReport:
-    """Evaluate both functionals and the transmit power trace(S) against
-    the budgets."""
-    power = float(np.trace(d.S).real)
-    return RateReport(inst, uplink_rate(inst, d), uplink_fronthaul(inst, d), power)
+    """Evaluate both functionals, from one Cholesky factorization, and the
+    transmit power trace(S), the sum of S's eigenvalues, against the
+    budgets."""
+    nats, lam_Q = _forwarded(inst, d)
+    fronthaul = _fronthaul_bits(nats, lam_Q, inst.sigma2)
+    return RateReport(inst, nats / LN2, fronthaul, float(d.S_factor[1].sum()))

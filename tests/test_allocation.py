@@ -71,6 +71,17 @@ def test_tight_quantizer_downlink_splits_budget():
     assert np.isclose(np.log2((p_tilde + q) / q), c, rtol=1e-14)
 
 
+def test_tight_quantizer_downlink_split_never_exceeds_the_power():
+    # x - q can round up so that p~ + q lands an ulp above x, as on the
+    # extreme corpus's case 339, where the summed split overshot P
+    rng = np.random.default_rng(339)
+    x = 10.0 ** rng.uniform(-8, 9, 20_000)
+    c = 10.0 ** rng.uniform(-3, 2.5, 20_000)
+    q, p_tilde = tight_quantizer_downlink(x, c)
+    assert np.all(p_tilde + q <= x)
+    assert np.all(p_tilde >= np.nextafter(x - q, 0.0))  # lowered by one step at most
+
+
 def test_tight_quantizer_downlink_rejects_zero_share():
     import cranopt
 

@@ -110,8 +110,9 @@ def test_rate_reads_the_described_subspace():
 
 
 def test_stacked_rate_is_the_one_design_rate():
-    # downlink_rate is the one-design case of downlink_rate_stacked, bit for
-    # bit, with no restriction, a 1-dim and an empty described subspace
+    # downlink_rate, read from the design's eigen-factors, is the rate
+    # downlink_rate_stacked gives the dense pair, to rounding, with no
+    # restriction, a 1-dim and an empty described subspace
     rng = np.random.default_rng(22)
     H = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))) / np.sqrt(2)
     inst = ChannelInstance(H=H, P=2.0, C=3.0, sigma2=0.8)
@@ -123,8 +124,9 @@ def test_stacked_rate_is_the_one_design_rate():
         assert ok.all()
         for t in range(4):
             d = DownlinkDesign(S=S[t], Q=Q[t], active_basis=W)
-            assert nats[t] / LN2 == downlink_rate(inst, d)
+            assert downlink_rate(inst, d) == pytest.approx(nats[t] / LN2, rel=1e-13, abs=0.0)
     assert not nats.any()  # the empty subspace carries nothing
+    assert downlink_rate(inst, d) == 0.0
 
 
 def test_assembled_rate_skips_the_rounding_of_switched_off_subchannels():

@@ -192,3 +192,68 @@ def test_designs_keep_read_only_copies_and_the_callers_arrays_stay_writable():
     again = DownlinkDesign(S=d.S, Q=[[1.0, 0.0], [0.0, 1.0]])
     assert not np.may_share_memory(again.S, d.S)
     assert not again.Q.flags.writeable
+
+
+def test_factors_are_checked_whole():
+    # a factor (B, lam) needs orthonormal columns and one finite lam >= 0
+    # per column; the dense pair is formed from it, (B * lam) @ B^H
+    B = np.linalg.qr(np.array([[1.0, 2.0], [0.5, -1.0]]))[0]
+    ok = (B, np.array([1.0, 0.0]))
+    d = UplinkDesign._from_factors(ok, ok)
+    assert np.array_equal(d.S, (B * ok[1]) @ B.conj().T)
+    assert d.active_basis is None  # the Q factor spans the whole space
+    one = UplinkDesign._from_factors(ok, (B[:, :1], np.array([2.0])))
+    assert np.array_equal(one.active_basis, B[:, :1])
+    for bad, match in (
+        ((2.0 * B, ok[1]), "orthonormal"),
+        ((np.full((2, 2), np.nan), ok[1]), "orthonormal"),
+        ((B, np.array([1.0, -1e-300])), "finite and >= 0"),
+        ((B, np.array([1.0, np.inf])), "finite and >= 0"),
+        ((B, np.array([1.0, np.nan])), "finite and >= 0"),
+        ((B, np.array([1.0])), "k eigenvalues"),
+        ((B[:, :1] @ np.ones((1, 3)), np.ones(3)), "k <= n"),
+    ):
+        for S_factor, Q_factor in ((bad, ok), (ok, bad)):
+            with pytest.raises(InvalidInputError, match=match):
+                DownlinkDesign._from_factors(S_factor, Q_factor)
+
+
+def test_dense_designs_keep_the_covariance_messages():
+    for S, match in (
+        (np.ones((2, 3)), "S must be square"),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), "S must be Hermitian positive semidefinite"),
+        (np.diag([1.0, -0.1]), "S must be Hermitian positive semidefinite"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "S contains non-finite entries"),
+    ):
+        with pytest.raises(InvalidInputError, match=match):
+            UplinkDesign(S=S, Q=np.eye(2))
+    with pytest.raises(InvalidInputError, match="Q must be Hermitian positive semidefinite"):
+        DownlinkDesign(S=np.eye(2), Q=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_a_given_active_basis_restricts_the_q_factor():
+    # the Q factor of a dense design with an active basis W lives in W: its
+    # basis spans W, and Q outside W is no part of the design
+    W = np.eye(3, dtype=complex)[:, :2]
+    Q = np.diag([2.0, 0.5, 7.0]).astype(complex)
+    d = DownlinkDesign(S=np.eye(3), Q=Q, active_basis=W)
+    B, lam = d.Q_factor
+    assert B.shape == (3, 2) and np.allclose(np.sort(lam), [0.5, 2.0])
+    assert np.allclose(W @ W.conj().T @ B, B)
+    assert np.allclose(d.Q, np.diag([2.0, 0.5, 0.0]))
+    assert d.active_basis is B
+    assert check_uplink_feasible(_inst(P=2.0, C=8.0), UplinkDesign(
+        S=np.eye(2), Q=np.eye(2), active_basis=np.eye(2)[:, :1]
+    )).power_used == 2.0
+
+
+def test_designs_and_their_factors_are_read_only():
+    d = DownlinkDesign(S=np.diag([1.0, 2.0]), Q=np.eye(2), active_basis=np.eye(2)[:, :1])
+    arrays = (d.S, d.Q, d.active_basis, *d.S_factor, *d.Q_factor)
+    for A in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            A[0] = 0.0
+    assert d.S is d.S and d.Q is d.Q  # formed once
+    for name in ("S", "Q", "active_basis", "S_factor", "Q_factor"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, None)

@@ -27,6 +27,8 @@ from cranopt import (
     waterfilling_capacity,
     svd,
 )
+from cranopt.allocation import tight_quantizer_downlink, tight_quantizer_uplink
+from cranopt.kernels import ChannelSpectrum
 
 
 def _random_instance(seed, n_r=2, n_u=2, P=2.0, C=3.0):
@@ -305,3 +307,66 @@ def test_duality_gap_takes_one_svd(monkeypatch):
         assert len(calls) == 1, k
         duality_gap(inst)
         assert len(calls) == 1, k
+
+
+def test_matrix_rates_read_the_channel_not_its_spectrum():
+    # a spectrum whose largest singular value is 5% high, with H and both
+    # bases unchanged: the allocation and its scalar rate follow the wrong
+    # gains, and both directions' matrix rates, read from H through the
+    # bases, must depart from that scalar rate (the downlink rate once read
+    # the gains from the spectrum and matched it to 7e-16 bits)
+    inst = ChannelInstance(random_channel(3, 3, 4), 1, 2, 1)
+    spec = inst.spectrum
+    s = spec.singular_values.copy()
+    s[0] *= 1.05
+    inst.__dict__["spectrum"] = ChannelSpectrum(s, spec.left_basis, spec.right_basis)
+    out = duality_gap(inst)
+    scalar = out["allocation"].diagnostics["rate"]
+    for direction in ("uplink", "downlink"):
+        assert abs(out[f"{direction}_rate"] - scalar) > 1e-2, direction
+
+
+def _dense_assembly(spec, alloc, direction):
+    """S and Q as the dense assemblies formed them: U diag(x) U^H over all
+    D subchannels, with zeros on those without a quantizer."""
+    U, V, D = spec.left_basis, spec.right_basis, spec.rank
+    on = alloc.share > 0
+    q, pt = np.zeros(D), np.zeros(D)
+    if direction == "uplink":
+        q[on] = tight_quantizer_uplink(spec.gains_squared[on], alloc.power[on], alloc.share[on], 1.0)
+        q[~np.isfinite(q)] = 0.0
+        return (V * alloc.power) @ V.conj().T, (U * q) @ U.conj().T, int(np.count_nonzero(q))
+    if on.any():
+        q[on], pt[on] = tight_quantizer_downlink(alloc.power[on], alloc.share[on])
+    return (U * pt) @ U.conj().T, (U * q) @ U.conj().T, int(np.count_nonzero(q))
+
+
+def test_assembled_factors_form_the_dense_assembly():
+    # on criterion 1's instances, the dense S and Q formed from an assembled
+    # design's eigen-factors are the dense assembly's bit for bit, and
+    # active_basis is None exactly where every receive dimension carries a
+    # share.  One exception: a Q with one active subchannel of D >= 2, where
+    # numpy's one-column product rounds differently from the D-column one
+    # with zeros, each part by an ulp of the largest entry at most
+    one_active = 0
+    for k in range(200):
+        n_r, n_u = 1 + k % 4, 1 + (k // 4) % 4
+        inst = ChannelInstance(
+            random_channel(n_r, n_u, 10_000 + k), (0.5, 1.0, 4.0)[k % 3],
+            (0.5, 2.0, 8.0)[(k // 3) % 3], 1.0,
+        )
+        spec = inst.spectrum
+        alloc = solve_instance(inst, "uplink")[2]
+        for direction, design in (
+            ("uplink", assemble_uplink(spec, alloc, 1.0)),
+            ("downlink", assemble_downlink(spec, alloc)),
+        ):
+            S, Q, active = _dense_assembly(spec, alloc, direction)
+            assert np.array_equal(design.S, S), (k, direction)
+            if active == 1 < spec.rank:
+                one_active += 1
+                assert np.abs(design.Q - Q).max() <= 2 * np.spacing(np.abs(Q).max()), (k, direction)
+            else:
+                assert np.array_equal(design.Q, Q), (k, direction)
+            assert (design.active_basis is None) == (active == n_r), (k, direction)
+    assert one_active > 0

@@ -132,8 +132,9 @@ def _rand_psd(n, rng):
 
 @pytest.mark.parametrize("k", [None, 1, 0])
 def test_stacked_rate_is_the_one_design_rate(k):
-    # uplink_rate is the one-design case of uplink_rate_stacked, bit for
-    # bit, with no restriction, a 1-dim and an empty forwarded subspace
+    # uplink_rate, read from the design's eigen-factors, is the rate
+    # uplink_rate_stacked gives the dense pair, to rounding, with no
+    # restriction, a 1-dim and an empty forwarded subspace
     rng = np.random.default_rng(21)
     H = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))) / np.sqrt(2)
     inst = ChannelInstance(H=H, P=2.0, C=3.0, sigma2=0.8)
@@ -144,6 +145,7 @@ def test_stacked_rate_is_the_one_design_rate(k):
     assert ok.all()
     for t in range(4):
         d = UplinkDesign(S=S[t], Q=Q[t], active_basis=W)
-        assert nats[t] / LN2 == uplink_rate(inst, d)
+        assert uplink_rate(inst, d) == pytest.approx(nats[t] / LN2, rel=1e-13, abs=0.0)
     if k == 0:
         assert not nats.any()
+        assert uplink_rate(inst, d) == 0.0
