@@ -1,9 +1,10 @@
 """Certify a solved design by trying to beat it, then plant a defect.
 
-perturbation_search densifies the base covariances, conjugates them by
-random unitaries at several geodesic step sizes, projects every
-candidate back onto the active power/fronthaul boundary, and keeps the
-best rate found. The margin is base rate minus best candidate rate: a
+perturbation_search conjugates the base covariances by random unitaries
+at several geodesic step sizes, each candidate carrying the base's
+described subspace rotated with its quantizer, adds fully random pairs,
+projects every candidate back onto the active power/fronthaul boundary
+(on its own subspace), and keeps the best rate found. The margin is base rate minus best candidate rate: a
 sound optimum keeps it nonnegative (the sharpest candidates tie it to
 machine precision), while a half-power base goes clearly negative and
 flips the verdict.

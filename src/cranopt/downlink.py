@@ -42,9 +42,10 @@ def downlink_rate_stacked(
     inst: ChannelInstance, S: np.ndarray, Q: np.ndarray, W: np.ndarray | None = None
 ):
     """The downlink rate in nats of each design of the (T, n_r, n_r) stacks
-    S and Q, restricted to the described subspace W (None: all of it); and
-    a mask of the lanes where the rate is defined.  Other lanes hold no
-    rate.  No input validation.
+    S and Q, restricted to the described subspace W, one basis (n_r, k) or
+    one per lane (T, n_r, k) (None: all of it); and a mask of the lanes
+    where the rate is defined.  Other lanes hold no rate.  No input
+    validation.
 
     The ratio is taken on the channel's D = min(n_r, n_u) subchannels: H's
     rows lie in the span of the right singular basis V (n_u x D), so with
@@ -54,10 +55,10 @@ def downlink_rate_stacked(
     Restricted to W, X reads W^H X W and G reads W^H G."""
     G = inst.H @ inst.spectrum.right_basis
     if W is not None:
-        S, Q, G = restrict(S, W), restrict(Q, W), W.conj().T @ G
-    Gh = G.conj().T
+        S, Q, G = restrict(S, W), restrict(Q, W), W.conj().swapaxes(-1, -2) @ G
+    Gh = G.conj().swapaxes(-1, -2)
     signal = Gh @ S @ G
-    base = Gh @ Q @ G + inst.sigma2 * np.eye(G.shape[1])
+    base = Gh @ Q @ G + inst.sigma2 * np.eye(G.shape[-1])
     return logdet_ratio_stacked(signal, base)
 
 

@@ -20,14 +20,15 @@ Two independent routes check the solver's optimality claims:
     matrix sizes, so they are computed once per such key, kept read-only
     in a small memo and reused by every search with that key, both
     directions included; only the conjugation of the base pair is per
-    search.  The candidates are PSD by construction, so the search
-    projects them as they are, with no eigendecomposition per trial, and
-    checks where they come from rather than each one: a plan's unitaries
-    (unitary within TOL.unitary) and random pairs (the covariance check)
-    when it is drawn, the densified base pair once per search, the
-    projection's scale factors (nonnegative) and each projected stack
+    search.  A rotated candidate keeps the base's described subspace,
+    rotated with its quantizer.  The candidates are PSD by construction, so
+    the search projects them as they are, with no eigendecomposition per
+    trial, and checks where they come from rather than each one: the base's
+    factors when the design is built, a plan's unitaries (unitary within
+    TOL.unitary) and random pairs (the covariance check) when it is drawn,
+    the projection's scale factors (nonnegative) and each projected stack
     (finite).  They are measured by the same stacked rate functional of
-    their direction as the base design.
+    their direction as the base design, on their own subspace.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .kernels import (
     whitened_eigvalsh,
 )
 from .problem import DOWNLINK, UPLINK, check_direction
-from .problem import ChannelInstance, psd_part, validate_covariance
+from .problem import ChannelInstance, psd_part, restrict, validate_covariance
 from .uplink import UplinkDesign, check_uplink_feasible, uplink_rate_stacked
 
 CERTIFICATION_TOL = TOL.certification
@@ -323,13 +324,17 @@ def _fronthaul_level(ev: np.ndarray, C) -> np.ndarray:
     return np.exp(v)
 
 
-def _project(inst: ChannelInstance, direction: str, S: np.ndarray, Q: np.ndarray):
+def _project(inst: ChannelInstance, direction: str, S: np.ndarray, Q: np.ndarray, W=None):
     """Batched core of :func:`feasibility_projection` for stacks of
     candidate pairs S (T, nS, nS) and Q (T, nQ, nQ) of the instance's
-    shapes.  Returns the rescaled stacks and a mask of the lanes that have
-    a design.  The other lanes hold none: their quantizer is singular or
-    zero, or the instance is an uplink with C = 0, where no lane has a
-    design (compressing even pure noise costs bits).
+    shapes, each restricted to its described subspace when a stack of
+    bases W (T, n_r, k) is given: the fronthaul level is solved on the
+    restricted whitened spectrum, and a downlink signal is sent (and
+    returned) only where it is described.  An empty subspace (k = 0) is the
+    silent design, rate 0.  Returns the rescaled stacks and a mask of the
+    lanes that have a design.  The other lanes hold none: their quantizer
+    is singular or zero, or the instance is an uplink with C = 0 and the
+    lane forwards something (compressing even pure noise costs bits).
 
     The stacks must be PSD up to rounding; only their Hermitian part is
     taken, nothing is clipped.  The scale factors are nonnegative, so the
@@ -337,31 +342,34 @@ def _project(inst: ChannelInstance, direction: str, S: np.ndarray, Q: np.ndarray
     factor that is negative or NaN raises InconsistencyError."""
     S = hermitian_part(S)
     Q = hermitian_part(Q)
-    T = len(S)
-    tS = np.trace(S, axis1=-2, axis2=-1).real
+    Q_W = hermitian_part(restrict(Q, W))
+    T, k = len(S), Q_W.shape[-1]
     if direction == UPLINK:
+        tS = np.trace(S, axis1=-2, axis2=-1).real
         alpha = np.divide(inst.P, tS, out=np.ones(T), where=tS > 0)
-        Phi = inst.H @ (alpha[:, None, None] * S) @ inst.H.conj().T
-        gev, ok = whitened_eigvalsh(
-            hermitian_part(Phi) + inst.sigma2 * np.eye(inst.n_r), Q
-        )
-        ok &= inst.C > 0
-        gev = np.clip(gev[ok], 0.0, None)  # >= sigma2/||Q|| in exact arithmetic
+        Phi = restrict(inst.H @ (alpha[:, None, None] * S) @ inst.H.conj().T, W)
+        gev, ok = whitened_eigvalsh(hermitian_part(Phi) + inst.sigma2 * np.eye(k), Q_W)
+        ok &= (inst.C > 0) | (k == 0)
         beta = np.ones(T)
-        beta[ok] = 1.0 / _fronthaul_level(gev, inst.C) if ok.any() else 1.0
+        if k and ok.any():  # gev >= sigma2/||Q|| > 0 in exact arithmetic
+            beta[ok] = 1.0 / _fronthaul_level(np.clip(gev[ok], 0.0, None), inst.C)
     else:
-        tQ = np.trace(Q, axis1=-2, axis2=-1).real
-        ev, ok = whitened_eigvalsh(S, Q)
-        ok &= tQ > 0
+        S_W = hermitian_part(restrict(S, W))
+        tS = np.trace(S_W, axis1=-2, axis2=-1).real
+        tQ = np.trace(Q_W, axis1=-2, axis2=-1).real
+        ev, ok = whitened_eigvalsh(S_W, Q_W)
+        ok &= (tQ > 0) | (k == 0)
         ev = np.clip(ev, 0.0, None)
         # a lane with no signal or no fronthaul is silent: all power goes to
         # the quantizer; the others spend C exactly, then P
-        live = ok & (tS > 0) & (ev[:, -1] > 0) & (inst.C > 0)
+        live = ok & (tS > 0) & (ev.sum(axis=-1) > 0) & (inst.C > 0)
         rho = _fronthaul_level(ev[live], inst.C) if live.any() else 0.0
         alpha = np.zeros(T)
-        beta = np.divide(inst.P, tQ, out=np.ones(T), where=ok)
+        beta = np.divide(inst.P, tQ, out=np.ones(T), where=tQ > 0)
         beta[live] = inst.P / (rho * tS[live] + tQ[live])
         alpha[live] = rho * beta[live]
+        if W is not None:
+            S = W @ S_W @ W.conj().swapaxes(-1, -2)
     if not (np.all(alpha >= 0.0) and np.all(beta >= 0.0)):
         raise InconsistencyError("a projection scale factor is negative or NaN")
     return alpha[:, None, None] * S, beta[:, None, None] * Q, ok
@@ -423,8 +431,8 @@ def _random_rotations(G: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return (V * np.exp(1j * eps[:, None] * w)[:, None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def _conjugate(W: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return W @ M @ W.conj().swapaxes(-1, -2)
+def _conjugate(U: np.ndarray, M: np.ndarray) -> np.ndarray:
+    return U @ M @ U.conj().swapaxes(-1, -2)
 
 
 def _random_psd(X: np.ndarray) -> np.ndarray:
@@ -438,8 +446,8 @@ class _Directions(NamedTuple):
 
     trial: np.ndarray
     rot: np.ndarray
-    W_S: np.ndarray
-    W_Q: np.ndarray
+    U_S: np.ndarray
+    U_Q: np.ndarray
     S_rand: np.ndarray
     Q_rand: np.ndarray
 
@@ -480,9 +488,9 @@ def _check_directions(block: _Directions) -> None:
     congruence of the base pair, and PSD when it is), and the random pairs
     are finite Hermitian PSD.  Raises InconsistencyError or
     InvalidInputError."""
-    for W in (block.W_S, block.W_Q):
-        n = W.shape[-1]
-        defect = _frobenius(W.conj().swapaxes(-1, -2) @ W - np.eye(n))
+    for U in (block.U_S, block.U_Q):
+        n = U.shape[-1]
+        defect = _frobenius(U.conj().swapaxes(-1, -2) @ U - np.eye(n))
         if not np.all(defect <= TOL.unitary):
             raise InconsistencyError("a candidate rotation is not unitary")
     validate_covariance(block.S_rand, "S")
@@ -527,43 +535,18 @@ def _blocks(seed: int, trials: int, nS: int, nQ: int):
     return _plan(*key)
 
 
-def _candidates(S0: np.ndarray, Q0: np.ndarray, block: _Directions):
-    """Candidate pairs (S, Q) of one block, in trial order: the base pair
-    conjugated by the block's unitaries in the rotated lanes, its random
-    pairs in the others."""
-    T = len(block.trial)
-    S = np.empty((T, *S0.shape), dtype=complex)
-    Q = np.empty((T, *Q0.shape), dtype=complex)
-    S[block.rot] = _conjugate(block.W_S, S0)
-    Q[block.rot] = _conjugate(block.W_Q, Q0)
-    S[~block.rot] = block.S_rand
-    Q[~block.rot] = block.Q_rand
-    return S, Q
-
-
-def _densify(inst: ChannelInstance, direction: str, base) -> tuple:
-    """Full-space covariance seeds nearly equivalent to a base design whose
-    fronthaul skips some dimensions: the skipped subspace gets a quantizer
-    large enough (uplink) or a zero-signal noise floor (downlink) that its
-    fronthaul cost is negligible, keeping candidate quantizers invertible.
-    The base design's own S is returned, and its own Q when it has no
-    active basis, not copies: the search only reads them.
-
-    The dead-dimension quantizer is capped at 2^22 times the signal scale:
-    its rate and fronthaul leakage stays below 4e-7 bits (well inside the
-    certification tolerance) while the conjugated candidates remain within
-    float64 Cholesky range."""
-    W = base.active_basis
-    n = inst.n_r
-    if W is None:
-        return base.S, base.Q
-    P_dead = np.eye(n, dtype=complex) - W @ W.conj().T
-    if direction == UPLINK:
-        Phi = inst.H @ base.S @ inst.H.conj().T
-        scale = float(np.trace(hermitian_part(Phi)).real) + inst.sigma2
-        q_big = scale * 2.0**22
-        return base.S, psd_part(base.Q + q_big * P_dead)
-    return base.S, psd_part(base.Q + inst.sigma2 * P_dead)
+def _candidates(S0: np.ndarray, Q0: np.ndarray, W, block: _Directions):
+    """The candidate lane groups (trial, S, Q, W) of one block: the base
+    pair conjugated by the block's unitaries, each lane with the described
+    subspace U_Q W (None when the base's W is), U_Q its Q-side unitary; and
+    the random pairs, full-rank with no W, so that a base whose subspace is
+    too small can still be beaten."""
+    rot, U_Q = block.rot, block.U_Q
+    W_rot = None if W is None else U_Q @ W
+    return (
+        (block.trial[rot], _conjugate(block.U_S, S0), _conjugate(U_Q, Q0), W_rot),
+        (block.trial[~rot], block.S_rand, block.Q_rand, None),
+    )
 
 
 def perturbation_search(
@@ -580,10 +563,12 @@ def perturbation_search(
     ones, and any other base raises InvalidInputError.
 
     Candidates alternate between conjugating the base covariances by
-    random unitaries near the identity (geodesic steps 0.3, 0.1, 0.03) and
-    fully random covariance pairs; every candidate is rescaled onto the
-    constraint boundary before evaluation.  The margin is the base rate
-    minus the best candidate rate; a clearly negative margin disproves
+    random unitaries near the identity (geodesic steps 0.3, 0.1, 0.03),
+    each keeping the base's described subspace rotated with its quantizer,
+    and fully random full-rank pairs; every candidate is rescaled onto the
+    constraint boundary on its subspace before evaluation (an empty one,
+    as at C = 0, is the silent design, rate 0).  The margin is the base
+    rate minus the best candidate rate; a clearly negative margin disproves
     optimality of the base.
 
     The candidates are drawn, projected and evaluated in blocks of stacked
@@ -593,11 +578,11 @@ def perturbation_search(
     once per (seed, trials, shapes) and reused by later searches with the
     same key (a handful of keys is kept, and a plan over 2 MiB is drawn
     afresh each time); the candidates and the report are the same either
-    way.  A plan's directions are checked once, when drawn, and the
-    densified base pair once per search; a negative or NaN projection scale
+    way.  A plan's directions are checked once, when drawn, and the base's
+    factors when the design was built; a negative or NaN projection scale
     factor, or a non-finite projected candidate, raises
     InconsistencyError.  A candidate that has no projected design (a
-    singular quantizer, or any uplink candidate at C = 0) or whose rate
+    singular quantizer, or an uplink random pair at C = 0) or whose rate
     fails (an ill-conditioned quantizer) is counted in
     ``projection_failures`` and skipped.  A search that evaluated fewer
     than half of its trials has too little evidence and fails its verdict,
@@ -625,27 +610,26 @@ def perturbation_search(
             f"fronthaul slack {report.slack_fronthaul:.3e}"
         )
     base_rate = report.rate
-    S0, Q0 = _densify(inst, direction, base)
-    validate_covariance(S0, "S")
-    validate_covariance(Q0, "Q")
     best_rate = -np.inf
     best_trial = -1
     evaluated = 0
-    for block in _blocks(seed, trials, S0.shape[0], Q0.shape[0]):
-        S, Q, projected = _project(inst, direction, *_candidates(S0, Q0, block))
-        S, Q, trial = S[projected], Q[projected], block.trial[projected]
-        if not (np.all(np.isfinite(S)) and np.all(np.isfinite(Q))):
-            raise InconsistencyError("a projected candidate has a non-finite entry")
-        # a lane whose rate is undefined (quantizer too ill-conditioned to
-        # evaluate) is skipped rather than aborting the campaign
-        nats, defined = rate_stacked(inst, S, Q)
-        rate, trial = nats[defined] / LN2, trial[defined]
+    for block in _blocks(seed, trials, len(base.S), len(base.Q)):
+        rates, picked = [], []
+        for trial, S, Q, W in _candidates(base.S, base.Q, base.active_basis, block):
+            S, Q, projected = _project(inst, direction, S, Q, W)
+            S, Q, trial = S[projected], Q[projected], trial[projected]
+            if not (np.all(np.isfinite(S)) and np.all(np.isfinite(Q))):
+                raise InconsistencyError("a projected candidate has a non-finite entry")
+            # a lane whose rate is undefined (quantizer too ill-conditioned to
+            # evaluate) is skipped rather than aborting the campaign
+            nats, defined = rate_stacked(inst, S, Q, None if W is None else W[projected])
+            rates.append(nats[defined] / LN2)
+            picked.append(trial[defined])
+        rate, trial = np.concatenate(rates), np.concatenate(picked)
         evaluated += rate.size
-        if rate.size:
-            k = int(np.argmax(rate))  # the earliest trial among equal rates
-            if rate[k] > best_rate:
-                best_rate = float(rate[k])
-                best_trial = int(trial[k])
+        if rate.size and rate.max() > best_rate:
+            best_rate = float(rate.max())
+            best_trial = int(trial[rate == best_rate].min())  # the earliest among equal rates
     failures = trials - evaluated
     # with no candidate evaluated best_rate stays -inf (the maximum over an
     # empty set) and the margin is +inf; the verdict needs at least half the

@@ -241,11 +241,12 @@ class RateReport:
 
 
 def restrict(M: np.ndarray, W: np.ndarray | None) -> np.ndarray:
-    """W^H M W, per matrix for a stack (..., n, n), or M itself when no
-    restriction applies."""
+    """W^H M W, per matrix for a stack (..., n, n) and one basis W (n, k)
+    or a stack of them (..., n, k), or M itself when no restriction
+    applies."""
     if W is None:
         return M
-    return W.conj().T @ M @ W
+    return W.conj().swapaxes(-1, -2) @ M @ W
 
 
 def psd_part(M: np.ndarray) -> np.ndarray:

@@ -41,8 +41,9 @@ def uplink_rate_stacked(
     inst: ChannelInstance, S: np.ndarray, Q: np.ndarray, W: np.ndarray | None = None
 ):
     """The uplink rate in nats of each design of the (T, n_u, n_u) and
-    (T, n_r, n_r) stacks S and Q, restricted to the forwarded subspace W
-    (None: all of it); and a mask of the lanes where the rate is defined.
+    (T, n_r, n_r) stacks S and Q, restricted to the forwarded subspace W,
+    one basis (n_r, k) or one per lane (T, n_r, k) (None: all of it); and
+    a mask of the lanes where the rate is defined.
     Other lanes hold no rate.  No input validation."""
     Phi = inst.H @ S @ inst.H.conj().T
     base = Q + inst.sigma2 * np.eye(inst.n_r)

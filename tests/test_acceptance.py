@@ -19,7 +19,9 @@ from cranopt import (
     SubchannelAllocation,
     certified_gap_bits,
     check_downlink_bounds,
+    check_downlink_feasible,
     check_power_lower_bound,
+    check_uplink_feasible,
     check_uplink_rate_bound,
     duality_gap,
     perturbation_search,
@@ -353,6 +355,68 @@ def test_criterion_8_harness_self_test(monkeypatch, tmp_path):
         ok,
         f"planted margin {worst_margin:.3f} < -0.01, certify exit status {status} != 0",
     )
+
+
+def _planted_designs(inst, direction):
+    """The solved design and its planted losses, as (plant, design, loss in
+    bits): half power (S/2 in the uplink, S/2 and Q/2 in the downlink), the
+    fronthaul split evenly over the powered subchannels, and the shares of
+    the first two powered subchannels swapped.  A split or swap that leaves
+    the allocation as it was plants nothing and is left out."""
+    design, report, alloc = solve_instance(inst, direction)
+    half_Q = design.Q if direction == "uplink" else 0.5 * design.Q
+    half = type(design)(S=0.5 * design.S, Q=half_Q, active_basis=design.active_basis)
+    plants = [("solved", design), ("half power", half)]
+    powered = np.flatnonzero(alloc.power > 0)
+    even = alloc.share.copy()
+    even[powered] = alloc.share.sum() / len(powered)
+    swapped = alloc.share.copy()
+    swapped[powered[:2]] = swapped[powered[:2][::-1]]
+    for plant, share in (("even split", even), ("swapped shares", swapped)):
+        if not np.array_equal(share, alloc.share):
+            moved = SubchannelAllocation(alloc.power, share)
+            plants.append((plant, solve_instance(inst, direction, moved)[0]))
+    check = check_uplink_feasible if direction == "uplink" else check_downlink_feasible
+    return [(plant, d, report.rate - check(inst, d).rate) for plant, d in plants]
+
+
+# loss brackets (bits) of the planted-loss check's catch rates
+_LOSS_BRACKETS = (0.0, 1e-6, 1e-3, 1e-2, 1e-1, np.inf)
+
+
+def test_planted_losses_fail_certification_in_both_directions():
+    """Solved designs pass and every half-power plant fails the perturbation
+    search in both directions, on a seeded 3 x 3 subset at criterion 2's
+    budgets and at random_channel(D, D, 1), P = D, C = 2 D, for D = 8 and
+    16.  Share-split catches are printed, not asserted."""
+    cases = [
+        (ChannelInstance(random_channel(3, 3, 40_000 + k), (0.5, 1.0, 4.0)[k % 3],
+                         (0.5, 2.0, 8.0)[(k // 3) % 3], 1.0), 1000)
+        for k in range(18)
+    ] + [(ChannelInstance(random_channel(D, D, 1), D, 2.0 * D, 1.0), 200) for D in (8, 16)]
+    for direction in ("uplink", "downlink"):
+        by_plant, by_bracket = {}, {}
+        for k, (inst, trials) in enumerate(cases):
+            for plant, design, loss in _planted_designs(inst, direction):
+                report = perturbation_search(inst, design, trials=trials, seed=k)
+                if plant == "solved":
+                    assert report.verdict, (k, direction, report.margin)
+                    continue
+                if plant == "half power":
+                    assert not report.verdict, (k, direction, report.margin)
+                b = int(np.searchsorted(_LOSS_BRACKETS, loss, side="right")) - 1
+                by_plant.setdefault(plant, []).append(not report.verdict)
+                by_bracket.setdefault(b, []).append(not report.verdict)
+        plants = ", ".join(f"{p} {sum(v)}/{len(v)}" for p, v in by_plant.items())
+        brackets = ", ".join(
+            f"[{_LOSS_BRACKETS[b]:g}, {_LOSS_BRACKETS[b + 1]:g}) {sum(v)}/{len(v)}"
+            for b, v in sorted(by_bracket.items())
+        )
+        _verdict(
+            f"planted losses ({direction}, {len(cases)} instances)",
+            True,
+            f"caught per plant: {plants}; per loss bracket in bits: {brackets}",
+        )
 
 
 def _extreme_corpus():

@@ -474,12 +474,11 @@ def _main_rows(capsys, *argv):
 
 
 def test_certify_runs_every_budget_point_direction_first(capsys):
-    # C = 0 stays out: its uplink search evaluates no candidate and fails
     code, rows = _main_rows(capsys, "--mode", "certify", "--random", "2,2,1", "--trials", "50",
-                            "--P-grid", "1,4", "--C-grid", "2")
+                            "--P-grid", "1,4", "--C-grid", "0,2")
     assert code == EXIT_OK
-    assert rows == [("uplink", "1", "2"), ("uplink", "4", "2"),
-                    ("downlink", "1", "2"), ("downlink", "4", "2")]
+    points = [("1", "0"), ("1", "2"), ("4", "0"), ("4", "2")]
+    assert rows == [(d, P, C) for d in ("uplink", "downlink") for P, C in points]
 
 
 @pytest.mark.parametrize("mode, directions", [
