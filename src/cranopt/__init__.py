@@ -39,7 +39,6 @@ from .kernels import (
     Tolerances,
     hermitian_part,
     is_psd,
-    logdet_ratio,
     random_channel,
     random_unitary,
     svd,
@@ -111,7 +110,6 @@ __all__ = [
     "feasibility_projection",
     "hermitian_part",
     "is_psd",
-    "logdet_ratio",
     "perturbation_search",
     "psd_part",
     "random_channel",

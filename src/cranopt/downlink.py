@@ -13,9 +13,9 @@ in bits.  Both ratios are restricted to the described subspace when the
 design carries an ``active_basis``, as the uplink's are to the forwarded
 one: dimensions carrying nothing (S and Q both zero there) cost zero bits
 and add nothing to the rate.  The one-design functionals read a design's
-eigen-factors, and the channel through H V, V its right singular basis;
-the perturbation search measures its dense candidates with
-:func:`downlink_rate_stacked`, which reads H V too.
+eigen-factors, and the channel through H V, V its right singular basis.
+The perturbation search measures its candidates, held as eigen-factors
+too, by the same ratio on H V, stacked (``oracle._lane_rates``).
 
 A scalar allocation (power p_d, share c_d on the channel's singular values)
 is realized here: the downlink meets each share by splitting p_d into the
@@ -28,51 +28,28 @@ import numpy as np
 
 from .allocation import tight_quantizer_downlink
 from .errors import DomainError, InvalidInputError
-from .kernels import (
-    LN2,
-    ChannelSpectrum,
-    logdet,
-    logdet_ratio_stacked,
-    logdet_whitened,
-)
-from .problem import ChannelInstance, DownlinkDesign, RateReport, check_design, restrict
+from .kernels import LN2, ChannelSpectrum, logdet, logdet_whitened
+from .problem import ChannelInstance, DownlinkDesign, RateReport, check_design
 
 
-def downlink_rate_stacked(
-    inst: ChannelInstance, S: np.ndarray, Q: np.ndarray, W: np.ndarray | None = None
-):
-    """The downlink rate in nats of each design of the (T, n_r, n_r) stacks
-    S and Q, restricted to the described subspace W, one basis (n_r, k) or
-    one per lane (T, n_r, k) (None: all of it); and a mask of the lanes
-    where the rate is defined.  Other lanes hold no rate.  No input
-    validation.
+def downlink_rate(inst: ChannelInstance, d: DownlinkDesign) -> float:
+    """Achievable downlink rate in bits per channel use, on the D subchannels
+    in the Q factor's basis B_Q: with A = B_Q^H H V, E = B_S^H B_Q A, it
+    adds E^H diag(lam_S) E to the base A^H diag(lam_Q) A + sigma2 I.
 
     The ratio is taken on the channel's D = min(n_r, n_u) subchannels: H's
     rows lie in the span of the right singular basis V (n_u x D), so with
     G = H V, H^H X H = V G^H X G V^H and |H^H X H + sigma2 I| =
     |G^H X G + sigma2 I_D| sigma2^(n_u - D), and the sigma2 factor cancels
-    in the ratio.  V serves only as coordinates: the gains are read from H.
-    Restricted to W, X reads W^H X W and G reads W^H G."""
-    G = inst.H @ inst.spectrum.right_basis
-    if W is not None:
-        S, Q, G = restrict(S, W), restrict(Q, W), W.conj().swapaxes(-1, -2) @ G
-    Gh = G.conj().swapaxes(-1, -2)
-    signal = Gh @ S @ G
-    base = Gh @ Q @ G + inst.sigma2 * np.eye(G.shape[-1])
-    return logdet_ratio_stacked(signal, base)
-
-
-def downlink_rate(inst: ChannelInstance, d: DownlinkDesign) -> float:
-    """Achievable downlink rate in bits per channel use, on the D subchannels
-    (:func:`downlink_rate_stacked`) in the Q factor's basis B_Q: with
-    A = B_Q^H H V, E = B_S^H B_Q A, it adds E^H diag(lam_S) E to the base."""
+    in the ratio.  V serves only as coordinates: the gains are read from H."""
     check_design(d, DownlinkDesign, inst)
     (B_S, lam_S), (B_Q, lam_Q) = d.S_factor, d.Q_factor
     A = B_Q.conj().T @ inst.H @ inst.spectrum.right_basis
     E = (B_S.conj().T @ B_Q) @ A
     base = (A.conj().T * lam_Q) @ A
     base.flat[:: len(base) + 1] += inst.sigma2
-    return (logdet(base + (E.conj().T * lam_S) @ E) - logdet(base)) / LN2
+    signal = logdet(base + (E.conj().T * lam_S) @ E, "H^H (S + Q) H + sigma2 I")
+    return (signal - logdet(base, "H^H Q H + sigma2 I")) / LN2
 
 
 def downlink_fronthaul(d: DownlinkDesign) -> float:
@@ -87,7 +64,8 @@ def downlink_fronthaul(d: DownlinkDesign) -> float:
     (B_S, lam_S), (B_Q, lam_Q) = d.S_factor, d.Q_factor
     if not (lam_Q > 0).all():
         raise DomainError("Q is singular on the described subspace")
-    return logdet_whitened((B_Q.conj().T @ B_S) / np.sqrt(lam_Q)[:, None], lam_S) / LN2
+    C = (B_Q.conj().T @ B_S) / np.sqrt(lam_Q)[:, None]
+    return logdet_whitened(C, lam_S, "the whitened S + Q") / LN2
 
 
 def assemble_downlink(spec: ChannelSpectrum, a) -> DownlinkDesign:

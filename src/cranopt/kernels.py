@@ -143,49 +143,41 @@ def is_psd_stacked(A: np.ndarray, w: np.ndarray | None = None):
     return (hermitian_defect(A) <= tol) & (w[..., 0] >= -tol * np.maximum(w[..., -1], 0.0))
 
 
-def logdet_ratio(M, B) -> float:
-    """log|B + M| - log|B| (natural log) for Hermitian B > 0 and B + M > 0.
-
-    Computed as 2 sum(log diag chol(B + M)) - 2 sum(log diag chol(B)): two
-    Cholesky factorizations and no eigensolver.  Each log-determinant is
-    exact to about eps times its matrix's condition number, whatever the
-    overall scale.  Against a 50-digit reference on 300 seeded pairs
-    (n = 1..4, eigenvalue spreads up to 1e9, scales 1e-12 to 1e6) every
-    error stayed within max(1e-9, n eps (cond B + cond(B + M))) nats, and
-    the worst was 9.4e-10 nats.  Empty matrices give 0.
-    """
-    M = np.asarray(M, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if M.shape != B.shape or M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InvalidInputError(f"logdet_ratio shape mismatch: {M.shape} vs {B.shape}")
-    return logdet(hermitian_part(B + M)) - logdet(hermitian_part(B))
-
-
 def logdet_ratio_stacked(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`logdet_ratio` for each pair of (T, n, n) stacks, without input
-    validation: the ratios in nats, and a mask of the lanes where B and
-    B + M are positive definite (both Cholesky factors exist).  Other lanes
-    hold no ratio.  Empty matrices (n = 0) give 0."""
+    """log|B + M| - log|B| (natural log) for each pair of (T, n, n) stacks,
+    without input validation: the ratios in nats, and a mask of the lanes
+    where B and B + M are positive definite (both Cholesky factors exist).
+    Other lanes hold no ratio.  Empty matrices (n = 0) give 0.
+
+    Each ratio is 2 sum(log diag chol(B + M)) - 2 sum(log diag chol(B)) on
+    the Hermitian parts: two Cholesky factorizations and no eigensolver.
+    Each log-determinant is exact to about eps times its matrix's condition
+    number, whatever the overall scale.  Against a 50-digit reference on 300
+    seeded pairs (n = 1..4, eigenvalue spreads up to 1e9, scales 1e-12 to
+    1e6) every error stayed within max(1e-9, n eps (cond B + cond(B + M)))
+    nats, and the worst was 9.4e-10 nats."""
     L_base, ok = _cholesky_lanes(hermitian_part(B))
     L_sum, ok_sum = _cholesky_lanes(hermitian_part(B + M))
     return 2.0 * (_log_diagonal(L_sum) - _log_diagonal(L_base)), ok & ok_sum
 
 
-def logdet(M: np.ndarray) -> float:
+def logdet(M: np.ndarray, name: str) -> float:
     """log|M| for Hermitian M > 0 from one Cholesky factorization, which
-    reads M's lower triangle; DomainError otherwise.  Empty M gives 0."""
+    reads M's lower triangle; otherwise DomainError, which calls M by
+    ``name``.  Empty M gives 0."""
     try:
         return 2.0 * float(_log_diagonal(np.linalg.cholesky(M)))
     except np.linalg.LinAlgError:
-        raise DomainError("B or B + M is not positive definite") from None
+        raise DomainError(f"{name} is not positive definite") from None
 
 
-def logdet_whitened(A: np.ndarray, lam: np.ndarray) -> float:
+def logdet_whitened(A: np.ndarray, lam: np.ndarray, name: str) -> float:
     """log|I + A diag(lam) A^H| for lam >= 0: a log-determinant ratio whose
-    base is whitened to I, from one Cholesky factorization."""
+    base is whitened to I, from one Cholesky factorization; ``name`` names
+    the whitened matrix for :func:`logdet`."""
     M = (A * lam) @ A.conj().T
     M.flat[:: len(M) + 1] += 1.0
-    return logdet(M)
+    return logdet(M, name)
 
 
 def _log_diagonal(L: np.ndarray) -> np.ndarray:
@@ -195,8 +187,8 @@ def _log_diagonal(L: np.ndarray) -> np.ndarray:
 def _cholesky_lanes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a (T, n, n) Hermitian stack, and a mask of
     the lanes that are positive definite.  A failed lane's factor is the
-    identity, so that stacked solves and log-determinants on the factors
-    still run; it holds nothing else."""
+    identity, so that the stacked log-determinants on the factors still
+    run; it holds nothing else."""
     try:
         return np.linalg.cholesky(A), np.ones(len(A), dtype=bool)
     except np.linalg.LinAlgError:
@@ -209,44 +201,6 @@ def _cholesky_lanes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = len(A) // 2
     (L0, ok0), (L1, ok1) = _cholesky_lanes(A[:h]), _cholesky_lanes(A[h:])
     return np.concatenate((L0, L1)), np.concatenate((ok0, ok1))
-
-
-def whitened_eigvalsh(M: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of L^-1 M L^-H with L = chol(B), i.e. the
-    spectrum of M relative to B, for each pair of (T, n, n) stacks; and a
-    mask of the lanes whose B is positive definite.  Other lanes hold no
-    spectrum.
-
-    M and B must be exactly Hermitian (equal to their conjugate transposes
-    bit for bit, as :func:`hermitian_part` returns them); they are not
-    symmetrized again.  L^-1 M L^-H is two forward substitutions by the
-    triangular factor (:func:`_forward_substitution`), with no LU solve, so
-    each lane's result is the same whatever stack it is in; that product
-    is symmetrized before its eigenvalues are taken."""
-    L, ok = _cholesky_lanes(B)
-    X = _forward_substitution(L, M)
-    A = _forward_substitution(L, X.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
-    return np.linalg.eigvalsh(hermitian_part(A)), ok
-
-
-def _forward_substitution(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """L^-1 B for each pair of a lower-triangular (T, n, n) stack L with a
-    nonzero diagonal and a (T, n, m) stack B, without input validation.
-
-    Row i is (B_i - sum_{k<i} L_ik X_k) / L_ii, the sum taken in k order;
-    each step is one array operation over all lanes, so no lane's result
-    depends on the others or on the stack's size.  Against a 50-digit
-    reference on 288 seeded lanes (n, m = 1..4, cond L up to 1e9, 108 of
-    them with an |L_i0| above L_00, where an LU solve would pivot) every
-    lane's error stayed within n eps cond(L) ||X||_F, the worst at 0.8 of
-    it."""
-    X = np.empty(B.shape, dtype=np.result_type(L, B))
-    for i in range(B.shape[-2]):
-        row = B[:, i]
-        for k in range(i):
-            row = row - L[:, i, k, None] * X[:, k]
-        X[:, i] = row / L[:, i, i, None]
-    return X
 
 
 @dataclass(frozen=True)
@@ -297,7 +251,11 @@ def random_channel(n_r: int, n_u: int, seed: int) -> np.ndarray:
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
-    """Haar-distributed n x n unitary (QR of a complex Gaussian, phases fixed)."""
+    """Haar-distributed n x n unitary (QR of a complex Gaussian, phases fixed).
+
+    No library code reads it: it is public for callers building test
+    channels and designs (the demos do), and the perturbation search draws
+    its own unitaries near the identity."""
     check_count(n, "n", 1)
     check_count(seed, "seed")
     rng = np.random.default_rng(seed)

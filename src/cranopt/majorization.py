@@ -20,8 +20,9 @@ multiplies out the non-Hermitian product, forms H H^H, inverts a matrix or
 takes a matrix square root.  Each spectrum is that of one small Hermitian
 matrix: the power and transmit-side bounds read the channel in its singular
 coordinates, from one SVD (the spectrum of H S H^H is that of diag(h) V^H S
-V diag(h)); the uplink rate bound whitens Phi by the Cholesky factor of
-Q + sigma2 I.
+V diag(h)); the uplink rate bound whitens Phi by the eigen-factors of
+Q + sigma2 I, a diagonal scale in Q's eigenbasis, as the perturbation
+search whitens its candidates.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .kernels import (
     hermitian_part,
     is_psd,
     svd,
-    whitened_eigvalsh,
 )
 
 EQUALITY_TOL = 1e-9
@@ -68,8 +68,10 @@ def check_uplink_rate_bound(Phi, Q, sigma2: float):
         lhs = log2|I + Phi (Q + sigma2 I)^-1|,
         rhs = sum log2(1 + l_Phi,d(desc) / (l_Q,d(asc) + sigma2)).
     The spectrum of Phi (Q + sigma2 I)^-1 is that of Phi whitened by the
-    Cholesky factor of Q + sigma2 I; a Q that passes the PSD check but
-    leaves Q + sigma2 I without that factor raises DomainError.
+    eigen-factors (B, l_Q + sigma2) of Q + sigma2 I, from one ``eigh`` of Q:
+    of diag(l_Q + sigma2)^-1/2 B^H Phi B diag(l_Q + sigma2)^-1/2.  A Q that
+    passes the PSD check but leaves an eigenvalue of Q + sigma2 I at or
+    below 0 raises DomainError.
     equal_at reports whether the product spectrum equals the anti-aligned
     paired products, the basis-agnostic form of "Q's eigenbasis matches
     Phi's with ascending eigenvalues on descending directions".
@@ -79,12 +81,15 @@ def check_uplink_rate_bound(Phi, Q, sigma2: float):
     Q = _psd_matrix(Q, "noise")
     if Phi.shape != Q.shape:
         raise InvalidInputError(f"shape mismatch: {Phi.shape} vs {Q.shape}")
-    prod, ok = whitened_eigvalsh(Phi[None], (Q + sigma2 * np.eye(len(Q)))[None])
-    if not ok[0]:
+    l_q, B = np.linalg.eigh(Q)  # ascending
+    base = l_q + sigma2
+    if not (base > 0).all():
         raise DomainError("Q + sigma2 I is not positive definite")
-    prod = np.clip(prod[0], 0.0, None)[::-1]
+    white = 1.0 / np.sqrt(base)
+    prod = np.linalg.eigvalsh(white[:, None] * (B.conj().T @ Phi @ B) * white)
+    prod = np.clip(prod, 0.0, None)[::-1]
     lhs = float(np.sum(np.log2(1.0 + prod)))
-    paired = np.linalg.eigvalsh(Phi)[::-1] / (np.linalg.eigvalsh(Q) + sigma2)
+    paired = np.linalg.eigvalsh(Phi)[::-1] / base
     rhs = float(np.sum(np.log2(1.0 + paired)))
     equal_at = _spectra_match(prod, np.sort(paired)[::-1], float(paired.max(initial=0.0)))
     return lhs, rhs, equal_at

@@ -10,25 +10,26 @@ Two independent routes check the solver's optimality claims:
     input checks with the solver, none of its KKT machinery.
   * :func:`perturbation_search` attacks an assembled matrix design with
     random covariance candidates, each rescaled onto the constraint
-    boundary, and reports the worst-case margin.  It draws, projects and
-    evaluates its candidates in blocks of stacked (T, n, n) arrays, as
-    many trials as a fixed byte budget holds (a 1000-trial search on 3 x 3
-    channels is one block); a candidate that cannot be projected or
-    evaluated fails alone, not its block, and each candidate's outcome is
-    the same whatever block it is in.  The random directions (unitaries
-    and random pairs) depend only on the seed, the trial count and the two
-    matrix sizes, so they are computed once per such key, kept read-only
-    in a small memo and reused by every search with that key, both
-    directions included; only the conjugation of the base pair is per
-    search.  A rotated candidate keeps the base's described subspace,
-    rotated with its quantizer.  The candidates are PSD by construction, so
-    the search projects them as they are, with no eigendecomposition per
-    trial, and checks where they come from rather than each one: the base's
-    factors when the design is built, a plan's unitaries (unitary within
-    TOL.unitary) and random pairs (the covariance check) when it is drawn,
-    the projection's scale factors (nonnegative) and each projected stack
-    (finite).  They are measured by the same stacked rate functional of
-    their direction as the base design, on their own subspace.
+    boundary, and reports the worst-case margin.  It holds its candidates
+    as eigen-factors, as designs are held, and projects and evaluates them
+    in blocks of stacked lanes, as many trials as a fixed byte budget holds
+    (a 1000-trial search on 3 x 3 channels is one block); a candidate that
+    cannot be projected or evaluated fails alone, not its block, and each
+    candidate's outcome is the same whatever block it is in.  The random
+    directions (unitaries, and the random pairs' eigen-factors) depend only
+    on the seed, the trial count and the two matrix sizes, so they are
+    computed once per such key, kept read-only in a small memo and reused
+    by every search with that key, both directions included; only the
+    rotation of the base's factors is per search.  A rotated candidate is
+    (U_S B_S, lam_S) and (U_Q B_Q, lam_Q): it describes the span of
+    U_Q B_Q, the base's subspace rotated with its quantizer, on which its
+    quantizer is diag(lam_Q), so every lane is whitened by a diagonal scale
+    and one small eigvalsh, with no dense candidate.  The search checks
+    where the candidates come from rather than each one: the base's factors
+    when the design is built, a plan's unitaries (unitary within
+    TOL.unitary) and random pairs (the covariance check, which factors
+    them) when it is drawn, and the projection's scale factors
+    (nonnegative, and finite on every projected lane).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .allocation import SubchannelAllocation, _rates, _validate_budgets, _validate_gains
-from .downlink import DownlinkDesign, check_downlink_feasible, downlink_rate_stacked
+from .downlink import DownlinkDesign, check_downlink_feasible
 from .errors import DomainError, InconsistencyError, InvalidInputError
 from .kernels import (
     LN2,
@@ -49,11 +50,11 @@ from .kernels import (
     as_complex_matrix,
     check_count,
     hermitian_part,
-    whitened_eigvalsh,
+    logdet_ratio_stacked,
 )
 from .problem import DOWNLINK, UPLINK, check_direction
-from .problem import ChannelInstance, psd_part, restrict, validate_covariance
-from .uplink import UplinkDesign, check_uplink_feasible, uplink_rate_stacked
+from .problem import ChannelInstance, validate_covariance
+from .uplink import UplinkDesign, check_uplink_feasible
 
 CERTIFICATION_TOL = TOL.certification
 GEODESIC_STEPS = (0.3, 0.1, 0.03)
@@ -324,55 +325,113 @@ def _fronthaul_level(ev: np.ndarray, C) -> np.ndarray:
     return np.exp(v)
 
 
-def _project(inst: ChannelInstance, direction: str, S: np.ndarray, Q: np.ndarray, W=None):
-    """Batched core of :func:`feasibility_projection` for stacks of
-    candidate pairs S (T, nS, nS) and Q (T, nQ, nQ) of the instance's
-    shapes, each restricted to its described subspace when a stack of
-    bases W (T, n_r, k) is given: the fronthaul level is solved on the
-    restricted whitened spectrum, and a downlink signal is sent (and
-    returned) only where it is described.  An empty subspace (k = 0) is the
-    silent design, rate 0.  Returns the rescaled stacks and a mask of the
-    lanes that have a design.  The other lanes hold none: their quantizer
-    is singular or zero, or the instance is an uplink with C = 0 and the
-    lane forwards something (compressing even pure noise costs bits).
+class _Lanes(NamedTuple):
+    """A stack of candidate pairs held as eigen-factors, one pair per lane:
+    an S basis B_S (T, nS, kS) with eigenvalues lam_S (T, kS), and a Q
+    basis B_Q (T, n_r, k) with eigenvalues lam_Q (T, k).  The Q basis spans
+    the lane's described subspace, in whose coordinates the quantizer is
+    diag(lam_Q)."""
 
-    The stacks must be PSD up to rounding; only their Hermitian part is
-    taken, nothing is clipped.  The scale factors are nonnegative, so the
-    rescaled stacks stay PSD and are returned without a second clip; a
-    factor that is negative or NaN raises InconsistencyError."""
-    S = hermitian_part(S)
-    Q = hermitian_part(Q)
-    Q_W = hermitian_part(restrict(Q, W))
-    T, k = len(S), Q_W.shape[-1]
+    B_S: np.ndarray
+    lam_S: np.ndarray
+    B_Q: np.ndarray
+    lam_Q: np.ndarray
+
+    def take(self, keep: np.ndarray) -> _Lanes:
+        """The lanes that the mask ``keep`` marks."""
+        return _Lanes(*(a[keep] for a in self))
+
+
+def _gram_spectrum(X: np.ndarray, floor=None) -> np.ndarray:
+    """Ascending eigenvalues, clipped at 0, of X X^H plus diag(floor) (none
+    when None) for each matrix of a (T, k, m) stack X: one k x k eigvalsh
+    per lane."""
+    M = X @ X.conj().swapaxes(-1, -2)
+    if floor is not None:
+        M = M + floor[..., None] * np.eye(M.shape[-1])
+    return np.clip(np.linalg.eigvalsh(M), 0.0, None)
+
+
+def _project(inst: ChannelInstance, direction: str, lanes: _Lanes):
+    """Batched core of :func:`feasibility_projection`: each lane's pair
+    rescaled onto the constraint boundary on its described subspace.
+
+    In the coordinates B_Q the quantizer is diag(lam_Q), so whitening by it
+    is a diagonal scale by diag(lam_Q)^-1/2.  With A = B_Q^H H B_S (uplink)
+    or A = B_Q^H B_S (downlink), the fronthaul level is solved on the k x k
+    spectrum of A diag(alpha lam_S) A^H + sigma2 I (uplink) or of
+    A diag(lam_S) A^H (downlink), whitened; a downlink signal spends power
+    only where it is described.  An empty subspace (k = 0) is the silent
+    design, rate 0.
+
+    Returns the scale factors alpha (S side) and beta (Q side) of each lane,
+    a mask of the lanes that have a design, and the whitened spectrum gamma
+    each level was solved on, which the uplink rate reads.  The other lanes
+    hold no design: their quantizer has a zero eigenvalue, or the instance
+    is an uplink with C = 0 and the lane forwards something (compressing
+    even pure noise costs bits).  The scale factors are nonnegative, so the
+    rescaled eigenvalues stay nonnegative; a factor that is negative or NaN
+    raises InconsistencyError."""
+    B_S, lam_S, B_Q, lam_Q = lanes
+    T, k = lam_Q.shape
+    ok = (lam_Q > 0).all(axis=-1)
+    # a lane with a singular quantizer has no design; it is whitened by 1
+    white = 1.0 / np.sqrt(np.where(ok[:, None], lam_Q, 1.0))
+    B_Qh = B_Q.conj().swapaxes(-1, -2)
+    rho = np.ones(T)  # the fronthaul level: the signal's scale over the quantizer's
     if direction == UPLINK:
-        tS = np.trace(S, axis1=-2, axis2=-1).real
+        tS = lam_S.sum(axis=-1)
         alpha = np.divide(inst.P, tS, out=np.ones(T), where=tS > 0)
-        Phi = restrict(inst.H @ (alpha[:, None, None] * S) @ inst.H.conj().T, W)
-        gev, ok = whitened_eigvalsh(hermitian_part(Phi) + inst.sigma2 * np.eye(k), Q_W)
+        X = (B_Qh @ inst.H @ B_S) * np.sqrt(alpha[:, None] * lam_S)[:, None, :]
+        gamma = _gram_spectrum(white[..., None] * X, inst.sigma2 * white**2)
         ok &= (inst.C > 0) | (k == 0)
-        beta = np.ones(T)
-        if k and ok.any():  # gev >= sigma2/||Q|| > 0 in exact arithmetic
-            beta[ok] = 1.0 / _fronthaul_level(np.clip(gev[ok], 0.0, None), inst.C)
+        if k and ok.any():  # gamma >= sigma2 / max(lam_Q) > 0 in exact arithmetic
+            rho[ok] = _fronthaul_level(gamma[ok], inst.C)
+        beta = 1.0 / rho
     else:
-        S_W = hermitian_part(restrict(S, W))
-        tS = np.trace(S_W, axis1=-2, axis2=-1).real
-        tQ = np.trace(Q_W, axis1=-2, axis2=-1).real
-        ev, ok = whitened_eigvalsh(S_W, Q_W)
-        ok &= (tQ > 0) | (k == 0)
-        ev = np.clip(ev, 0.0, None)
+        X = (B_Qh @ B_S) * np.sqrt(lam_S)[:, None, :]
+        tS = np.sum(X.real**2 + X.imag**2, axis=(-2, -1))
+        tQ = lam_Q.sum(axis=-1)
+        gamma = _gram_spectrum(white[..., None] * X)
         # a lane with no signal or no fronthaul is silent: all power goes to
         # the quantizer; the others spend C exactly, then P
-        live = ok & (tS > 0) & (ev.sum(axis=-1) > 0) & (inst.C > 0)
-        rho = _fronthaul_level(ev[live], inst.C) if live.any() else 0.0
+        live = ok & (tS > 0) & (gamma.sum(axis=-1) > 0) & (inst.C > 0)
+        if live.any():
+            rho[live] = _fronthaul_level(gamma[live], inst.C)
         alpha = np.zeros(T)
         beta = np.divide(inst.P, tQ, out=np.ones(T), where=tQ > 0)
-        beta[live] = inst.P / (rho * tS[live] + tQ[live])
-        alpha[live] = rho * beta[live]
-        if W is not None:
-            S = W @ S_W @ W.conj().swapaxes(-1, -2)
+        beta[live] = inst.P / (rho[live] * tS[live] + tQ[live])
+        alpha[live] = rho[live] * beta[live]
     if not (np.all(alpha >= 0.0) and np.all(beta >= 0.0)):
         raise InconsistencyError("a projection scale factor is negative or NaN")
-    return alpha[:, None, None] * S, beta[:, None, None] * Q, ok
+    return alpha, beta, ok, gamma
+
+
+def _lane_rates(inst: ChannelInstance, direction: str, lanes: _Lanes, alpha, beta, gamma):
+    """The rate in nats of each lane rescaled by the scale factors alpha and
+    beta of :func:`_project`, given the spectrum gamma its level was solved
+    on, and a mask of the lanes where the rate is defined.
+
+    The uplink rate is closed-form in gamma: with rho = 1 / beta it is
+    sum(log1p(rho gamma)) - sum(log1p(rho sigma2 / lam_Q)), here with the
+    k log(rho) of both sums cancelled, so that it stays finite at beta = 0,
+    the noiseless quantizer of a level that overflows; it is defined on
+    every lane.  The downlink rate is :func:`downlink_rate`'s ratio on
+    G = B_Q^H H V, V the channel's right singular basis: with
+    E = B_S^H B_Q G, log|G^H diag(beta lam_Q) G + E^H diag(alpha lam_S) E +
+    sigma2 I| - log|G^H diag(beta lam_Q) G + sigma2 I|, from two D x D
+    Cholesky factorizations per lane; it is undefined where one fails (a
+    quantizer too ill-conditioned to evaluate)."""
+    B_S, lam_S, B_Q, lam_Q = lanes
+    if direction == UPLINK:
+        b = beta[:, None]
+        nats = np.log(b + gamma).sum(axis=-1) - np.log(b + inst.sigma2 / lam_Q).sum(axis=-1)
+        return nats, np.ones(len(nats), dtype=bool)
+    G = B_Q.conj().swapaxes(-1, -2) @ (inst.H @ inst.spectrum.right_basis)
+    E = (B_S.conj().swapaxes(-1, -2) @ B_Q) @ G
+    signal = (E.conj().swapaxes(-1, -2) * (alpha[:, None] * lam_S)[:, None, :]) @ E
+    base = (G.conj().swapaxes(-1, -2) * (beta[:, None] * lam_Q)[:, None, :]) @ G
+    return logdet_ratio_stacked(signal, base + inst.sigma2 * np.eye(G.shape[-1]))
 
 
 def feasibility_projection(
@@ -385,10 +444,11 @@ def feasibility_projection(
     Uplink: alpha saturates the power budget, then the fronthaul equation
     in 1/beta is solved exactly (it is strictly monotone).  Downlink: the
     fronthaul depends only on alpha/beta, solved first, then both are
-    scaled together onto the power budget.  The pair need not be PSD: it
-    is clipped once to its PSD part (Hermitian part, negative eigenvalues
-    zeroed) and then goes through the stacked projection
-    :func:`perturbation_search` runs on its blocks of PSD candidates.
+    scaled together onto the power budget.  The pair need not be PSD: each
+    side is factored by one ``eigh`` of its Hermitian part, negative
+    eigenvalues zeroed, and the factors go through the one-lane call of the
+    projection :func:`perturbation_search` runs on its lanes of candidate
+    factors.  The design is returned as those factors, rescaled.
 
     Raises DomainError when no scaling works: a singular quantizer
     covariance, or an uplink instance with C = 0 (compressing even pure
@@ -403,11 +463,16 @@ def feasibility_projection(
         raise InvalidInputError("covariance shapes do not match the instance")
     if direction == UPLINK and inst.C <= 0:
         raise DomainError("no finite uplink design has zero fronthaul cost")
-    S, Q, ok = _project(inst, direction, psd_part(S)[None], psd_part(Q)[None])
+    factors = []
+    for M in (S, Q):
+        w, B = np.linalg.eigh(hermitian_part(M))
+        factors += [B[None], np.clip(w, 0.0, None)[None]]
+    B_S, lam_S, B_Q, lam_Q = factors
+    alpha, beta, ok, _ = _project(inst, direction, _Lanes(*factors))
     if not ok[0]:
         raise DomainError("quantization covariance is singular or zero")
     design = UplinkDesign if direction == UPLINK else DownlinkDesign
-    return design(S=S[0], Q=Q[0])
+    return design._from_factors((B_S[0], alpha[0] * lam_S[0]), (B_Q[0], beta[0] * lam_Q[0]))
 
 
 def _frobenius(A: np.ndarray) -> np.ndarray:
@@ -431,10 +496,6 @@ def _random_rotations(G: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return (V * np.exp(1j * eps[:, None] * w)[:, None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def _conjugate(U: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return U @ M @ U.conj().swapaxes(-1, -2)
-
-
 def _random_psd(X: np.ndarray) -> np.ndarray:
     return (X @ X.conj().swapaxes(-1, -2)) / X.shape[-1]
 
@@ -442,24 +503,34 @@ def _random_psd(X: np.ndarray) -> np.ndarray:
 class _Directions(NamedTuple):
     """The random part of one block of candidates, independent of the base
     pair: the trial numbers, the mask of the rotated lanes, the S- and
-    Q-side unitaries of those lanes, and the random pairs of the others."""
+    Q-side unitaries of those lanes, and the eigen-factors of the random
+    pairs of the others."""
 
     trial: np.ndarray
     rot: np.ndarray
     U_S: np.ndarray
     U_Q: np.ndarray
-    S_rand: np.ndarray
-    Q_rand: np.ndarray
+    B_S: np.ndarray
+    lam_S: np.ndarray
+    B_Q: np.ndarray
+    lam_Q: np.ndarray
 
 
 def _directions(trial: np.ndarray, nS: int, nQ: int, rng) -> _Directions:
-    """The directions of the given trial numbers, in trial order.
+    """The directions of the given trial numbers, in trial order, checked.
 
     Trial t with t % 4 < 3 is a pair of random unitaries at geodesic step
     GEODESIC_STEPS[t % 4]; the others are fully random pairs.  Either kind
     draws nS^2 real, nS^2 imaginary, nQ^2 real and nQ^2 imaginary normals,
     in that order, so one draw for the whole block is the stream a draw per
-    matrix would read.  The arrays are read-only: a plan shares them."""
+    matrix would read.
+
+    The check stands in for validating every candidate: the unitaries must
+    be unitary within TOL.unitary (InconsistencyError otherwise), so that a
+    rotated candidate is a congruence of the base pair, and each random
+    pair must be finite Hermitian PSD (InvalidInputError otherwise): its
+    eigen-factors are those of :func:`validate_covariance`.  The arrays are
+    read-only: a plan shares them."""
     T = len(trial)
     z = rng.standard_normal((T, 2 * nS * nS + 2 * nQ * nQ))
     cut = np.cumsum([nS * nS, nS * nS, nQ * nQ])
@@ -469,43 +540,31 @@ def _directions(trial: np.ndarray, nS: int, nQ: int, rng) -> _Directions:
     kind = trial % (len(GEODESIC_STEPS) + 1)
     rot = kind < len(GEODESIC_STEPS)
     eps = np.asarray(GEODESIC_STEPS)[kind[rot]]
+    U_S, U_Q = _random_rotations(Gs[rot], eps), _random_rotations(Gq[rot], eps)
+    for U in (U_S, U_Q):
+        defect = _frobenius(U.conj().swapaxes(-1, -2) @ U - np.eye(U.shape[-1]))
+        if not np.all(defect <= TOL.unitary):
+            raise InconsistencyError("a candidate rotation is not unitary")
     block = _Directions(
         trial,
         rot,
-        _random_rotations(Gs[rot], eps),
-        _random_rotations(Gq[rot], eps),
-        _random_psd(Gs[~rot]),
-        _random_psd(Gq[~rot]) + 1e-6 * np.eye(nQ),
+        U_S,
+        U_Q,
+        *validate_covariance(_random_psd(Gs[~rot]), "S"),
+        *validate_covariance(_random_psd(Gq[~rot]) + 1e-6 * np.eye(nQ), "Q"),
     )
     for a in block:
         a.flags.writeable = False
     return block
 
 
-def _check_directions(block: _Directions) -> None:
-    """The check that stands in for validating every candidate: the
-    unitaries are unitary within TOL.unitary (so a rotated candidate is a
-    congruence of the base pair, and PSD when it is), and the random pairs
-    are finite Hermitian PSD.  Raises InconsistencyError or
-    InvalidInputError."""
-    for U in (block.U_S, block.U_Q):
-        n = U.shape[-1]
-        defect = _frobenius(U.conj().swapaxes(-1, -2) @ U - np.eye(n))
-        if not np.all(defect <= TOL.unitary):
-            raise InconsistencyError("a candidate rotation is not unitary")
-    validate_covariance(block.S_rand, "S")
-    validate_covariance(block.Q_rand, "Q")
-
-
 def _draw(seed: int, trials: int, nS: int, nQ: int):
-    """The directions of trials 0 .. trials-1, drawn block by block from
-    one generator seeded with seed, each block checked as it is drawn."""
+    """The directions of trials 0 .. trials-1, drawn and checked block by
+    block from one generator seeded with seed."""
     rng = np.random.default_rng(seed)
     size = _block_trials(nS, nQ)
     for start in range(0, trials, size):
-        block = _directions(np.arange(start, min(start + size, trials)), nS, nQ, rng)
-        _check_directions(block)
-        yield block
+        yield _directions(np.arange(start, min(start + size, trials)), nS, nQ, rng)
 
 
 # the directions depend only on (seed, trials, nS, nQ), and a CLI run
@@ -517,8 +576,11 @@ _PLAN_MAX_BYTES = 2 << 20
 
 def _plan_nbytes(trials: int, nS: int, nQ: int) -> int:
     """Bytes of a plan's arrays: a trial number, a mask entry and one
-    complex nS x nS and nQ x nQ matrix per trial."""
-    return trials * (8 + 1 + 16 * (nS * nS + nQ * nQ))
+    complex nS x nS and nQ x nQ matrix (a pair of unitaries, or a random
+    pair's eigenvectors) per trial, and nS + nQ eigenvalues per random
+    pair."""
+    pairs = trials // (len(GEODESIC_STEPS) + 1)
+    return trials * (8 + 1 + 16 * (nS * nS + nQ * nQ)) + pairs * 8 * (nS + nQ)
 
 
 @lru_cache(maxsize=_PLANS)
@@ -535,17 +597,23 @@ def _blocks(seed: int, trials: int, nS: int, nQ: int):
     return _plan(*key)
 
 
-def _candidates(S0: np.ndarray, Q0: np.ndarray, W, block: _Directions):
-    """The candidate lane groups (trial, S, Q, W) of one block: the base
-    pair conjugated by the block's unitaries, each lane with the described
-    subspace U_Q W (None when the base's W is), U_Q its Q-side unitary; and
-    the random pairs, full-rank with no W, so that a base whose subspace is
-    too small can still be beaten."""
-    rot, U_Q = block.rot, block.U_Q
-    W_rot = None if W is None else U_Q @ W
+def _candidates(base, block: _Directions):
+    """The candidate lane groups (trial, lanes) of one block: the base's
+    eigen-factors rotated by the block's unitaries, (U_S B_S, lam_S) and
+    (U_Q B_Q, lam_Q), so that each lane's described subspace is the base's
+    rotated with its quantizer; and the random pairs' factors, full-rank,
+    so that a base whose subspace is too small can still be beaten."""
+    (B_S, lam_S), (B_Q, lam_Q) = base.S_factor, base.Q_factor
+    rot, T = block.rot, len(block.U_S)
+    rotated = _Lanes(
+        block.U_S @ B_S,
+        np.broadcast_to(lam_S, (T, lam_S.size)),
+        block.U_Q @ B_Q,
+        np.broadcast_to(lam_Q, (T, lam_Q.size)),
+    )
     return (
-        (block.trial[rot], _conjugate(block.U_S, S0), _conjugate(U_Q, Q0), W_rot),
-        (block.trial[~rot], block.S_rand, block.Q_rand, None),
+        (block.trial[rot], rotated),
+        (block.trial[~rot], _Lanes(block.B_S, block.lam_S, block.B_Q, block.lam_Q)),
     )
 
 
@@ -571,8 +639,11 @@ def perturbation_search(
     rate minus the best candidate rate; a clearly negative margin disproves
     optimality of the base.
 
-    The candidates are drawn, projected and evaluated in blocks of stacked
-    arrays, as many trials as 512 KiB of candidate pairs hold (1820 on a
+    Every candidate is held as eigen-factors: a rotated one as the base's
+    factors rotated, (U_S B_S, lam_S) and (U_Q B_Q, lam_Q), a random pair
+    as the factors its covariance check took when it was drawn.  The
+    candidates are drawn, projected and evaluated in blocks of stacked
+    lanes, as many trials as 512 KiB of candidate pairs hold (1820 on a
     3 x 3 channel), reading the random stream in trial order; the report
     does not depend on the block size.  The random directions are computed
     once per (seed, trials, shapes) and reused by later searches with the
@@ -580,7 +651,7 @@ def perturbation_search(
     afresh each time); the candidates and the report are the same either
     way.  A plan's directions are checked once, when drawn, and the base's
     factors when the design was built; a negative or NaN projection scale
-    factor, or a non-finite projected candidate, raises
+    factor, or a non-finite one of a projected candidate, raises
     InconsistencyError.  A candidate that has no projected design (a
     singular quantizer, or an uplink random pair at C = 0) or whose rate
     fails (an ill-conditioned quantizer) is counted in
@@ -597,10 +668,10 @@ def perturbation_search(
     check_count(trials, "trials", 1)
     check_count(seed, "seed")
     if isinstance(base, UplinkDesign):
-        direction, rate_stacked = UPLINK, uplink_rate_stacked
+        direction = UPLINK
         report = check_uplink_feasible(inst, base)
     elif isinstance(base, DownlinkDesign):
-        direction, rate_stacked = DOWNLINK, downlink_rate_stacked
+        direction = DOWNLINK
         report = check_downlink_feasible(inst, base)
     else:
         raise InvalidInputError("base must be an UplinkDesign or a DownlinkDesign")
@@ -613,16 +684,19 @@ def perturbation_search(
     best_rate = -np.inf
     best_trial = -1
     evaluated = 0
-    for block in _blocks(seed, trials, len(base.S), len(base.Q)):
+    nS, nQ = len(base.S_factor[0]), len(base.Q_factor[0])
+    for block in _blocks(seed, trials, nS, nQ):
         rates, picked = [], []
-        for trial, S, Q, W in _candidates(base.S, base.Q, base.active_basis, block):
-            S, Q, projected = _project(inst, direction, S, Q, W)
-            S, Q, trial = S[projected], Q[projected], trial[projected]
-            if not (np.all(np.isfinite(S)) and np.all(np.isfinite(Q))):
-                raise InconsistencyError("a projected candidate has a non-finite entry")
+        for trial, lanes in _candidates(base, block):
+            alpha, beta, projected, gamma = _project(inst, direction, lanes)
+            if not projected.all():  # most groups project every lane: no copy
+                lanes, trial = lanes.take(projected), trial[projected]
+                alpha, beta, gamma = alpha[projected], beta[projected], gamma[projected]
+            if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+                raise InconsistencyError("a projected candidate has a non-finite scale factor")
             # a lane whose rate is undefined (quantizer too ill-conditioned to
             # evaluate) is skipped rather than aborting the campaign
-            nats, defined = rate_stacked(inst, S, Q, None if W is None else W[projected])
+            nats, defined = _lane_rates(inst, direction, lanes, alpha, beta, gamma)
             rates.append(nats[defined] / LN2)
             picked.append(trial[defined])
         rate, trial = np.concatenate(rates), np.concatenate(picked)

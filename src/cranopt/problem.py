@@ -9,7 +9,7 @@ or never described, cost zero bits and are excluded from every ratio).
 
 One validator, :func:`validate_covariance`, checks a dense covariance
 (finite, Hermitian PSD) and factors it, for both design types and for the
-stacks of candidate designs the perturbation search evaluates.  One check,
+stacks of random pairs the perturbation search draws.  One check,
 :func:`check_design`, gives every functional its own direction's design in
 the instance's dimensions.  A :class:`RateReport` is built
 from a design's rate, fronthaul cost and power, and derives both budget
@@ -241,17 +241,18 @@ class RateReport:
 
 
 def restrict(M: np.ndarray, W: np.ndarray | None) -> np.ndarray:
-    """W^H M W, per matrix for a stack (..., n, n) and one basis W (n, k)
-    or a stack of them (..., n, k), or M itself when no restriction
-    applies."""
+    """W^H M W for one basis W (n, k), per matrix for a stack M (..., n, n),
+    or M itself when no restriction applies."""
     if W is None:
         return M
-    return W.conj().swapaxes(-1, -2) @ M @ W
+    return W.conj().T @ M @ W
 
 
 def psd_part(M: np.ndarray) -> np.ndarray:
     """Hermitian part with negative eigenvalues clipped to zero, per matrix
-    for a stack (..., n, n)."""
+    for a stack (..., n, n).  No library code reads it (the feasibility
+    projection factors its pair itself); it stays public because the
+    benchmark's tracer, ``perfbench/tracing.py``, binds it by name."""
     A = hermitian_part(np.asarray(M, dtype=complex))
     w, V = np.linalg.eigh(A)
     w = np.clip(w, 0.0, None)

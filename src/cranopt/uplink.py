@@ -13,8 +13,9 @@ achievable rate and the fronthaul cost are
 in bits, both restricted to the forwarded subspace when the design carries
 an ``active_basis`` (dimensions the RRH never forwards cost zero bits).
 The one-design functionals read a design's eigen-factors and H, both from
-one Cholesky factorization; the perturbation search measures its dense
-candidates with :func:`uplink_rate_stacked`.
+one Cholesky factorization.  The perturbation search measures its
+candidates, held as eigen-factors too, in closed form from the spectrum its
+projection takes (``oracle._lane_rates``).
 
 A scalar allocation (power p_d, share c_d on the channel's singular values)
 is realized here: the uplink meets each share with the tight quantizer
@@ -27,27 +28,8 @@ import numpy as np
 
 from .allocation import tight_quantizer_uplink
 from .errors import DomainError, InvalidInputError
-from .kernels import (
-    LN2,
-    ChannelSpectrum,
-    check_positive,
-    logdet_ratio_stacked,
-    logdet_whitened,
-)
-from .problem import ChannelInstance, RateReport, UplinkDesign, check_design, restrict
-
-
-def uplink_rate_stacked(
-    inst: ChannelInstance, S: np.ndarray, Q: np.ndarray, W: np.ndarray | None = None
-):
-    """The uplink rate in nats of each design of the (T, n_u, n_u) and
-    (T, n_r, n_r) stacks S and Q, restricted to the forwarded subspace W,
-    one basis (n_r, k) or one per lane (T, n_r, k) (None: all of it); and
-    a mask of the lanes where the rate is defined.
-    Other lanes hold no rate.  No input validation."""
-    Phi = inst.H @ S @ inst.H.conj().T
-    base = Q + inst.sigma2 * np.eye(inst.n_r)
-    return logdet_ratio_stacked(restrict(Phi, W), restrict(base, W))
+from .kernels import LN2, ChannelSpectrum, check_positive, logdet_whitened
+from .problem import ChannelInstance, RateReport, UplinkDesign, check_design
 
 
 def _forwarded(inst: ChannelInstance, d: UplinkDesign) -> tuple[float, np.ndarray]:
@@ -57,7 +39,7 @@ def _forwarded(inst: ChannelInstance, d: UplinkDesign) -> tuple[float, np.ndarra
     check_design(d, UplinkDesign, inst)
     (B_S, lam_S), (B_Q, lam_Q) = d.S_factor, d.Q_factor
     A = (B_Q.conj().T @ inst.H @ B_S) / np.sqrt(lam_Q + inst.sigma2)[:, None]
-    return logdet_whitened(A, lam_S), lam_Q
+    return logdet_whitened(A, lam_S, "the whitened H S H^H + Q + sigma2 I"), lam_Q
 
 
 def _fronthaul_bits(nats: float, lam_Q: np.ndarray, sigma2: float) -> float:

@@ -18,7 +18,7 @@ from cranopt import (
     solve_scalar_allocation,
     svd,
 )
-from cranopt.downlink import downlink_rate_stacked
+import cranopt.oracle as oracle
 
 TWO_LOG2_3_2 = 1.1699250014423124  # 2*log2(3/2)
 
@@ -110,8 +110,8 @@ def test_rate_reads_the_described_subspace():
 
 
 def test_stacked_rate_is_the_one_design_rate():
-    # downlink_rate, read from the design's eigen-factors, is the rate
-    # downlink_rate_stacked gives the dense pair, to rounding, with no
+    # the perturbation search's rate of a projected lane is downlink_rate of
+    # the design its rescaled eigen-factors hold, to rounding, with no
     # restriction, a 1-dim and an empty described subspace
     rng = np.random.default_rng(22)
     H = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))) / np.sqrt(2)
@@ -120,10 +120,15 @@ def test_stacked_rate_is_the_one_design_rate():
     M = X @ X.conj().swapaxes(-1, -2) / 3
     S, Q = M[:4], M[4:]
     for W in (None, np.eye(3, dtype=complex)[:, :1], np.eye(3, dtype=complex)[:, :0]):
-        nats, ok = downlink_rate_stacked(inst, S, Q, W)
-        assert ok.all()
+        designs = [DownlinkDesign(S=S[t], Q=Q[t], active_basis=W) for t in range(4)]
+        factors = [(*d.S_factor, *d.Q_factor) for d in designs]
+        lanes = oracle._Lanes(*(np.stack(a) for a in zip(*factors)))
+        alpha, beta, ok, gamma = oracle._project(inst, "downlink", lanes)
+        nats, defined = oracle._lane_rates(inst, "downlink", lanes, alpha, beta, gamma)
+        assert ok.all() and defined.all()
         for t in range(4):
-            d = DownlinkDesign(S=S[t], Q=Q[t], active_basis=W)
+            d = DownlinkDesign._from_factors(
+                (lanes.B_S[t], alpha[t] * lanes.lam_S[t]), (lanes.B_Q[t], beta[t] * lanes.lam_Q[t]))
             assert downlink_rate(inst, d) == pytest.approx(nats[t] / LN2, rel=1e-13, abs=0.0)
     assert not nats.any()  # the empty subspace carries nothing
     assert downlink_rate(inst, d) == 0.0

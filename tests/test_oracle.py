@@ -36,10 +36,7 @@ from cranopt import (
     uplink_rate,
 )
 from cranopt.allocation import _rates
-from cranopt.downlink import downlink_rate_stacked
-from cranopt.kernels import whitened_eigvalsh
 from cranopt.problem import validate_covariance
-from cranopt.uplink import uplink_rate_stacked
 
 
 def _solved_gap(gains, P, C, sigma2=1.0):
@@ -258,10 +255,10 @@ def test_block_projection_masks_every_uplink_lane_at_zero_fronthaul():
     # every lane, without a level solve and so without a warning
     inst = _identity_instance(C=0.0)
     rng = np.random.default_rng(5)
-    S, Q = _random_psd_stack(2, rng, lanes=16), _random_psd_stack(2, rng, lanes=16)
+    lanes = _factor_lanes(_random_psd_stack(2, rng, lanes=16), _random_psd_stack(2, rng, lanes=16))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, _, ok = oracle._project(inst, "uplink", S, Q)
+        _, _, ok, _ = oracle._project(inst, "uplink", lanes)
     assert ok.shape == (16,) and not ok.any()
 
 
@@ -289,25 +286,32 @@ def _projection_instance(name):
 @pytest.mark.parametrize("name", ["3x3-full", "3x3-off", "1x4"])
 def test_block_projection_of_candidates_lands_on_the_boundary(name, direction):
     inst = _projection_instance(name)
-    # the search hands _project its candidates unclipped; every lane it
-    # marks ok must still be a valid design that spends P (so the power
-    # budget is active) and at most C
+    # the search hands _project the eigen-factors of its candidates; every
+    # lane it marks ok must still hold a valid design that spends P (so the
+    # power budget is active) and at most C
     design, _, _ = solve_instance(inst, direction)
     assert (design.active_basis is not None) == (name == "3x3-off")
-    S0, Q0 = design.S, design.Q
+    (B_S0, _), (B_Q0, _) = design.S_factor, design.Q_factor
     kind, check = (UplinkDesign, check_uplink_feasible) if direction == "uplink" else (
         DownlinkDesign, check_downlink_feasible)
     checked = 0
-    for block in oracle._blocks(6, 200, len(S0), len(Q0)):
-        for _, S_c, Q_c, W_c in oracle._candidates(S0, Q0, design.active_basis, block):
-            # each rotated lane carries its own subspace, the random pairs none
-            assert (W_c is None) == (design.active_basis is None or S_c is block.S_rand)
-            S, Q, ok = oracle._project(inst, direction, S_c, Q_c, W_c)
+    for block in oracle._blocks(6, 200, len(B_S0), len(B_Q0)):
+        (_, rotated), (_, random) = oracle._candidates(design, block)
+        # each rotated lane's described subspace is the base's rotated with
+        # its quantizer; the random pairs are full-rank
+        assert np.array_equal(rotated.B_Q, block.U_Q @ B_Q0)
+        assert random.B_Q.shape[1:] == (inst.n_r, inst.n_r)
+        for lanes in (rotated, random):
+            alpha, beta, ok, _ = oracle._project(inst, direction, lanes)
             for t in np.flatnonzero(ok):
-                validate_covariance(S[t], "S")
-                validate_covariance(Q[t], "Q")
-                w = None if W_c is None else W_c[t]
-                report = check(inst, kind(S=S[t], Q=Q[t], active_basis=w))
+                B_S, lam_S, B_Q, lam_Q = (a[t] for a in lanes)
+                S = (B_S * (alpha[t] * lam_S)) @ B_S.conj().T
+                W = B_Q if B_Q.shape[1] < inst.n_r else None
+                if direction == "downlink" and W is not None:
+                    # the signal is sent only where it is described
+                    S = W @ (W.conj().T @ S @ W) @ W.conj().T
+                Q = (B_Q * (beta[t] * lam_Q)) @ B_Q.conj().T
+                report = check(inst, kind(S=S, Q=Q, active_basis=W))
                 assert abs(report.power_used - inst.P) <= TOL.feasibility
                 assert report.fronthaul_used <= inst.C + TOL.feasibility
                 checked += 1
@@ -316,44 +320,60 @@ def test_block_projection_of_candidates_lands_on_the_boundary(name, direction):
 
 @pytest.mark.parametrize("direction", ["uplink", "downlink"])
 def test_search_does_no_eigendecomposition_per_trial(monkeypatch, direction):
-    # the search clips nothing: the base's factors were checked when the
-    # design was built, and the candidates are projected as they are,
-    # however many trials run
+    # the search clips and factors nothing per trial: the base's factors
+    # were checked when the design was built, and a plan's random pairs were
+    # factored when it was drawn, so once its plan is drawn a search calls
+    # no eigh, however many trials run
     inst = _projection_instance("3x3-off")
     design, _, _ = solve_instance(inst, direction)
     calls = [0]
-    real = oracle.psd_part
+    real = np.linalg.eigh
 
-    def counting(M):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return real(M)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "psd_part", counting)
     counts = []
     for trials in (7, 1000):
-        calls[0] = 0
         perturbation_search(inst, design, trials=trials, seed=0)
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "eigh", counting)
+            calls[0] = 0
+            perturbation_search(inst, design, trials=trials, seed=0)
         counts.append(calls[0])
     assert counts == [0, 0]
 
 
 @pytest.mark.parametrize("direction", ["uplink", "downlink"])
-def test_search_whitens_exactly_hermitian_stacks(direction, monkeypatch):
-    # whitened_eigvalsh does not symmetrize its arguments: every stack the
-    # search hands it must equal its conjugate transpose bit for bit
+def test_search_whitens_each_lane_by_its_quantizer_eigenvalues(direction, monkeypatch):
+    # in the coordinates of a lane's Q basis its quantizer is diagonal, so
+    # the projection whitens by a diagonal scale: no stack is factored by
+    # Cholesky in the uplink (the downlink's rate takes two D x D
+    # factorizations per lane group), and one k x k eigvalsh runs per lane
+    # group, k the width of the group's described subspace: the base's
+    # for the rotated lanes, the whole space for the random pairs.  The
+    # base's own check factors unstacked matrices only
     inst = _projection_instance("3x3-off")
     design, _, _ = solve_instance(inst, direction)
-    seen = []
+    perturbation_search(inst, design, trials=1000, seed=0)  # draws the plan
+    seen = {"cholesky": [], "eigvalsh": []}
+    for name in seen:
+        real = getattr(np.linalg, name)
 
-    def recording(M, B):
-        seen.append((M, B))
-        return whitened_eigvalsh(M, B)
+        def recording(A, *args, real=real, name=name, **kwargs):
+            seen[name].append(A.shape)
+            return real(A, *args, **kwargs)
 
-    monkeypatch.setattr(oracle, "whitened_eigvalsh", recording)
+        monkeypatch.setattr(np.linalg, name, recording)
     perturbation_search(inst, design, trials=1000, seed=0)
-    assert seen
-    for A in (A for pair in seen for A in pair):
-        assert np.array_equal(A, A.conj().swapaxes(-1, -2))
+    k, n, D = len(design.Q_factor[1]), inst.n_r, inst.spectrum.rank
+    assert k < n
+    assert seen["eigvalsh"] == [(750, k, k), (250, n, n)]
+    stacked = [shape for shape in seen["cholesky"] if len(shape) == 3]
+    if direction == "uplink":
+        assert stacked == []
+    else:
+        assert stacked == [(750, D, D)] * 2 + [(250, D, D)] * 2
 
 
 @pytest.mark.parametrize("direction", ["uplink", "downlink"])
@@ -678,9 +698,10 @@ def test_block_search_matches_per_candidate_loop(shape, direction):
         assert report.verdict == (2 * evaluated >= trials and ref_margin >= -CERTIFICATION_TOL)
 
 
-def _reference_directions(trial, nS, nQ, rng):
-    """The directions of one block as the search drew them before they were
-    memoized: from the search's own generator, as it reached the block."""
+def _reference_pairs(trial, nS, nQ, rng):
+    """The mask of rotated lanes, their unitaries and the dense random pairs
+    of one block, drawn from the search's own generator as it reaches the
+    block."""
     T = len(trial)
     z = rng.standard_normal((T, 2 * nS * nS + 2 * nQ * nQ))
     cut = np.cumsum([nS * nS, nS * nS, nQ * nQ])
@@ -690,13 +711,21 @@ def _reference_directions(trial, nS, nQ, rng):
     kind = trial % (len(oracle.GEODESIC_STEPS) + 1)
     rot = kind < len(oracle.GEODESIC_STEPS)
     eps = np.asarray(oracle.GEODESIC_STEPS)[kind[rot]]
-    return oracle._Directions(
-        trial,
+    return (
         rot,
         oracle._random_rotations(Gs[rot], eps),
         oracle._random_rotations(Gq[rot], eps),
         oracle._random_psd(Gs[~rot]),
         oracle._random_psd(Gq[~rot]) + 1e-6 * np.eye(nQ),
+    )
+
+
+def _reference_directions(trial, nS, nQ, rng):
+    """The directions of one block as the search drew them before they were
+    memoized, each random pair factored by the covariance check."""
+    rot, U_S, U_Q, S_rand, Q_rand = _reference_pairs(trial, nS, nQ, rng)
+    return oracle._Directions(
+        trial, rot, U_S, U_Q, *validate_covariance(S_rand, "S"), *validate_covariance(Q_rand, "Q")
     )
 
 
@@ -752,9 +781,8 @@ def test_memoized_directions_match_the_per_block_draw(monkeypatch, shape, direct
 # only because no kernel's result for one lane depends on the other lanes or
 # on the stack's size.  Each kernel is run on the first T lanes of one
 # 1000-lane stack and compared, lane by lane, with its run on that lane
-# alone.  Lane 7 is planted so that its Cholesky factorization fails: the
-# stacks of up to 7 lanes are factored at once, the longer ones by halving
-# until the failed lane is alone.
+# alone.  Lane 7 is planted so that it fails: the stacks of up to 7 lanes
+# hold no failed lane, the longer ones do.
 _LANE_COUNTS = (1, 2, 3, 7, 128, 1000)
 _LANE_SHAPES = [(1, 1), (2, 2), (3, 3), (4, 4), (1, 4), (4, 1)]
 _BAD_LANE = 7
@@ -767,6 +795,11 @@ def _random_psd_stack(n, rng, lanes=1000):
     return oracle._random_psd(X)
 
 
+def _factor_lanes(S, Q):
+    """Search lanes holding the eigen-factors of the PSD stacks S and Q."""
+    return oracle._Lanes(*validate_covariance(S, "S"), *validate_covariance(Q, "Q"))
+
+
 def _assert_lanes_match_their_own_results(kernel, *stacks):
     alone = [kernel(*(a[t : t + 1] for a in stacks)) for t in range(len(stacks[0]))]
     for T in _LANE_COUNTS:
@@ -776,17 +809,8 @@ def _assert_lanes_match_their_own_results(kernel, *stacks):
                 assert np.array_equal(x[t], y[0], equal_nan=True), (T, t)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_whitened_eigvalsh_lanes_do_not_depend_on_the_stack(n):
-    rng = np.random.default_rng(35_000 + n)
-    M, B = _random_psd_stack(n, rng), _random_psd_stack(n, rng) + 1e-9 * np.eye(n)
-    B[_BAD_LANE] = -np.eye(n)
-    assert not whitened_eigvalsh(M[:8], B[:8])[1][_BAD_LANE]
-    _assert_lanes_match_their_own_results(whitened_eigvalsh, M, B)
-
-
 # the shapes, and the width k of a per-lane described subspace (None: the
-# whole space), as the search restricts its rotated candidates
+# whole space), as the search rotates its base's
 _LANE_CASES = [
     pytest.param(shape, width, id=f"{shape[0]}x{shape[1]}" + (f"-W{width}" if width else ""))
     for shape, width in [(shape, None) for shape in _LANE_SHAPES] + [((3, 3), 2), ((4, 1), 1)]
@@ -797,30 +821,42 @@ _LANE_CASES = [
 @pytest.mark.parametrize("direction", ["uplink", "downlink"])
 @pytest.mark.parametrize("shape, width", _LANE_CASES)
 def test_stacked_kernel_lanes_do_not_depend_on_the_stack(shape, width, direction, kernel):
+    # each lane's factor projection, and its rate once projected, equal its
+    # own one-lane call bit for bit
     k = _LANE_SHAPES.index(shape)
     rng = np.random.default_rng(36_000 + k)
     inst = ChannelInstance(H=random_channel(*shape, seed=36_000 + k), P=2.0, C=4.0, sigma2=1.0)
     nS = inst.n_u if direction == "uplink" else inst.n_r
-    S, Q = _random_psd_stack(nS, rng), _random_psd_stack(inst.n_r, rng)
-    W = None
+    lanes = _factor_lanes(_random_psd_stack(nS, rng), _random_psd_stack(inst.n_r, rng))
     if width is not None:
-        G = rng.standard_normal((len(Q), inst.n_r, width)) + 1j * rng.standard_normal(
-            (len(Q), inst.n_r, width))
-        W = np.linalg.qr(G)[0]
+        # a random orthonormal basis per lane, with the quantizer's first
+        # width eigenvalues on it
+        G = rng.standard_normal((1000, inst.n_r, width)) + 1j * rng.standard_normal(
+            (1000, inst.n_r, width))
+        lanes = lanes._replace(B_Q=np.linalg.qr(G)[0], lam_Q=lanes.lam_Q[:, :width])
+    planted = True
     if kernel == "projection":
-        Q[_BAD_LANE] = 0.0  # a singular quantizer has no design
+        lam_Q = lanes.lam_Q.copy()
+        lam_Q[_BAD_LANE, 0] = 0.0  # a singular quantizer has no design
+        stacks = lanes._replace(lam_Q=lam_Q)
 
-        def run(S, Q, W=None):
-            return oracle._project(inst, direction, S, Q, W)
+        def run(*stacks):
+            alpha, beta, ok, gamma = oracle._project(inst, direction, oracle._Lanes(*stacks))
+            return alpha, beta, gamma, ok
     else:
-        Q[_BAD_LANE] = -1e6 * np.eye(inst.n_r)  # the base of the ratio is not positive definite
-        stacked = uplink_rate_stacked if direction == "uplink" else downlink_rate_stacked
+        alpha, beta, ok, gamma = oracle._project(inst, direction, lanes)
+        assert ok.all()
+        # the uplink's closed-form rate is defined on every projected lane; a
+        # downlink lane whose base is not positive definite has no rate
+        planted = direction == "downlink"
+        if planted:
+            beta[_BAD_LANE] = -1e6
+        stacks = (*lanes, alpha, beta, gamma)
 
-        def run(S, Q, W=None):
-            return stacked(inst, S, Q, W)
-    stacks = (S, Q) if W is None else (S, Q, W)
+        def run(*stacks):
+            return oracle._lane_rates(inst, direction, oracle._Lanes(*stacks[:4]), *stacks[4:])
     ok = run(*(a[:8] for a in stacks))[-1]
-    assert not ok[_BAD_LANE] and ok[:_BAD_LANE].all()
+    assert ok[:_BAD_LANE].all() and ok[_BAD_LANE] != planted
     _assert_lanes_match_their_own_results(run, *stacks)
 
 
@@ -885,18 +921,38 @@ def test_direction_plans_are_read_only_and_bounded():
     assert oracle._plan.cache_info() == before
 
 
+@pytest.mark.parametrize("nS, nQ", [(2, 3), (3, 3), (4, 1)])
+def test_plan_keeps_the_random_pairs_factors(nS, nQ):
+    # the covariance check factors each random pair when the plan is drawn;
+    # the plan keeps those factors, read-only, as validate_covariance gives
+    # them for the drawn pairs, bit for bit, and no dense pair
+    oracle._plan.cache_clear()
+    plan = oracle._plan(8, 300, nS, nQ)
+    rng = np.random.default_rng(8)
+    for block in plan:
+        rot, _, _, S_rand, Q_rand = _reference_pairs(block.trial, nS, nQ, rng)
+        assert np.array_equal(block.rot, rot)
+        drawn = (*validate_covariance(S_rand, "S"), *validate_covariance(Q_rand, "Q"))
+        kept = (block.B_S, block.lam_S, block.B_Q, block.lam_Q)
+        assert [a.shape for a in kept] == [(75, nS, nS), (75, nS), (75, nQ, nQ), (75, nQ)]
+        for a, b in zip(kept, drawn):
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+
 _CANDIDATES = oracle._candidates
 
 
 def _plant_singular_quantizers(monkeypatch, planted):
-    """Zero the quantizer of the candidates of the given trial numbers before
-    the block projection sees them."""
+    """Zero the quantizer eigenvalues of the candidates of the given trial
+    numbers before the block projection sees them."""
 
-    def candidates(S0, Q0, W, block):
-        for trial, S, Q, W_c in _CANDIDATES(S0, Q0, W, block):
-            Q = Q.copy()
-            Q[np.isin(trial, list(planted))] = 0.0
-            yield trial, S, Q, W_c
+    def candidates(base, block):
+        for trial, lanes in _CANDIDATES(base, block):
+            hit = np.isin(trial, list(planted))[:, None]
+            yield trial, lanes._replace(lam_Q=np.where(hit, 0.0, lanes.lam_Q))
 
     monkeypatch.setattr(oracle, "_candidates", candidates)
 
@@ -951,12 +1007,11 @@ def _poison_first_lane(W):
 
 
 def _overflow_first_lane(project):
-    def overflowing(inst, direction, S, Q, W=None):
-        S, Q, ok = project(inst, direction, S, Q, W)
-        S = S.copy()
+    def overflowing(inst, direction, lanes):
+        alpha, beta, ok, gamma = project(inst, direction, lanes)
         with np.errstate(over="ignore", invalid="ignore"):
-            S[np.argmax(ok)] *= 1e308 * 1e308
-        return S, Q, ok
+            alpha[np.argmax(ok)] *= 1e308 * 1e308
+        return alpha, beta, ok, gamma
 
     return overflowing
 

@@ -16,7 +16,7 @@ from cranopt import (
     uplink_fronthaul,
     uplink_rate,
 )
-from cranopt.uplink import uplink_rate_stacked
+import cranopt.oracle as oracle
 
 TWO_LOG2_3_2 = 1.1699250014423124  # 2*log2(3/2)
 TWO_LOG2_3 = 3.169925001442312    # 2*log2(3)
@@ -130,22 +130,49 @@ def _rand_psd(n, rng):
     return X @ X.conj().T / n
 
 
+def _lanes(designs):
+    """The designs' eigen-factors as one stack of search lanes."""
+    factors = [(*d.S_factor, *d.Q_factor) for d in designs]
+    return oracle._Lanes(*(np.stack(a) for a in zip(*factors)))
+
+
 @pytest.mark.parametrize("k", [None, 1, 0])
 def test_stacked_rate_is_the_one_design_rate(k):
-    # uplink_rate, read from the design's eigen-factors, is the rate
-    # uplink_rate_stacked gives the dense pair, to rounding, with no
-    # restriction, a 1-dim and an empty forwarded subspace
+    # the perturbation search's rate of a projected lane, in closed form from
+    # the spectrum its level was solved on, is uplink_rate of the design its
+    # rescaled eigen-factors hold, to rounding, with no restriction, a 1-dim
+    # and an empty forwarded subspace
     rng = np.random.default_rng(21)
     H = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))) / np.sqrt(2)
     inst = ChannelInstance(H=H, P=2.0, C=3.0, sigma2=0.8)
     W = None if k is None else np.eye(3, dtype=complex)[:, :k]
     S = np.stack([_rand_psd(2, rng) for _ in range(4)])
     Q = np.stack([_rand_psd(3, rng) + 0.1 * np.eye(3) for _ in range(4)])
-    nats, ok = uplink_rate_stacked(inst, S, Q, W)
-    assert ok.all()
+    designs = [UplinkDesign(S=S[t], Q=Q[t], active_basis=W) for t in range(4)]
+    lanes = _lanes(designs)
+    alpha, beta, ok, gamma = oracle._project(inst, "uplink", lanes)
+    nats, defined = oracle._lane_rates(inst, "uplink", lanes, alpha, beta, gamma)
+    assert ok.all() and defined.all()
     for t in range(4):
-        d = UplinkDesign(S=S[t], Q=Q[t], active_basis=W)
+        d = UplinkDesign._from_factors(
+            (lanes.B_S[t], alpha[t] * lanes.lam_S[t]), (lanes.B_Q[t], beta[t] * lanes.lam_Q[t]))
         assert uplink_rate(inst, d) == pytest.approx(nats[t] / LN2, rel=1e-13, abs=0.0)
     if k == 0:
         assert not nats.any()
         assert uplink_rate(inst, d) == 0.0
+
+
+def test_stacked_rate_at_a_noiseless_quantizer():
+    # a fronthaul level that overflows (C above about 1000 bits) rescales
+    # the quantizer by beta = 0: the closed-form rate is then the noiseless
+    # limit log|H S H^H + sigma2 I| - log|sigma2 I|, not inf - inf
+    rng = np.random.default_rng(23)
+    H = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))) / np.sqrt(2)
+    inst = ChannelInstance(H=H, P=2.0, C=3.0, sigma2=0.8)
+    design = UplinkDesign(S=_rand_psd(2, rng), Q=_rand_psd(3, rng) + 0.1 * np.eye(3))
+    lanes = _lanes([design])
+    alpha, _, _, gamma = oracle._project(inst, "uplink", lanes)
+    nats, defined = oracle._lane_rates(inst, "uplink", lanes, alpha, np.zeros(1), gamma)
+    Phi = H @ (alpha[0] * design.S) @ H.conj().T
+    limit = np.linalg.slogdet(Phi + 0.8 * np.eye(3))[1] - 3 * np.log(0.8)
+    assert defined.all() and nats[0] == pytest.approx(limit, rel=1e-12)
